@@ -23,7 +23,7 @@ struct DopRow {
     energy_per_input_nj: f64,
 }
 
-hybridem_mathkit::impl_to_json!(DopRow {
+hybridem_mathkit::impl_json!(DopRow {
     simd,
     pe,
     dsp,

@@ -20,7 +20,7 @@ struct GridRow {
     extraction_samples: usize,
 }
 
-hybridem_mathkit::impl_to_json!(GridRow {
+hybridem_mathkit::impl_json!(GridRow {
     grid_n,
     voronoi_disagreement,
     missing,

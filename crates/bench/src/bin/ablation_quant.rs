@@ -27,7 +27,7 @@ struct QuantRow {
     penalty_pct: f64,
 }
 
-hybridem_mathkit::impl_to_json!(QuantRow {
+hybridem_mathkit::impl_json!(QuantRow {
     bits,
     ber_quantised,
     ber_float,

@@ -26,7 +26,7 @@ struct TriggerRow {
     ecc_frames_to_trigger: Option<usize>,
 }
 
-hybridem_mathkit::impl_to_json!(TriggerRow {
+hybridem_mathkit::impl_json!(TriggerRow {
     theta_rad,
     pilot_frames_to_trigger,
     ecc_frames_to_trigger,

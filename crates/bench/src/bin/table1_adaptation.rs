@@ -23,7 +23,7 @@ struct Table1Row {
     paper_centroid_after: f64,
 }
 
-hybridem_mathkit::impl_to_json!(Table1Row {
+hybridem_mathkit::impl_json!(Table1Row {
     snr_db,
     baseline_ber,
     ae_before,

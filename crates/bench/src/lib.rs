@@ -95,27 +95,3 @@ pub fn campaign_symbol_cap() -> Option<u64> {
 pub fn assert_written(path: &Path) {
     assert!(path.exists(), "artefact {path:?} missing");
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn artefact_round_trip() {
-        std::env::set_var("HYBRIDEM_RESULTS", "/tmp/hybridem-bench-test");
-        let artefact =
-            hybridem_mathkit::json::Json::object([("x", hybridem_mathkit::json::Json::Int(1))]);
-        let p = write_json("test.json", &artefact);
-        assert_written(&p);
-        let p = write_text("test.txt", "hello");
-        assert_written(&p);
-        let body = std::fs::read_to_string(p).unwrap();
-        assert_eq!(body, "hello");
-    }
-
-    #[test]
-    fn budget_full_without_quick_mode() {
-        std::env::remove_var("HYBRIDEM_QUICK");
-        assert_eq!(budget(800), 800);
-    }
-}

@@ -1,11 +1,9 @@
-//! Bit manipulation: symbol/bit packing, Gray codes, PRBS sources.
+//! Bit manipulation: symbol/bit packing and Gray codes.
 //!
 //! Convention: a symbol index packs its bits **MSB first** — bit `k = 0`
 //! of an `m`-bit symbol is the most significant. This matches the
 //! indexing `b_k` used in the paper's LLR formula and is used
 //! consistently by constellations, demappers and the autoencoder.
-
-use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 
 /// Unpacks symbol `index` into `m` bits, MSB first.
 #[inline]
@@ -56,89 +54,6 @@ pub fn hamming_distance(a: usize, b: usize) -> u32 {
     (a ^ b).count_ones()
 }
 
-/// A seedable random bit source backed by the workspace RNG.
-pub struct BitSource {
-    rng: Xoshiro256pp,
-}
-
-impl BitSource {
-    /// New source from a seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: Xoshiro256pp::seed_from_u64(seed),
-        }
-    }
-
-    /// Next random bit.
-    pub fn next_bit(&mut self) -> u8 {
-        u8::from(self.rng.bit())
-    }
-
-    /// Fills a buffer with random bits.
-    pub fn fill(&mut self, out: &mut [u8]) {
-        self.rng.fill_bits(out);
-    }
-
-    /// Next `m`-bit symbol index.
-    pub fn next_symbol(&mut self, m: usize) -> usize {
-        (self.rng.next_u64() >> (64 - m)) as usize
-    }
-}
-
-/// Maximal-length LFSR pseudo-random binary sequence generator
-/// (Fibonacci form). `PRBS7` = x⁷+x⁶+1, `PRBS9` = x⁹+x⁵+1 — the
-/// standard test patterns used as pilot payloads.
-pub struct Prbs {
-    state: u32,
-    taps: u32,
-    degree: u32,
-}
-
-impl Prbs {
-    /// PRBS7 (period 127).
-    pub fn prbs7() -> Self {
-        Self::new(7, (1 << 6) | (1 << 5), 0x7F)
-    }
-
-    /// PRBS9 (period 511).
-    pub fn prbs9() -> Self {
-        Self::new(9, (1 << 8) | (1 << 4), 0x1FF)
-    }
-
-    /// PRBS15 (period 32767), taps x¹⁵+x¹⁴+1.
-    pub fn prbs15() -> Self {
-        Self::new(15, (1 << 14) | (1 << 13), 0x7FFF)
-    }
-
-    fn new(degree: u32, taps: u32, init: u32) -> Self {
-        Self {
-            state: init,
-            taps,
-            degree,
-        }
-    }
-
-    /// Degree of the generating polynomial.
-    pub fn degree(&self) -> u32 {
-        self.degree
-    }
-
-    /// Next bit of the sequence.
-    pub fn next_bit(&mut self) -> u8 {
-        let fb = (self.state & self.taps).count_ones() & 1;
-        let out = (self.state >> (self.degree - 1)) & 1;
-        self.state = ((self.state << 1) | fb) & ((1 << self.degree) - 1);
-        out as u8
-    }
-
-    /// Fills a buffer with sequence bits.
-    pub fn fill(&mut self, out: &mut [u8]) {
-        for b in out {
-            *b = self.next_bit();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,54 +87,6 @@ mod tests {
             assert!(!seen[g], "gray not injective");
             seen[g] = true;
             assert_eq!(gray_inverse(g), n);
-        }
-    }
-
-    #[test]
-    fn prbs7_has_full_period() {
-        let mut p = Prbs::prbs7();
-        let mut seq = vec![0u8; 127 * 2];
-        p.fill(&mut seq);
-        // Period exactly 127: first and second halves identical.
-        assert_eq!(&seq[..127], &seq[127..]);
-        // Maximal-length property: 64 ones, 63 zeros per period.
-        let ones: u32 = seq[..127].iter().map(|&b| b as u32).sum();
-        assert_eq!(ones, 64);
-        // And not a shorter period.
-        assert_ne!(&seq[..63], &seq[63..126]);
-    }
-
-    #[test]
-    fn prbs9_balance() {
-        let mut p = Prbs::prbs9();
-        let mut seq = vec![0u8; 511];
-        p.fill(&mut seq);
-        let ones: u32 = seq.iter().map(|&b| b as u32).sum();
-        assert_eq!(ones, 256);
-    }
-
-    #[test]
-    fn bit_source_deterministic_and_balanced() {
-        let mut a = BitSource::new(5);
-        let mut b = BitSource::new(5);
-        let mut x = vec![0u8; 1000];
-        let mut y = vec![0u8; 1000];
-        a.fill(&mut x);
-        b.fill(&mut y);
-        assert_eq!(x, y);
-        let mut src = BitSource::new(9);
-        let mut ones = 0u32;
-        for _ in 0..10_000 {
-            ones += src.next_bit() as u32;
-        }
-        assert!((ones as i64 - 5000).abs() < 300);
-    }
-
-    #[test]
-    fn bit_source_symbols_in_range() {
-        let mut src = BitSource::new(3);
-        for _ in 0..1000 {
-            assert!(src.next_symbol(4) < 16);
         }
     }
 }

@@ -31,7 +31,6 @@ use crate::channel::Channel;
 use crate::constellation::Constellation;
 use crate::demapper::Demapper;
 use crate::linksim::{LinkSim, LinkSpec};
-use hybridem_mathkit::json::{FromJson, Json, JsonError};
 use hybridem_mathkit::rng::SplitMix64;
 use hybridem_mathkit::stats::wilson_interval;
 
@@ -282,7 +281,7 @@ pub struct CampaignPoint {
     pub seed: u64,
 }
 
-hybridem_mathkit::impl_to_json!(CampaignPoint {
+hybridem_mathkit::impl_json!(CampaignPoint {
     family,
     scenario,
     snr_db,
@@ -300,32 +299,10 @@ hybridem_mathkit::impl_to_json!(CampaignPoint {
     seed,
 });
 
-impl FromJson for CampaignPoint {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            family: String::from_json(v.field("family")?)?,
-            scenario: String::from_json(v.field("scenario")?)?,
-            snr_db: f64::from_json(v.field("snr_db")?)?,
-            ber: f64::from_json(v.field("ber")?)?,
-            ber_ci: <(f64, f64)>::from_json(v.field("ber_ci")?)?,
-            ser: f64::from_json(v.field("ser")?)?,
-            ser_ci: <(f64, f64)>::from_json(v.field("ser_ci")?)?,
-            mi: f64::from_json(v.field("mi")?)?,
-            bits: u64::from_json(v.field("bits")?)?,
-            bit_errors: u64::from_json(v.field("bit_errors")?)?,
-            symbols: u64::from_json(v.field("symbols")?)?,
-            symbol_errors: u64::from_json(v.field("symbol_errors")?)?,
-            rounds: u32::from_json(v.field("rounds")?)?,
-            stopped_early: bool::from_json(v.field("stopped_early")?)?,
-            seed: u64::from_json(v.field("seed")?)?,
-        })
-    }
-}
-
 /// The campaign artefact: execution parameters + all measured points,
 /// serialisable with [`hybridem_mathkit::json::ToJson`] and
-/// re-loadable with [`FromJson`] (which is how CI validates artefact
-/// schemas).
+/// re-loadable with [`hybridem_mathkit::json::FromJson`] (which is how
+/// CI validates artefact schemas).
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
     /// Campaign label.
@@ -348,7 +325,7 @@ pub struct CampaignReport {
     pub points: Vec<CampaignPoint>,
 }
 
-hybridem_mathkit::impl_to_json!(CampaignReport {
+hybridem_mathkit::impl_json!(CampaignReport {
     name,
     seed,
     tasks,
@@ -359,22 +336,6 @@ hybridem_mathkit::impl_to_json!(CampaignReport {
     snrs_db,
     points,
 });
-
-impl FromJson for CampaignReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            name: String::from_json(v.field("name")?)?,
-            seed: u64::from_json(v.field("seed")?)?,
-            tasks: u32::from_json(v.field("tasks")?)?,
-            block_len: u64::from_json(v.field("block_len")?)?,
-            z: f64::from_json(v.field("z")?)?,
-            target_bit_errors: u64::from_json(v.field("target_bit_errors")?)?,
-            max_symbols_per_point: u64::from_json(v.field("max_symbols_per_point")?)?,
-            snrs_db: Vec::<f64>::from_json(v.field("snrs_db")?)?,
-            points: Vec::<CampaignPoint>::from_json(v.field("points")?)?,
-        })
-    }
-}
 
 impl CampaignReport {
     /// Schema/invariant validation of a (re-loaded) artefact: finite
@@ -536,7 +497,7 @@ pub fn run_campaign(spec: &CampaignSpec<'_>) -> CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hybridem_mathkit::json::ToJson;
+    use hybridem_mathkit::json::{FromJson, Json, ToJson};
 
     fn qpsk_campaign(stop: EarlyStop) -> CampaignSpec<'static> {
         let mut spec = CampaignSpec::new(

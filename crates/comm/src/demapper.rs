@@ -131,59 +131,42 @@ pub trait Demapper: Send + Sync {
     }
 }
 
-/// Forwarding impl: a shared reference demaps exactly like the value
-/// it borrows. This lets long-lived demappers (a trained
-/// `NeuralDemapper`, say) be handed out by campaign demapper-family
-/// builders as `Box<dyn Demapper + '_>` without cloning the weights.
-impl<D: Demapper + ?Sized> Demapper for &D {
-    fn bits_per_symbol(&self) -> usize {
-        (**self).bits_per_symbol()
-    }
+/// Forwarding impls: a shared reference or a shared-ownership handle
+/// demaps exactly like the value it points to. `&D` lets long-lived
+/// demappers (a trained `NeuralDemapper`, say) be handed out by
+/// campaign demapper-family builders as `Box<dyn Demapper + '_>`
+/// without cloning the weights. `Arc<D>` is what the backend registry
+/// (`core::registry`) hands out, so one constructed demapper can be
+/// shared by campaign family builders, online links and the link
+/// server without cloning state, and plug straight into every
+/// `&dyn Demapper` / `Box<dyn Demapper>` call site bit-exactly.
+macro_rules! forward_demapper {
+    ($($ptr:ty),+) => {$(
+        impl<D: Demapper + ?Sized> Demapper for $ptr {
+            fn bits_per_symbol(&self) -> usize {
+                (**self).bits_per_symbol()
+            }
 
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        (**self).llrs(y, out);
-    }
+            fn llrs(&self, y: C32, out: &mut [f32]) {
+                (**self).llrs(y, out);
+            }
 
-    fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
-        (**self).demap_block(ys, out);
-    }
+            fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
+                (**self).demap_block(ys, out);
+            }
 
-    fn hard_decide(&self, y: C32, out: &mut [u8]) {
-        (**self).hard_decide(y, out);
-    }
+            fn hard_decide(&self, y: C32, out: &mut [u8]) {
+                (**self).hard_decide(y, out);
+            }
 
-    fn hard_decide_block(&self, ys: &[C32], out: &mut [u8]) {
-        (**self).hard_decide_block(ys, out);
-    }
+            fn hard_decide_block(&self, ys: &[C32], out: &mut [u8]) {
+                (**self).hard_decide_block(ys, out);
+            }
+        }
+    )+};
 }
 
-/// Forwarding impl: a shared-ownership handle demaps exactly like the
-/// value it wraps. The backend registry (`core::registry`) hands out
-/// `Arc<dyn Demapper>` so one constructed demapper can be shared by
-/// campaign family builders, online links and the link server without
-/// cloning state; this impl lets those handles plug straight into
-/// every `&dyn Demapper` / `Box<dyn Demapper>` call site bit-exactly.
-impl<D: Demapper + ?Sized> Demapper for std::sync::Arc<D> {
-    fn bits_per_symbol(&self) -> usize {
-        (**self).bits_per_symbol()
-    }
-
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        (**self).llrs(y, out);
-    }
-
-    fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
-        (**self).demap_block(ys, out);
-    }
-
-    fn hard_decide(&self, y: C32, out: &mut [u8]) {
-        (**self).hard_decide(y, out);
-    }
-
-    fn hard_decide_block(&self, ys: &[C32], out: &mut [u8]) {
-        (**self).hard_decide_block(ys, out);
-    }
-}
+forward_demapper!(&D, std::sync::Arc<D>);
 
 /// Per-bit point-subset membership, precomputed once per point set:
 /// `one[i * m + k]` is true when bit `k` of label `i` is 1 (point `i`

@@ -8,8 +8,6 @@
 //! version of the paper's retrain trigger.
 
 use super::DecodeOutcome;
-use crate::demapper::Demapper;
-use hybridem_mathkit::complex::C32;
 
 /// Rate-1/2, K=3 convolutional encoder, generators (7,5) octal.
 #[derive(Clone, Copy, Debug, Default)]
@@ -85,36 +83,10 @@ impl Viterbi {
         self.decode_soft(code, &llrs)
     }
 
-    /// Demap-and-decode: block-demaps `symbols` with `demapper` (one
-    /// [`Demapper::demap_block`] call — the symbol-major LLR layout is
-    /// exactly the serial code-bit order the trellis consumes), keeps
-    /// the first `code_bits` LLRs (the tail symbol may carry padding)
-    /// and soft-decodes them.
-    ///
-    /// # Panics
-    /// Panics if `code_bits` is odd or exceeds the demapped bit count.
-    pub fn decode_demapped(
-        &self,
-        code: &ConvCode,
-        demapper: &dyn Demapper,
-        symbols: &[C32],
-        code_bits: usize,
-    ) -> DecodeOutcome {
-        let m = demapper.bits_per_symbol();
-        assert!(
-            code_bits <= symbols.len() * m,
-            "code_bits {code_bits} exceeds the {} demapped bits",
-            symbols.len() * m
-        );
-        let mut llrs = vec![0f32; symbols.len() * m];
-        demapper.demap_block(symbols, &mut llrs);
-        llrs.truncate(code_bits);
-        self.decode_soft(code, &llrs)
-    }
-
     /// Soft-decision decode from per-bit LLRs (workspace convention:
-    /// positive ⇒ bit 0; [`Demapper::demap_block`] output feeds in
-    /// directly). Maximises the path correlation
+    /// positive ⇒ bit 0; the output of
+    /// [`Demapper::demap_block`](crate::demapper::Demapper::demap_block)
+    /// feeds in directly). Maximises the path correlation
     /// `Σ (1−2c)·LLR` over codewords `c`.
     pub fn decode_soft(&self, code: &ConvCode, llrs: &[f32]) -> DecodeOutcome {
         assert_eq!(llrs.len() % 2, 0, "rate-1/2 stream must be even");

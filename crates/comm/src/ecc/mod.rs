@@ -2,22 +2,16 @@
 //!
 //! The paper (§II-C, citing Schibisch et al. 2018) proposes using the
 //! number of bit flips corrected by an outer ECC as the channel-quality
-//! metric that triggers demapper retraining. This module provides two
-//! codes for that purpose:
-//!
-//! - [`Hamming74`] — the classic single-error-correcting (7,4) block
-//!   code, whose per-block corrected-flip count is the cheapest possible
-//!   quality signal;
-//! - [`ConvCode`] + [`Viterbi`] — a rate-1/2, constraint-length-3
-//!   convolutional code with hard- and soft-decision Viterbi decoding,
-//!   demonstrating that the LLRs from soft demappers are worth real
-//!   coding gain (and providing the re-encode/compare flip counter).
+//! metric that triggers demapper retraining. This module provides the
+//! code for that purpose: [`ConvCode`] + [`Viterbi`], a rate-1/2,
+//! constraint-length-3 convolutional code with hard- and soft-decision
+//! Viterbi decoding, demonstrating that the LLRs from soft demappers
+//! are worth real coding gain (and providing the re-encode/compare
+//! flip counter).
 
 mod convolutional;
-mod hamming;
 
 pub use convolutional::{ConvCode, Viterbi};
-pub use hamming::Hamming74;
 
 /// Outcome of decoding one protected block.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -160,15 +160,6 @@ impl AdaptiveEqualizer {
         &self.taps
     }
 
-    /// Clears the delay line and the handoff statistic and returns to
-    /// CMA acquisition, keeping the learned taps.
-    pub fn reset_state(&mut self) {
-        self.line.fill(C32::zero());
-        self.pos = 0;
-        self.mode = EqualizerMode::Cma;
-        self.dd_mse = 1.0;
-    }
-
     /// Equalizer output for the sample at the write cursor *after*
     /// `push` stored it: `z[n] = Σ_k w_k · y[n−k]`.
     fn filter_output(&self) -> C32 {

@@ -1,216 +1,274 @@
-//! Framing: pilot preambles + payload.
+//! The monitoring frame: one engine for every frame-streaming link.
 //!
 //! The adaptation loop of the paper periodically sends known pilot
-//! symbols (§II-C). [`FrameFormat`] fixes the split between pilots and
-//! payload; [`build_frame`] packs known pilot bits and payload bits
-//! into one symbol block, and [`FrameRx`] splits a received block back
-//! apart, producing exactly the statistics the adaptation controller
-//! in `hybridem-core` consumes: pilot bit comparisons and payload
-//! LLRs.
+//! symbols (§II-C). A [`FrameEngine`] owns one link's transmitter and
+//! channel: [`FrameEngine::generate`] draws a pilot prefix and a
+//! payload (uniform symbols, or a rate-1/2 convolutional codeword under
+//! [`Monitor::Ecc`]) from the link's private RNG stream, maps them and
+//! plays the frame through a scripted [`TrajectoryChannel`]. Once the
+//! caller has demapped the received block,
+//! [`FrameEngine::count_errors`] compares the LLR signs with the
+//! transmitted bits — pilot prefix and payload separately, with no hard
+//! decision pass — and [`FrameEngine::ecc_corrected`] soft-decodes the
+//! payload codeword.
+//!
+//! `hybridem-core`'s online link and its link-server sessions both
+//! stream through this engine, so for one seed, trajectory and frame
+//! geometry they transmit and count the same frames. Buffers are sized
+//! at construction: a pilot-monitored frame allocates nothing (under
+//! ECC monitoring the encoder and the Viterbi decoder allocate).
 
 use crate::bits::pack_bits;
+use crate::channel::Channel;
 use crate::constellation::Constellation;
-use crate::demapper::Demapper;
+use crate::ecc::{ConvCode, Viterbi};
+use crate::trajectory::{Trajectory, TrajectoryChannel};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 
-/// The symbol layout of one frame.
+/// Which degradation evidence a link monitors (paper §II-C proposes
+/// both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrameFormat {
-    /// Pilot symbols at the head of the frame.
-    pub pilot_symbols: usize,
-    /// Payload symbols following the pilots.
-    pub payload_symbols: usize,
+pub enum Monitor {
+    /// Pilot-BER monitoring: the known pilot prefix of every frame is
+    /// compared against its hard decisions.
+    Pilot,
+    /// ECC monitoring: the payload carries a rate-1/2 convolutional
+    /// codeword and the Viterbi decoder's corrected-flip count is the
+    /// quality metric (no pilot overhead needed for detection).
+    Ecc,
 }
 
-impl FrameFormat {
-    /// A typical monitoring frame: 64 pilots + 960 payload symbols
-    /// (6.25 % pilot overhead).
-    pub fn default_monitoring() -> Self {
+/// Bit errors of one frame, counted from LLR signs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FrameErrors {
+    /// Errors over the pilot prefix.
+    pub pilot: u64,
+    /// Errors over the payload (raw demapped decisions, before ECC).
+    pub payload: u64,
+}
+
+/// One link's frame source and channel. See the module docs.
+pub struct FrameEngine {
+    bits_per_symbol: usize,
+    pilot_symbols: usize,
+    monitor: Monitor,
+    rng: Xoshiro256pp,
+    channel: TrajectoryChannel,
+    tx_syms: Vec<usize>,
+    tx_bits: Vec<u8>,
+    block: Vec<C32>,
+    info: Vec<u8>,
+}
+
+impl FrameEngine {
+    /// Engine for frames of `frame_symbols` symbols of
+    /// `bits_per_symbol` bits, the first `pilot_symbols` of them
+    /// pilots. Frames draw from `Xoshiro256pp::stream(seed, 0)` and
+    /// play through `trajectory`, which holds its final state past the
+    /// end of the script.
+    ///
+    /// # Panics
+    /// Panics on an empty frame, more pilots than symbols, more than
+    /// 16 bits per symbol, or (under [`Monitor::Ecc`]) a payload
+    /// capacity that is odd or not above the code's tail.
+    pub fn new(
+        trajectory: Trajectory,
+        seed: u64,
+        frame_symbols: usize,
+        pilot_symbols: usize,
+        monitor: Monitor,
+        bits_per_symbol: usize,
+    ) -> Self {
+        let (n, m) = (frame_symbols, bits_per_symbol);
+        assert!(n > 0, "frame length must be positive");
+        assert!(pilot_symbols <= n, "pilots cannot exceed the frame");
+        assert!(m <= 16, "bits per symbol > 16 unsupported");
+        let payload_bits = (n - pilot_symbols) * m;
+        let info_len = if monitor == Monitor::Ecc {
+            assert!(
+                payload_bits.is_multiple_of(2) && payload_bits / 2 > ConvCode::TAIL,
+                "ECC monitoring needs an even payload capacity above the tail"
+            );
+            payload_bits / 2 - ConvCode::TAIL
+        } else {
+            0
+        };
         Self {
-            pilot_symbols: 64,
-            payload_symbols: 960,
+            bits_per_symbol: m,
+            pilot_symbols,
+            monitor,
+            rng: Xoshiro256pp::stream(seed, 0),
+            channel: TrajectoryChannel::new(trajectory, n),
+            tx_syms: vec![0; n],
+            tx_bits: vec![0; n * m],
+            block: vec![C32::zero(); n],
+            info: vec![0; info_len],
         }
     }
 
-    /// Total symbols per frame.
-    pub fn total_symbols(&self) -> usize {
-        self.pilot_symbols + self.payload_symbols
-    }
-
-    /// Pilot overhead fraction.
-    pub fn overhead(&self) -> f64 {
-        self.pilot_symbols as f64 / self.total_symbols().max(1) as f64
-    }
-}
-
-/// A built frame: modulated symbols plus the ground truth needed at
-/// the receiver (pilot bits are known by construction).
-#[derive(Clone, Debug)]
-pub struct TxFrame {
-    /// Modulated symbols (pilots first).
-    pub symbols: Vec<C32>,
-    /// The known pilot bits (MSB-first per symbol).
-    pub pilot_bits: Vec<u8>,
-    /// The payload bits carried.
-    pub payload_bits: Vec<u8>,
-    format: FrameFormat,
-}
-
-/// Builds one frame: pilots are drawn from the seeded PRNG (both ends
-/// derive them from the shared seed and frame index), payload bits are
-/// caller-supplied and zero-padded to a whole symbol.
-pub fn build_frame(
-    format: FrameFormat,
-    constellation: &Constellation,
-    payload_bits: &[u8],
-    seed: u64,
-    frame_index: u64,
-) -> TxFrame {
-    let m = constellation.bits_per_symbol();
-    assert!(
-        payload_bits.len() <= format.payload_symbols * m,
-        "payload exceeds frame capacity"
-    );
-    let mut rng = Xoshiro256pp::stream(seed, frame_index);
-    let mut symbols = Vec::with_capacity(format.total_symbols());
-    let mut pilot_bits = Vec::with_capacity(format.pilot_symbols * m);
-
-    for _ in 0..format.pilot_symbols {
-        let u = (rng.next_u64() >> (64 - m)) as usize;
-        for k in 0..m {
-            pilot_bits.push(((u >> (m - 1 - k)) & 1) as u8);
+    /// Builds the next frame into [`FrameEngine::block`]: the pilot
+    /// prefix, then the payload (uniform symbols, or the codeword of
+    /// freshly drawn information bits), mapped through `constellation`
+    /// and played through the channel.
+    pub fn generate(&mut self, constellation: &Constellation) {
+        let m = self.bits_per_symbol;
+        debug_assert_eq!(constellation.bits_per_symbol(), m);
+        let (pilots, payload) = self.tx_syms.split_at_mut(self.pilot_symbols);
+        for s in pilots {
+            *s = (self.rng.next_u64() >> (64 - m)) as usize;
         }
-        symbols.push(constellation.point(u));
+        if self.monitor == Monitor::Ecc {
+            self.rng.fill_bits(&mut self.info);
+            let coded = ConvCode::new().encode(&self.info);
+            for (s, chunk) in payload.iter_mut().zip(coded.chunks(m)) {
+                *s = pack_bits(chunk);
+            }
+        } else {
+            for s in payload {
+                *s = (self.rng.next_u64() >> (64 - m)) as usize;
+            }
+        }
+        for ((&u, y), bits) in self
+            .tx_syms
+            .iter()
+            .zip(&mut self.block)
+            .zip(self.tx_bits.chunks_exact_mut(m))
+        {
+            *y = constellation.point(u);
+            for (k, b) in bits.iter_mut().enumerate() {
+                *b = constellation.bit(u, k);
+            }
+        }
+        self.channel.transmit(&mut self.block, &mut self.rng);
     }
 
-    let mut padded = payload_bits.to_vec();
-    padded.resize(format.payload_symbols * m, 0);
-    for chunk in padded.chunks(m) {
-        symbols.push(constellation.point(pack_bits(chunk)));
+    /// Counts the frame's bit errors from the signs of `llrs` (one per
+    /// transmitted bit; workspace convention: negative ⇒ bit 1).
+    pub fn count_errors(&self, llrs: &[f32]) -> FrameErrors {
+        debug_assert_eq!(llrs.len(), self.tx_bits.len());
+        let split = self.pilot_bits();
+        let count = |tx: &[u8], llrs: &[f32]| {
+            tx.iter()
+                .zip(llrs)
+                .filter(|&(&b, &l)| u8::from(l < 0.0) != b)
+                .count() as u64
+        };
+        FrameErrors {
+            pilot: count(&self.tx_bits[..split], &llrs[..split]),
+            payload: count(&self.tx_bits[split..], &llrs[split..]),
+        }
     }
 
-    TxFrame {
-        symbols,
-        pilot_bits,
-        payload_bits: padded,
-        format,
+    /// Soft-decodes the payload codeword from the frame's `llrs` and
+    /// returns how many channel bits the Viterbi decoder corrected —
+    /// the paper's ECC retrain evidence. 0 under [`Monitor::Pilot`],
+    /// whose payload carries no codeword.
+    pub fn ecc_corrected(&self, llrs: &[f32]) -> u64 {
+        if self.monitor == Monitor::Pilot {
+            return 0;
+        }
+        let payload = &llrs[self.pilot_bits()..];
+        Viterbi::new()
+            .decode_soft(&ConvCode::new(), payload)
+            .corrected
     }
-}
 
-/// Receiver-side frame decomposition.
-#[derive(Clone, Debug)]
-pub struct FrameRx {
-    /// Hard pilot-bit decisions.
-    pub pilot_decisions: Vec<u8>,
-    /// Payload LLRs (workspace convention: positive ⇒ bit 0).
-    pub payload_llrs: Vec<f32>,
-}
-
-/// Demaps a received frame (same symbol count as the transmitted one):
-/// one block hard-decide over the pilot prefix, one block demap over
-/// the payload.
-pub fn receive_frame(format: FrameFormat, demapper: &dyn Demapper, received: &[C32]) -> FrameRx {
-    assert_eq!(received.len(), format.total_symbols(), "frame length");
-    let m = demapper.bits_per_symbol();
-    let (pilots, payload) = received.split_at(format.pilot_symbols);
-    let mut pilot_decisions = vec![0u8; pilots.len() * m];
-    demapper.hard_decide_block(pilots, &mut pilot_decisions);
-    let mut payload_llrs = vec![0f32; payload.len() * m];
-    demapper.demap_block(payload, &mut payload_llrs);
-    FrameRx {
-        pilot_decisions,
-        payload_llrs,
+    /// Symbols per frame.
+    pub fn frame_symbols(&self) -> usize {
+        self.block.len()
     }
-}
 
-impl TxFrame {
-    /// The frame's format.
-    pub fn format(&self) -> FrameFormat {
-        self.format
+    /// Pilot bits per frame.
+    pub fn pilot_bits(&self) -> usize {
+        self.pilot_symbols * self.bits_per_symbol
+    }
+
+    /// Payload bits per frame.
+    pub fn payload_bits(&self) -> usize {
+        self.tx_bits.len() - self.pilot_bits()
+    }
+
+    /// The current frame's transmitted symbol indices (pilots first).
+    pub fn tx_symbols(&self) -> &[usize] {
+        &self.tx_syms
+    }
+
+    /// The current frame's transmitted bits, MSB first per symbol.
+    pub fn tx_bits(&self) -> &[u8] {
+        &self.tx_bits
+    }
+
+    /// The current frame as received (channel output).
+    pub fn block(&self) -> &[C32] {
+        &self.block
+    }
+
+    /// Mutable received frame, for receivers that equalize in place.
+    pub fn block_mut(&mut self) -> &mut [C32] {
+        &mut self.block
+    }
+
+    /// The playback channel (frame position, current state).
+    pub fn channel(&self) -> &TrajectoryChannel {
+        &self.channel
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{Awgn, Channel};
-    use crate::demapper::MaxLogMap;
-    use crate::metrics::count_bit_errors;
+    use crate::demapper::{Demapper, MaxLogMap};
+    use crate::trajectory::ChannelState;
 
-    fn qam() -> Constellation {
-        Constellation::qam_gray(16)
+    fn noiseless_engine(monitor: Monitor, seed: u64) -> FrameEngine {
+        let traj = Trajectory::constant("t", ChannelState::clean(f64::INFINITY), 4);
+        FrameEngine::new(traj, seed, 32, 8, monitor, 4)
+    }
+
+    fn demap(engine: &FrameEngine, qam: &Constellation) -> Vec<f32> {
+        let mut llrs = vec![0.0; engine.frame_symbols() * 4];
+        MaxLogMap::new(qam.clone(), 0.1).demap_block(engine.block(), &mut llrs);
+        llrs
     }
 
     #[test]
-    fn clean_frame_round_trip() {
-        let fmt = FrameFormat {
-            pilot_symbols: 8,
-            payload_symbols: 16,
-        };
-        let payload: Vec<u8> = (0..60).map(|i| (i % 2) as u8).collect();
-        let tx = build_frame(fmt, &qam(), &payload, 42, 0);
-        assert_eq!(tx.symbols.len(), 24);
-        assert_eq!(tx.pilot_bits.len(), 32);
-        assert_eq!(tx.payload_bits.len(), 64, "padded to whole symbols");
-
-        let demapper = MaxLogMap::new(qam(), 0.1);
-        let rx = receive_frame(fmt, &demapper, &tx.symbols);
-        assert_eq!(rx.pilot_decisions, tx.pilot_bits);
-        // Payload LLR signs reproduce the payload bits.
-        for (l, &b) in rx.payload_llrs.iter().zip(&tx.payload_bits) {
-            assert_eq!(u8::from(*l < 0.0), b);
+    fn noiseless_frames_count_no_errors() {
+        let qam = Constellation::qam_gray(16);
+        for monitor in [Monitor::Pilot, Monitor::Ecc] {
+            let mut e = noiseless_engine(monitor, 3);
+            assert_eq!((e.pilot_bits(), e.payload_bits()), (32, 96));
+            e.generate(&qam);
+            let llrs = demap(&e, &qam);
+            assert_eq!(e.count_errors(&llrs), FrameErrors::default());
+            assert_eq!(e.ecc_corrected(&llrs), 0);
         }
     }
 
     #[test]
-    fn pilots_are_shared_secret() {
-        // Both ends derive the same pilots from (seed, frame index).
-        let fmt = FrameFormat::default_monitoring();
-        let a = build_frame(fmt, &qam(), &[], 7, 3);
-        let b = build_frame(fmt, &qam(), &[], 7, 3);
-        assert_eq!(a.pilot_bits, b.pilot_bits);
-        let c = build_frame(fmt, &qam(), &[], 7, 4);
-        assert_ne!(a.pilot_bits, c.pilot_bits, "frames differ");
+    fn errors_are_counted_from_llr_signs_per_section() {
+        let qam = Constellation::qam_gray(16);
+        let mut e = noiseless_engine(Monitor::Pilot, 5);
+        e.generate(&qam);
+        let mut llrs = demap(&e, &qam);
+        for i in [0, 31, 32, 100, 127] {
+            llrs[i] = -llrs[i];
+        }
+        let errors = e.count_errors(&llrs);
+        assert_eq!((errors.pilot, errors.payload), (2, 3));
     }
 
     #[test]
-    fn noisy_frame_pilot_errors_track_channel() {
-        let fmt = FrameFormat {
-            pilot_symbols: 512,
-            payload_symbols: 0,
-        };
-        let tx = build_frame(fmt, &qam(), &[], 5, 0);
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let sigma = crate::snr::noise_sigma(8.0, 1.0) as f32;
-        let mut ch = Awgn::new(sigma);
-        let mut received = tx.symbols.clone();
-        ch.transmit(&mut received, &mut rng);
-        let demapper = MaxLogMap::new(qam(), sigma);
-        let rx = receive_frame(fmt, &demapper, &received);
-        let errors = count_bit_errors(&tx.pilot_bits, &rx.pilot_decisions);
-        let ber = errors as f64 / tx.pilot_bits.len() as f64;
-        let theory = crate::theory::ber_qam16_gray(8.0);
-        assert!(
-            ber < theory * 3.0 + 0.05,
-            "pilot BER {ber} inconsistent with channel {theory}"
-        );
+    #[should_panic(expected = "pilots cannot exceed")]
+    fn oversized_pilot_prefix_rejected() {
+        let traj = Trajectory::constant("t", ChannelState::clean(10.0), 1);
+        let _ = FrameEngine::new(traj, 0, 8, 9, Monitor::Pilot, 4);
     }
 
     #[test]
-    fn overhead_accounting() {
-        let fmt = FrameFormat::default_monitoring();
-        assert_eq!(fmt.total_symbols(), 1024);
-        assert!((fmt.overhead() - 0.0625).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "payload exceeds")]
-    fn oversized_payload_rejected() {
-        let fmt = FrameFormat {
-            pilot_symbols: 1,
-            payload_symbols: 1,
-        };
-        let _ = build_frame(fmt, &qam(), &[0u8; 100], 0, 0);
+    #[should_panic(expected = "even payload capacity")]
+    fn ecc_without_room_for_the_codeword_rejected() {
+        let traj = Trajectory::constant("t", ChannelState::clean(10.0), 1);
+        let _ = FrameEngine::new(traj, 0, 8, 7, Monitor::Ecc, 4);
     }
 }

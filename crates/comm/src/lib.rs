@@ -3,7 +3,7 @@
 //! The communication-system substrate: everything the paper's receiver
 //! sits on top of.
 //!
-//! - [`bits`] — bit/symbol packing, Gray coding, PRBS sources;
+//! - [`bits`] — bit/symbol packing and Gray coding;
 //! - [`constellation`] — QAM/PSK/learned constellations with bit labels;
 //! - [`snr`] — Es/N0, Eb/N0 and noise-σ conversions;
 //! - [`channel`] — composable channel models: AWGN, static phase offset
@@ -19,8 +19,12 @@
 //!   acquisition, decision-directed LMS tracking, supervised LS/pilot
 //!   bootstrap, and the [`equalizer::EqualizedDemapper`] wrapper that
 //!   runs one ahead of any demapper (DESIGN.md §14);
-//! - [`ecc`] — outer codes used for retrain triggering: Hamming(7,4)
-//!   and a rate-1/2 convolutional code with hard/soft Viterbi;
+//! - [`ecc`] — the outer code used for retrain triggering: a rate-1/2
+//!   convolutional code with hard/soft Viterbi;
+//! - [`frame`] — the paper's §II-C monitoring frame: the
+//!   [`frame::FrameEngine`] every frame-streaming link (the online link
+//!   runtime and the link server's sessions) builds, transmits and
+//!   error-counts its pilot + payload frames with;
 //! - [`theory`] — closed-form AWGN baselines used to validate the
 //!   simulator;
 //! - [`linksim`] — the deterministic, parallel end-to-end BER engine,

@@ -24,7 +24,7 @@ use crate::metrics::BitwiseMiEstimator;
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 use hybridem_mathkit::stats::ErrorCounter;
-use hybridem_parallel::montecarlo::{MonteCarloPlan, RoundRunner};
+use hybridem_parallel::montecarlo::{default_tasks, RoundRunner};
 
 /// Everything needed to run one link simulation.
 pub struct LinkSpec<'a> {
@@ -103,7 +103,7 @@ struct TaskAcc {
 }
 
 /// Runs the simulation described by `spec` in one pass, with a task
-/// count suited to the current machine (see [`MonteCarloPlan::new`];
+/// count suited to the current machine (see [`default_tasks`];
 /// fix `HYBRIDEM_THREADS` or use [`LinkSim::new`] with an explicit
 /// task count for machine-independent results).
 pub fn simulate_link(spec: &LinkSpec<'_>) -> LinkResult {
@@ -112,8 +112,7 @@ pub fn simulate_link(spec: &LinkSpec<'_>) -> LinkResult {
     // than an opaque divide-by-zero.
     assert!(spec.block_len > 0, "block length must be positive");
     let blocks = spec.symbols.div_ceil(spec.block_len as u64);
-    let plan = MonteCarloPlan::new(blocks, spec.seed);
-    let mut sim = LinkSim::new(spec, plan.tasks);
+    let mut sim = LinkSim::new(spec, default_tasks());
     sim.run_round(blocks);
     sim.result()
 }

@@ -5,7 +5,7 @@ use hybridem_comm::campaign::EarlyStop;
 use hybridem_comm::channel::{Awgn, Cfo, Channel, ChannelChain, IqImbalance, PhaseOffset};
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::{Demapper, ExactLogMap, HardNearest, MaxLogMap};
-use hybridem_comm::ecc::{ConvCode, Hamming74, Viterbi};
+use hybridem_comm::ecc::{ConvCode, Viterbi};
 use hybridem_comm::trajectory::{ChannelState, Taps, Trajectory};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::rng::Xoshiro256pp;
@@ -236,17 +236,6 @@ proptest! {
         ch.transmit(&mut b, &mut rng);
         prop_assert!((b[0].re - k * a[0].re).abs() < 1e-4);
         prop_assert!((b[0].im - k * a[0].im).abs() < 1e-4);
-    }
-
-    #[test]
-    fn hamming_corrects_any_single_error(msg in 0u8..16, pos in 0usize..7) {
-        let code = Hamming74::new();
-        let d = [msg >> 3 & 1, msg >> 2 & 1, msg >> 1 & 1, msg & 1];
-        let mut c = code.encode_block(&d);
-        c[pos] ^= 1;
-        let (dec, fixed) = code.decode_block(&c);
-        prop_assert_eq!(dec, d);
-        prop_assert!(fixed);
     }
 
     #[test]

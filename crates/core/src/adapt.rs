@@ -77,11 +77,17 @@ impl AdaptationController {
         }
     }
 
-    /// Records a pilot comparison: transmitted vs decided bits.
+    /// Records a pilot comparison: `errors` wrong decisions out of
+    /// `bits` known pilot bits.
+    pub fn observe_pilot_errors(&mut self, errors: u64, bits: u64) {
+        self.pilots.record(errors, bits);
+    }
+
+    /// Records a pilot comparison given as transmitted vs decided bits.
     pub fn observe_pilot_bits(&mut self, tx: &[u8], rx: &[u8]) {
         assert_eq!(tx.len(), rx.len());
         let errors = tx.iter().zip(rx).filter(|(a, b)| a != b).count() as u64;
-        self.pilots.record(errors, tx.len() as u64);
+        self.observe_pilot_errors(errors, tx.len() as u64);
     }
 
     /// Records an ECC decode outcome: corrected flips out of total
@@ -149,9 +155,7 @@ mod tests {
     #[test]
     fn quiet_channel_continues() {
         let mut c = controller();
-        let tx = vec![0u8; 10_000];
-        let rx = tx.clone();
-        c.observe_pilot_bits(&tx, &rx);
+        c.observe_pilot_errors(0, 10_000);
         assert_eq!(c.recommendation(), Recommendation::Continue);
         assert!(c.is_healthy());
     }
@@ -160,14 +164,7 @@ mod tests {
     fn broken_channel_triggers_retrain() {
         let mut c = controller();
         // 30 % pilot BER — the π/4-offset disaster case.
-        let tx = vec![0u8; 10_000];
-        let mut rx = tx.clone();
-        for (i, slot) in rx.iter_mut().enumerate() {
-            if i % 10 < 3 {
-                *slot = 1;
-            }
-        }
-        c.observe_pilot_bits(&tx, &rx);
+        c.observe_pilot_errors(3_000, 10_000);
         assert_eq!(c.recommendation(), Recommendation::Retrain);
         assert!(!c.is_healthy());
     }
@@ -176,9 +173,7 @@ mod tests {
     fn insufficient_evidence_never_triggers() {
         let mut c = controller();
         // 100 % BER but only 100 bits — below min_observations.
-        let tx = vec![0u8; 100];
-        let rx = vec![1u8; 100];
-        c.observe_pilot_bits(&tx, &rx);
+        c.observe_pilot_errors(100, 100);
         assert_eq!(c.recommendation(), Recommendation::Continue);
     }
 
@@ -187,14 +182,7 @@ mod tests {
         let mut c = controller();
         // BER 3 %: above healthy (2 %) but below retrain (5 %) —
         // neither healthy nor retraining.
-        let tx = vec![0u8; 100_000];
-        let mut rx = tx.clone();
-        for (i, slot) in rx.iter_mut().enumerate() {
-            if i % 100 < 3 {
-                *slot = 1;
-            }
-        }
-        c.observe_pilot_bits(&tx, &rx);
+        c.observe_pilot_errors(3_000, 100_000);
         assert_eq!(c.recommendation(), Recommendation::Continue);
         assert!(!c.is_healthy());
     }
@@ -210,9 +198,7 @@ mod tests {
     #[test]
     fn reset_clears_and_counts() {
         let mut c = controller();
-        let tx = vec![0u8; 10_000];
-        let rx = vec![1u8; 10_000];
-        c.observe_pilot_bits(&tx, &rx);
+        c.observe_pilot_errors(10_000, 10_000);
         assert_eq!(c.recommendation(), Recommendation::Retrain);
         c.reset_after_retrain();
         assert_eq!(c.recommendation(), Recommendation::Continue);

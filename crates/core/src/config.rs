@@ -8,7 +8,6 @@
 //! every component agrees.
 
 use hybridem_comm::snr::{ebn0_to_esn0_db, noise_sigma};
-use hybridem_mathkit::json::{FromJson, Json, JsonError};
 use hybridem_nn::model::MlpSpec;
 
 /// Full experiment configuration.
@@ -116,7 +115,7 @@ impl SystemConfig {
     }
 }
 
-hybridem_mathkit::impl_to_json!(SystemConfig {
+hybridem_mathkit::impl_json!(SystemConfig {
     bits_per_symbol,
     demapper,
     snr_db,
@@ -129,24 +128,6 @@ hybridem_mathkit::impl_to_json!(SystemConfig {
     window_scale,
     seed,
 });
-
-impl FromJson for SystemConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            bits_per_symbol: usize::from_json(v.field("bits_per_symbol")?)?,
-            demapper: MlpSpec::from_json(v.field("demapper")?)?,
-            snr_db: f64::from_json(v.field("snr_db")?)?,
-            e2e_steps: usize::from_json(v.field("e2e_steps")?)?,
-            retrain_steps: usize::from_json(v.field("retrain_steps")?)?,
-            batch_size: usize::from_json(v.field("batch_size")?)?,
-            e2e_lr: f32::from_json(v.field("e2e_lr")?)?,
-            retrain_lr: f32::from_json(v.field("retrain_lr")?)?,
-            grid_n: usize::from_json(v.field("grid_n")?)?,
-            window_scale: f64::from_json(v.field("window_scale")?)?,
-            seed: u64::from_json(v.field("seed")?)?,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -49,7 +49,7 @@ pub struct BerPoint {
     pub bit_errors: u64,
 }
 
-hybridem_mathkit::impl_to_json!(BerPoint {
+hybridem_mathkit::impl_json!(BerPoint {
     receiver,
     snr_db,
     ber,

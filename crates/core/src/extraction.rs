@@ -41,36 +41,17 @@ pub struct ExtractionConfig {
     /// when `W = 4a = (4/3)·3a` — larger windows drag outer centroids
     /// outward and visibly shift the max-log decision boundaries.
     pub scale: f64,
-    /// Explicit half-width override (ablations).
-    pub halfwidth_override: Option<f64>,
 }
 
 impl ExtractionConfig {
     /// Default (unbiased) scaling for a grid resolution.
     pub fn new(grid_n: usize, scale: f64) -> Self {
         assert!(grid_n >= 16 && scale > 1.0);
-        Self {
-            grid_n,
-            scale,
-            halfwidth_override: None,
-        }
-    }
-
-    /// Fixed half-width (for window-size ablations).
-    pub fn with_halfwidth(grid_n: usize, halfwidth: f64) -> Self {
-        assert!(grid_n >= 16 && halfwidth > 0.0);
-        Self {
-            grid_n,
-            scale: 4.0 / 3.0,
-            halfwidth_override: Some(halfwidth),
-        }
+        Self { grid_n, scale }
     }
 
     /// Resolved half-width for a reference constellation.
     pub fn halfwidth(&self, reference: &Constellation) -> f64 {
-        if let Some(h) = self.halfwidth_override {
-            return h;
-        }
         let max_coord = reference
             .points()
             .iter()

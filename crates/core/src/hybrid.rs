@@ -43,12 +43,6 @@ impl HybridDemapper {
         self.sigma
     }
 
-    /// Swaps in freshly extracted centroids (after retraining).
-    pub fn update_centroids(&mut self, report: &ExtractionReport) {
-        self.maxlog
-            .set_constellation(report.centroid_constellation());
-    }
-
     /// Instantiates the FPGA accelerator for this demapper.
     pub fn to_hardware(&self, cfg: SoftDemapperConfig) -> SoftDemapperDesign {
         build_soft_demapper_design(self.centroids().points(), self.sigma, cfg)

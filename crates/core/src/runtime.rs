@@ -12,10 +12,10 @@
 //! [`QuantizedGraph`] deployment back into the datapath after a
 //! retrain latency charged against the FPGA trainer cost model.
 //!
-//! [`run_drift_campaign`] shards many independent links (one
-//! [`hybridem_parallel::shard::ShardRunner`] shard per link, per-link
-//! RNG stream and state) over the paper's receiver line-up × a drift
-//! scenario suite, pooling per-frame error counts in link order so the
+//! [`run_drift_campaign`] runs many independent links (one
+//! [`par_for_each_mut`] element per link, per-link RNG stream and
+//! state) over the paper's receiver line-up × a drift scenario suite,
+//! pooling per-frame error counts in link order so the
 //! [`DriftRuntimeReport`] artefact is a pure function of
 //! `(spec, seed)` — byte-identical at any thread count.
 
@@ -30,33 +30,22 @@ use crate::retrain::Retrainer;
 use hybridem_comm::channel::Channel;
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::Demapper;
-use hybridem_comm::ecc::{ConvCode, Viterbi};
 use hybridem_comm::equalizer::{
     AdaptiveEqualizer, EqualizedDemapper, EqualizerConfig, EqualizerMode,
 };
+use hybridem_comm::frame::FrameEngine;
 use hybridem_comm::metrics::BitwiseMiEstimator;
 use hybridem_comm::trajectory::{ChannelState, Taps, Trajectory, TrajectoryChannel};
 use hybridem_fpga::demapper_accel::SoftDemapperConfig;
 use hybridem_fpga::graph::QuantizedGraph;
 use hybridem_mathkit::complex::C32;
-use hybridem_mathkit::json::{FromJson, Json, JsonError};
-use hybridem_mathkit::rng::{Rng64, SplitMix64, Xoshiro256pp};
+use hybridem_mathkit::rng::SplitMix64;
+use hybridem_mathkit::stats::error_rate;
 use hybridem_nn::Sequential;
-use hybridem_parallel::shard::ShardRunner;
+use hybridem_parallel::par_for_each_mut;
 use std::sync::Arc;
 
-/// Which degradation evidence feeds the controller (paper §II-C
-/// proposes both).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Monitor {
-    /// Pilot-BER monitoring: the known pilot prefix of every frame is
-    /// compared against its hard decisions.
-    Pilot,
-    /// ECC monitoring: the payload carries a rate-1/2 convolutional
-    /// codeword and the Viterbi decoder's corrected-flip count is the
-    /// quality metric (no pilot overhead needed for detection).
-    Ecc,
-}
+pub use hybridem_comm::frame::Monitor;
 
 /// What the adaptive receiver does when the controller fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,20 +146,12 @@ pub struct FrameRecord {
 impl FrameRecord {
     /// Payload BER (0 when the frame carried no payload — never NaN).
     pub fn ber(&self) -> f64 {
-        if self.payload_bits == 0 {
-            0.0
-        } else {
-            self.payload_bit_errors as f64 / self.payload_bits as f64
-        }
+        error_rate(self.payload_bit_errors, self.payload_bits)
     }
 
     /// Pilot BER (same zero-observation contract).
     pub fn pilot_ber(&self) -> f64 {
-        if self.pilot_bits == 0 {
-            0.0
-        } else {
-            self.pilot_bit_errors as f64 / self.pilot_bits as f64
-        }
+        error_rate(self.pilot_bit_errors, self.pilot_bits)
     }
 }
 
@@ -447,36 +428,23 @@ enum Receiver {
 pub struct OnlineLink {
     spec: OnlineLinkSpec,
     constellation: Constellation,
-    channel: TrajectoryChannel,
+    engine: FrameEngine,
     receiver: Receiver,
-    rng: Xoshiro256pp,
-    code: ConvCode,
-    viterbi: Viterbi,
     frame: u64,
     log: Vec<FrameRecord>,
     // Per-frame scratch, reused so streaming allocates nothing after
     // the first frame (matches the linksim discipline, DESIGN.md §7).
-    tx_syms: Vec<usize>,
-    block: Vec<C32>,
     llrs: Vec<f32>,
-    tx_bits: Vec<u8>,
-    rx_bits: Vec<u8>,
-    info: Vec<u8>,
     // Pilot constellation points (the equalizer's supervised
-    // reference; `block` holds channel output by the time it trains).
+    // reference; the engine's block holds channel output by the time
+    // it trains).
     pilot_pts: Vec<C32>,
 }
 
 impl OnlineLink {
     fn build(spec: OnlineLinkSpec, constellation: Constellation, receiver: Receiver) -> Self {
         let p = &spec.params;
-        assert!(p.frame_symbols > 0, "frame length must be positive");
-        assert!(
-            p.pilot_symbols <= p.frame_symbols,
-            "pilots cannot exceed the frame"
-        );
         let m = constellation.bits_per_symbol();
-        assert!(m <= 16, "bits per symbol > 16 unsupported");
         let demapper_m = match &receiver {
             Receiver::Fixed(d) => d.bits_per_symbol(),
             Receiver::Adaptive(a) => a.hybrid.bits_per_symbol(),
@@ -487,13 +455,14 @@ impl OnlineLink {
             m, demapper_m,
             "constellation and demapper disagree on bits/symbol"
         );
-        let payload_bits = (p.frame_symbols - p.pilot_symbols) * m;
-        if p.monitor == Monitor::Ecc {
-            assert!(
-                payload_bits.is_multiple_of(2) && payload_bits / 2 > ConvCode::TAIL,
-                "ECC monitoring needs an even payload capacity above the tail"
-            );
-        }
+        let engine = FrameEngine::new(
+            spec.trajectory.clone(),
+            spec.seed,
+            p.frame_symbols,
+            p.pilot_symbols,
+            p.monitor,
+            m,
+        );
         // An adaptive receiver whose controller never sees evidence
         // can never trigger — reject the silent misconfiguration.
         if matches!(receiver, Receiver::Adaptive(_)) && p.monitor == Monitor::Pilot {
@@ -512,31 +481,15 @@ impl OnlineLink {
                  estimator is data-aided from the pilot prefix)"
             );
         }
-        let info_len = if p.monitor == Monitor::Ecc {
-            payload_bits / 2 - ConvCode::TAIL
-        } else {
-            0
-        };
-        let n = p.frame_symbols;
-        let pilots = p.pilot_symbols;
-        let rng = Xoshiro256pp::stream(spec.seed, 0);
-        let channel = TrajectoryChannel::new(spec.trajectory.clone(), n);
+        let (n, pilots) = (p.frame_symbols, p.pilot_symbols);
         Self {
             spec,
             constellation,
-            channel,
+            engine,
             receiver,
-            rng,
-            code: ConvCode::new(),
-            viterbi: Viterbi::new(),
             frame: 0,
             log: Vec::new(),
-            tx_syms: vec![0; n],
-            block: vec![C32::zero(); n],
             llrs: vec![0.0; n * m],
-            tx_bits: vec![0; n * m],
-            rx_bits: vec![0; n * m],
-            info: vec![0; info_len],
             pilot_pts: vec![C32::zero(); pilots],
         }
     }
@@ -741,14 +694,12 @@ impl OnlineLink {
 
     /// The playback channel (frame position, current state).
     pub fn channel(&self) -> &TrajectoryChannel {
-        &self.channel
+        self.engine.channel()
     }
 
     /// Streams one frame; returns its log entry.
     pub fn step(&mut self) -> &FrameRecord {
         let frame = self.frame;
-        let m = self.constellation.bits_per_symbol();
-        let n = self.spec.params.frame_symbols;
         let p = self.spec.params.pilot_symbols;
 
         // 0. A matured retrain (or a backend switch decided on the
@@ -759,39 +710,19 @@ impl OnlineLink {
             Receiver::Switching(s) => std::mem::take(&mut s.just_switched),
         };
 
-        // 1. Frame construction: pilot prefix, then payload (uniform
-        // symbols, or a convolutional codeword under ECC monitoring).
-        for s in self.tx_syms.iter_mut().take(p) {
-            *s = (self.rng.next_u64() >> (64 - m)) as usize;
-        }
-        if self.spec.params.monitor == Monitor::Ecc {
-            self.rng.fill_bits(&mut self.info);
-            let coded = self.code.encode(&self.info);
-            for (k, chunk) in coded.chunks(m).enumerate() {
-                self.tx_syms[p + k] = hybridem_comm::bits::pack_bits(chunk);
-            }
-        } else {
-            for s in self.tx_syms.iter_mut().skip(p) {
-                *s = (self.rng.next_u64() >> (64 - m)) as usize;
-            }
-        }
-        for (i, (&u, y)) in self.tx_syms.iter().zip(self.block.iter_mut()).enumerate() {
-            *y = self.constellation.point(u);
-            for k in 0..m {
-                self.tx_bits[i * m + k] = self.constellation.bit(u, k);
-            }
-        }
-        self.channel.transmit(&mut self.block, &mut self.rng);
+        // 1. Frame construction: pilot prefix, payload, mapping and
+        // channel (comm::frame).
+        self.engine.generate(&self.constellation);
 
         // 2. One block demap for the whole frame. The equalized
         // receiver first adapts its FIR stage in place — supervised
         // LMS over the known pilot prefix, blind CMA/DD-LMS over the
         // payload — then demaps the equalized samples.
         if let Receiver::Equalized(e) = &mut self.receiver {
-            for (pt, &u) in self.pilot_pts.iter_mut().zip(&self.tx_syms) {
+            for (pt, &u) in self.pilot_pts.iter_mut().zip(self.engine.tx_symbols()) {
                 *pt = self.constellation.point(u);
             }
-            let (block, pilot_pts) = (&mut self.block, &self.pilot_pts);
+            let (block, pilot_pts) = (self.engine.block_mut(), &self.pilot_pts);
             let mode = e.demapper.with_equalizer(|eq| {
                 if p > 0 {
                     eq.train(&mut block[..p], pilot_pts);
@@ -800,7 +731,9 @@ impl OnlineLink {
                 eq.mode()
             });
             e.mode_trace.push(mode);
-            e.demapper.inner().demap_block(&self.block, &mut self.llrs);
+            e.demapper
+                .inner()
+                .demap_block(self.engine.block(), &mut self.llrs);
         } else {
             let demapper: &dyn Demapper = match &self.receiver {
                 Receiver::Fixed(d) => d.as_ref(),
@@ -808,24 +741,17 @@ impl OnlineLink {
                 Receiver::Switching(s) => s.current.as_ref(),
                 Receiver::Equalized(_) => unreachable!(),
             };
-            demapper.demap_block(&self.block, &mut self.llrs);
-        }
-        for (b, &l) in self.rx_bits.iter_mut().zip(self.llrs.iter()) {
-            *b = u8::from(l < 0.0);
+            demapper.demap_block(self.engine.block(), &mut self.llrs);
         }
 
         // 3. Frame statistics.
-        let count = |range: std::ops::Range<usize>| {
-            self.tx_bits[range.clone()]
-                .iter()
-                .zip(&self.rx_bits[range])
-                .filter(|(a, b)| a != b)
-                .count() as u64
-        };
-        let pilot_errors = count(0..p * m);
-        let payload_errors = count(p * m..n * m);
+        let errors = self.engine.count_errors(&self.llrs);
+        let pilot_bits = self.engine.pilot_bits();
         let mut mi = BitwiseMiEstimator::new();
-        for (&b, &l) in self.tx_bits[p * m..].iter().zip(&self.llrs[p * m..]) {
+        for (&b, &l) in self.engine.tx_bits()[pilot_bits..]
+            .iter()
+            .zip(&self.llrs[pilot_bits..])
+        {
             mi.push(b, l);
         }
 
@@ -844,9 +770,11 @@ impl OnlineLink {
             let mut sig = 0.0f64;
             let mut ysq = 0.0f64;
             let (mut cr, mut ci) = (0.0f64, 0.0f64);
-            for i in 0..p {
-                let x = self.constellation.point(self.tx_syms[i]);
-                let y = self.block[i];
+            for (&u, &y) in self.engine.tx_symbols()[..p]
+                .iter()
+                .zip(self.engine.block())
+            {
+                let x = self.constellation.point(u);
                 sig += f64::from(x.re) * f64::from(x.re) + f64::from(x.im) * f64::from(x.im);
                 ysq += f64::from(y.re) * f64::from(y.re) + f64::from(y.im) * f64::from(y.im);
                 cr += f64::from(y.re) * f64::from(x.re) + f64::from(y.im) * f64::from(x.im);
@@ -862,43 +790,38 @@ impl OnlineLink {
                 Monitor::Pilot => {
                     if p > 0 {
                         a.controller
-                            .observe_pilot_bits(&self.tx_bits[..p * m], &self.rx_bits[..p * m]);
+                            .observe_pilot_errors(errors.pilot, pilot_bits as u64);
                     }
                 }
                 Monitor::Ecc => {
-                    let outcome = self
-                        .viterbi
-                        .decode_soft(&self.code, &self.llrs[p * m..n * m]);
+                    let corrected = self.engine.ecc_corrected(&self.llrs);
                     a.controller
-                        .observe_ecc(outcome.corrected, (n - p) as u64 * m as u64);
+                        .observe_ecc(corrected, self.engine.payload_bits() as u64);
                 }
             }
             if a.pending.is_none() && a.controller.recommendation() == Recommendation::Retrain {
                 triggered = true;
-                a.on_trigger(frame, &self.constellation, &self.channel, &self.spec.params);
+                a.on_trigger(
+                    frame,
+                    &self.constellation,
+                    self.engine.channel(),
+                    &self.spec.params,
+                );
             }
         }
 
         self.log.push(FrameRecord {
             frame,
-            payload_bits: ((n - p) * m) as u64,
-            payload_bit_errors: payload_errors,
-            pilot_bits: (p * m) as u64,
-            pilot_bit_errors: pilot_errors,
+            payload_bits: self.engine.payload_bits() as u64,
+            payload_bit_errors: errors.payload,
+            pilot_bits: pilot_bits as u64,
+            pilot_bit_errors: errors.pilot,
             mi: mi.mi(),
             triggered,
             swapped,
         });
         self.frame += 1;
         self.log.last().unwrap()
-    }
-
-    /// Streams `frames` further frames (the trajectory holds its final
-    /// state past the script).
-    pub fn run_frames(&mut self, frames: u64) {
-        for _ in 0..frames {
-            self.step();
-        }
     }
 
     /// Streams the whole scripted trajectory.
@@ -1153,23 +1076,12 @@ pub struct RetrainEventRecord {
     pub latency_frames: u64,
 }
 
-hybridem_mathkit::impl_to_json!(RetrainEventRecord {
+hybridem_mathkit::impl_json!(RetrainEventRecord {
     link,
     trigger_frame,
     swap_frame,
     latency_frames,
 });
-
-impl FromJson for RetrainEventRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            link: u32::from_json(v.field("link")?)?,
-            trigger_frame: u64::from_json(v.field("trigger_frame")?)?,
-            swap_frame: u64::from_json(v.field("swap_frame")?)?,
-            latency_frames: u64::from_json(v.field("latency_frames")?)?,
-        })
-    }
-}
 
 /// One (family, scenario) cell: per-frame statistics pooled across the
 /// cell's links in link order.
@@ -1209,7 +1121,7 @@ pub struct DriftRow {
     pub retrains: u64,
 }
 
-hybridem_mathkit::impl_to_json!(DriftRow {
+hybridem_mathkit::impl_json!(DriftRow {
     family,
     role,
     trajectory,
@@ -1228,40 +1140,12 @@ hybridem_mathkit::impl_to_json!(DriftRow {
     retrains,
 });
 
-impl FromJson for DriftRow {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            family: String::from_json(v.field("family")?)?,
-            role: String::from_json(v.field("role")?)?,
-            trajectory: String::from_json(v.field("trajectory")?)?,
-            frames: u64::from_json(v.field("frames")?)?,
-            links: u32::from_json(v.field("links")?)?,
-            baseline_frames: u64::from_json(v.field("baseline_frames")?)?,
-            drift_end_frame: u64::from_json(v.field("drift_end_frame")?)?,
-            expect_recovery: Option::<bool>::from_json(v.field("expect_recovery")?)?,
-            expect_retrain: bool::from_json(v.field("expect_retrain")?)?,
-            payload_bits_per_frame: u64::from_json(v.field("payload_bits_per_frame")?)?,
-            bit_errors: Vec::<u64>::from_json(v.field("bit_errors")?)?,
-            ber: Vec::<f64>::from_json(v.field("ber")?)?,
-            pilot_ber: Vec::<f64>::from_json(v.field("pilot_ber")?)?,
-            mi: Vec::<f64>::from_json(v.field("mi")?)?,
-            retrain_events: Vec::<RetrainEventRecord>::from_json(v.field("retrain_events")?)?,
-            retrains: u64::from_json(v.field("retrains")?)?,
-        })
-    }
-}
-
 impl DriftRow {
     /// Pooled payload BER over the frame window `[from, to)`.
     pub fn window_ber(&self, from: u64, to: u64) -> f64 {
         assert!(from <= to && to <= self.frames, "window out of range");
         let errors: u64 = self.bit_errors[from as usize..to as usize].iter().sum();
-        let bits = self.payload_bits_per_frame * (to - from);
-        if bits == 0 {
-            0.0
-        } else {
-            errors as f64 / bits as f64
-        }
+        error_rate(errors, self.payload_bits_per_frame * (to - from))
     }
 }
 
@@ -1296,7 +1180,7 @@ pub struct DriftRuntimeReport {
     pub rows: Vec<DriftRow>,
 }
 
-hybridem_mathkit::impl_to_json!(DriftRuntimeReport {
+hybridem_mathkit::impl_json!(DriftRuntimeReport {
     name,
     seed,
     links,
@@ -1306,21 +1190,6 @@ hybridem_mathkit::impl_to_json!(DriftRuntimeReport {
     deploy_bits,
     rows,
 });
-
-impl FromJson for DriftRuntimeReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            name: String::from_json(v.field("name")?)?,
-            seed: u64::from_json(v.field("seed")?)?,
-            links: u32::from_json(v.field("links")?)?,
-            frame_symbols: u64::from_json(v.field("frame_symbols")?)?,
-            pilot_symbols: u64::from_json(v.field("pilot_symbols")?)?,
-            symbol_rate: f64::from_json(v.field("symbol_rate")?)?,
-            deploy_bits: u32::from_json(v.field("deploy_bits")?)?,
-            rows: Vec::<DriftRow>::from_json(v.field("rows")?)?,
-        })
-    }
-}
 
 impl DriftRuntimeReport {
     /// Schema/invariant validation of a (re-loaded) artefact: vector
@@ -1463,9 +1332,9 @@ fn link_seed(base: u64, family: usize, scenario: usize, link: u32) -> u64 {
     SplitMix64::derive(base, cell)
 }
 
-/// Runs the campaign: every (family, scenario) cell shards its links
-/// over a [`ShardRunner`] (per-link seed, RNG stream and state) and
-/// pools per-frame counts in link order, so the report is a pure
+/// Runs the campaign: every (family, scenario) cell runs its links
+/// through [`par_for_each_mut`] (per-link seed, RNG stream and state)
+/// and pools per-frame counts in link order, so the report is a pure
 /// function of `(spec, seed)` — independent of `HYBRIDEM_THREADS`.
 pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
     assert!(!spec.families.is_empty(), "campaign needs ≥ 1 family");
@@ -1477,13 +1346,13 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
             let frames = sc.trajectory.total_frames() as usize;
             // Adaptive links are expensive to build (model-snapshot
             // restore, boundary calibration, graph compile), so
-            // construction happens on the shard workers too — each
-            // slot is a pure function of its index, preserving the
+            // construction happens on the workers too — each slot is a
+            // pure function of its index, preserving the
             // byte-identical artefact.
-            let mut runner: ShardRunner<Option<OnlineLink>> =
-                ShardRunner::new(spec.links, |_| None);
-            runner.run_round(|i, slot| {
-                let mut link = (family.build)(&sc.trajectory, link_seed(spec.seed, fi, si, i));
+            let mut links: Vec<Option<OnlineLink>> = (0..spec.links).map(|_| None).collect();
+            par_for_each_mut(&mut links, |i, slot| {
+                let seed = link_seed(spec.seed, fi, si, i as u32);
+                let mut link = (family.build)(&sc.trajectory, seed);
                 link.run();
                 *slot = Some(link);
             });
@@ -1494,8 +1363,8 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
             let mut payload_bits = 0u64;
             let mut pilot_bits = 0u64;
             let mut retrain_events = Vec::new();
-            for (li, slot) in runner.states().iter().enumerate() {
-                let link = slot.as_ref().expect("every shard built its link");
+            for (li, slot) in links.iter().enumerate() {
+                let link = slot.as_ref().expect("every worker built its link");
                 assert_eq!(link.log().len(), frames, "link streamed the whole script");
                 for rec in link.log() {
                     let f = rec.frame as usize;
@@ -1522,13 +1391,7 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
                 .collect();
             let pilot_ber: Vec<f64> = pilot_errors
                 .iter()
-                .map(|&e| {
-                    if pilot_bits == 0 {
-                        0.0
-                    } else {
-                        e as f64 / pilot_bits as f64
-                    }
-                })
+                .map(|&e| error_rate(e, pilot_bits))
                 .collect();
             let mi: Vec<f64> = mi_sum.iter().map(|&s| s / f64::from(spec.links)).collect();
             let expect_recovery = match family.role {
@@ -1617,7 +1480,7 @@ pub struct SwitchEventRecord {
     pub downshift: bool,
 }
 
-hybridem_mathkit::impl_to_json!(SwitchEventRecord {
+hybridem_mathkit::impl_json!(SwitchEventRecord {
     link,
     frame,
     from,
@@ -1625,19 +1488,6 @@ hybridem_mathkit::impl_to_json!(SwitchEventRecord {
     est_es_n0_db,
     downshift,
 });
-
-impl FromJson for SwitchEventRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            link: u32::from_json(v.field("link")?)?,
-            frame: u64::from_json(v.field("frame")?)?,
-            from: u32::from_json(v.field("from")?)?,
-            to: u32::from_json(v.field("to")?)?,
-            est_es_n0_db: f64::from_json(v.field("est_es_n0_db")?)?,
-            downshift: bool::from_json(v.field("downshift")?)?,
-        })
-    }
-}
 
 /// One link of the backend-switch artefact: the per-frame backend
 /// trace, per-frame payload errors, and the switch log.
@@ -1657,7 +1507,7 @@ pub struct SwitchLinkRow {
     pub events: Vec<SwitchEventRecord>,
 }
 
-hybridem_mathkit::impl_to_json!(SwitchLinkRow {
+hybridem_mathkit::impl_json!(SwitchLinkRow {
     link,
     active,
     bit_errors,
@@ -1665,19 +1515,6 @@ hybridem_mathkit::impl_to_json!(SwitchLinkRow {
     upshifts,
     events,
 });
-
-impl FromJson for SwitchLinkRow {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            link: u32::from_json(v.field("link")?)?,
-            active: Vec::<u32>::from_json(v.field("active")?)?,
-            bit_errors: Vec::<u64>::from_json(v.field("bit_errors")?)?,
-            downshifts: u64::from_json(v.field("downshifts")?)?,
-            upshifts: u64::from_json(v.field("upshifts")?)?,
-            events: Vec::<SwitchEventRecord>::from_json(v.field("events")?)?,
-        })
-    }
-}
 
 /// The backend-switch artefact (`backend_switch.json`): the registry's
 /// backend table plus one row per link — a pure function of
@@ -1710,7 +1547,7 @@ pub struct BackendSwitchReport {
     pub upshifts: u64,
 }
 
-hybridem_mathkit::impl_to_json!(BackendSwitchReport {
+hybridem_mathkit::impl_json!(BackendSwitchReport {
     name,
     seed,
     links,
@@ -1724,25 +1561,6 @@ hybridem_mathkit::impl_to_json!(BackendSwitchReport {
     downshifts,
     upshifts,
 });
-
-impl FromJson for BackendSwitchReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            name: String::from_json(v.field("name")?)?,
-            seed: u64::from_json(v.field("seed")?)?,
-            links: u32::from_json(v.field("links")?)?,
-            frames: u64::from_json(v.field("frames")?)?,
-            frame_symbols: u64::from_json(v.field("frame_symbols")?)?,
-            pilot_symbols: u64::from_json(v.field("pilot_symbols")?)?,
-            ber_target: f64::from_json(v.field("ber_target")?)?,
-            backends: Vec::<String>::from_json(v.field("backends")?)?,
-            initial_backend: u32::from_json(v.field("initial_backend")?)?,
-            rows: Vec::<SwitchLinkRow>::from_json(v.field("rows")?)?,
-            downshifts: u64::from_json(v.field("downshifts")?)?,
-            upshifts: u64::from_json(v.field("upshifts")?)?,
-        })
-    }
-}
 
 impl BackendSwitchReport {
     /// Schema/invariant validation of a (re-loaded) artefact: trace
@@ -1869,10 +1687,10 @@ impl BackendSwitchReport {
     }
 }
 
-/// Runs a backend-switch campaign: links shard over a [`ShardRunner`]
-/// (per-link seed and state), rows are collected in link order — the
-/// artefact is a pure function of `(spec, seed)`, independent of
-/// `HYBRIDEM_THREADS`.
+/// Runs a backend-switch campaign: links run through
+/// [`par_for_each_mut`] (per-link seed and state), rows are collected
+/// in link order — the artefact is a pure function of `(spec, seed)`,
+/// independent of `HYBRIDEM_THREADS`.
 pub fn run_switch_campaign(spec: &SwitchCampaignSpec) -> BackendSwitchReport {
     assert!(spec.links > 0, "campaign needs ≥ 1 link");
     assert!(!spec.registry.is_empty(), "campaign needs ≥ 1 backend");
@@ -1880,11 +1698,11 @@ pub fn run_switch_campaign(spec: &SwitchCampaignSpec) -> BackendSwitchReport {
     let initial = spec
         .registry
         .select_or_best(spec.policy.initial_es_n0_db, spec.policy.ber_target);
-    let mut runner: ShardRunner<Option<OnlineLink>> = ShardRunner::new(spec.links, |_| None);
-    runner.run_round(|i, slot| {
+    let mut links: Vec<Option<OnlineLink>> = (0..spec.links).map(|_| None).collect();
+    par_for_each_mut(&mut links, |i, slot| {
         let link_spec = OnlineLinkSpec {
             trajectory: spec.trajectory.clone(),
-            seed: link_seed(spec.seed, 0, 0, i),
+            seed: link_seed(spec.seed, 0, 0, i as u32),
             params: spec.params.clone(),
         };
         let mut link = OnlineLink::switching(link_spec, spec.registry.clone(), spec.policy);
@@ -1893,8 +1711,8 @@ pub fn run_switch_campaign(spec: &SwitchCampaignSpec) -> BackendSwitchReport {
     });
     let mut rows = Vec::with_capacity(spec.links as usize);
     let (mut downshifts, mut upshifts) = (0u64, 0u64);
-    for (li, slot) in runner.states().iter().enumerate() {
-        let link = slot.as_ref().expect("every shard built its link");
+    for (li, slot) in links.iter().enumerate() {
+        let link = slot.as_ref().expect("every worker built its link");
         assert_eq!(link.frames(), frames, "link streamed the whole script");
         let events: Vec<SwitchEventRecord> = link
             .switch_events()
@@ -1943,6 +1761,7 @@ mod tests {
     use crate::registry::{Backend, BackendCost};
     use hybridem_comm::demapper::MaxLogMap;
     use hybridem_comm::snr::noise_sigma;
+    use hybridem_mathkit::json::{FromJson, Json};
 
     fn noiseless_spec(frames: u64, seed: u64) -> OnlineLinkSpec {
         OnlineLinkSpec::new(

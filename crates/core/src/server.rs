@@ -27,23 +27,27 @@
 //! worker count and any batch size — pinned by the root
 //! `linkserver` integration test.
 //!
+//! Each session streams through its own [`FrameEngine`], the same
+//! frame engine [`crate::runtime::OnlineLink`] uses, so a session and
+//! an online link with the same seed, trajectory and frame geometry
+//! transmit and count the same frames.
+//!
 //! Steady state allocates nothing (extends the PR 4 counting-allocator
 //! contract to the gather/scatter path): session buffers, the plan
 //! scratch, the gather buffers and the pool's deques all reuse their
 //! capacity after a warmup round. The one documented exception is ECC
-//! monitoring — [`ConvCode::encode`] / [`Viterbi::decode_soft`]
+//! monitoring — [`ConvCode::encode`](hybridem_comm::ecc::ConvCode::encode)
+//! / [`Viterbi::decode_soft`](hybridem_comm::ecc::Viterbi::decode_soft)
 //! allocate internally, so the no-alloc contract is stated (and
 //! tested) for pilot-monitored sessions.
 
 use crate::runtime::Monitor;
-use hybridem_comm::channel::Channel;
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::Demapper;
-use hybridem_comm::ecc::{ConvCode, Viterbi};
-use hybridem_comm::trajectory::{Trajectory, TrajectoryChannel};
+use hybridem_comm::frame::FrameEngine;
+use hybridem_comm::trajectory::Trajectory;
 use hybridem_mathkit::complex::C32;
-use hybridem_mathkit::json::{FromJson, Json, JsonError};
-use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
+use hybridem_mathkit::stats::error_rate;
 use hybridem_parallel::{num_threads, StealPool};
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -198,11 +202,7 @@ impl SessionStats {
 
     /// Payload BER (0 when no payload was served — never NaN).
     pub fn ber(&self) -> f64 {
-        if self.payload_bits == 0 {
-            0.0
-        } else {
-            self.payload_bit_errors as f64 / self.payload_bits as f64
-        }
+        error_rate(self.payload_bit_errors, self.payload_bits)
     }
 }
 
@@ -239,7 +239,7 @@ pub struct AggregateReport {
     pub pending_frames: u64,
 }
 
-hybridem_mathkit::impl_to_json!(AggregateReport {
+hybridem_mathkit::impl_json!(AggregateReport {
     sessions_open,
     sessions_closed,
     rounds,
@@ -255,34 +255,10 @@ hybridem_mathkit::impl_to_json!(AggregateReport {
     pending_frames,
 });
 
-impl FromJson for AggregateReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            sessions_open: u64::from_json(v.field("sessions_open")?)?,
-            sessions_closed: u64::from_json(v.field("sessions_closed")?)?,
-            rounds: u64::from_json(v.field("rounds")?)?,
-            submitted_frames: u64::from_json(v.field("submitted_frames")?)?,
-            frames: u64::from_json(v.field("frames")?)?,
-            payload_bits: u64::from_json(v.field("payload_bits")?)?,
-            payload_bit_errors: u64::from_json(v.field("payload_bit_errors")?)?,
-            pilot_bits: u64::from_json(v.field("pilot_bits")?)?,
-            pilot_bit_errors: u64::from_json(v.field("pilot_bit_errors")?)?,
-            ecc_corrected: u64::from_json(v.field("ecc_corrected")?)?,
-            shed_frames: u64::from_json(v.field("shed_frames")?)?,
-            dropped_frames: u64::from_json(v.field("dropped_frames")?)?,
-            pending_frames: u64::from_json(v.field("pending_frames")?)?,
-        })
-    }
-}
-
 impl AggregateReport {
     /// Aggregate payload BER (0 when nothing was served — never NaN).
     pub fn ber(&self) -> f64 {
-        if self.payload_bits == 0 {
-            0.0
-        } else {
-            self.payload_bit_errors as f64 / self.payload_bits as f64
-        }
+        error_rate(self.payload_bit_errors, self.payload_bits)
     }
 
     /// Internal-consistency check: error counts never exceed their bit
@@ -317,85 +293,32 @@ struct Backend {
     demapper: Arc<dyn Demapper>,
 }
 
-/// One serving session: private RNG, scripted channel, reused frame
-/// buffers, integer counters. Lives behind a slot `Mutex` so the
-/// parallel phases can lock exactly the sessions of their chunk
-/// (chunks never share a session, so the locks are uncontended).
+/// One serving session: a frame engine (private RNG stream, scripted
+/// channel, reused frame buffers), integer counters and an LLR buffer.
+/// Lives behind a slot `Mutex` so the parallel phases can lock exactly
+/// the sessions of their chunk (chunks never share a session, so the
+/// locks are uncontended).
 struct Session {
     backend: u32,
-    pilot_symbols: usize,
-    monitor: Monitor,
-    rng: Xoshiro256pp,
-    channel: TrajectoryChannel,
-    code: ConvCode,
-    viterbi: Viterbi,
+    engine: FrameEngine,
     pending: u32,
     stats: SessionStats,
-    // Reused per-frame scratch (same discipline as OnlineLink): no
-    // allocation after construction for pilot-monitored sessions.
-    tx_syms: Vec<usize>,
-    block: Vec<C32>,
+    // Reused LLR scratch of the unbatched path.
     llrs: Vec<f32>,
-    tx_bits: Vec<u8>,
-    info: Vec<u8>,
 }
 
 impl Session {
-    /// Builds the next frame into `self.block`: pilot prefix, payload
-    /// (uniform symbols, or a convolutional codeword under ECC
-    /// monitoring), mapping, channel.
-    fn gen_frame(&mut self, constellation: &Constellation) {
-        let m = constellation.bits_per_symbol();
-        let p = self.pilot_symbols;
-        for s in self.tx_syms.iter_mut().take(p) {
-            *s = (self.rng.next_u64() >> (64 - m)) as usize;
-        }
-        if self.monitor == Monitor::Ecc {
-            self.rng.fill_bits(&mut self.info);
-            let coded = self.code.encode(&self.info);
-            for (k, chunk) in coded.chunks(m).enumerate() {
-                self.tx_syms[p + k] = hybridem_comm::bits::pack_bits(chunk);
-            }
-        } else {
-            for s in self.tx_syms.iter_mut().skip(p) {
-                *s = (self.rng.next_u64() >> (64 - m)) as usize;
-            }
-        }
-        for (i, (&u, y)) in self.tx_syms.iter().zip(self.block.iter_mut()).enumerate() {
-            *y = constellation.point(u);
-            for k in 0..m {
-                self.tx_bits[i * m + k] = constellation.bit(u, k);
-            }
-        }
-        self.channel.transmit(&mut self.block, &mut self.rng);
-    }
-
     /// Consumes one frame's LLRs (wherever they were demapped to):
-    /// hard decisions against the transmitted bits, monitor counters,
-    /// queue decrement.
-    fn finish_frame(&mut self, llrs: &[f32], m: usize) {
-        let n = self.block.len();
-        let p = self.pilot_symbols;
-        debug_assert_eq!(llrs.len(), n * m);
-        let mut pilot_errors = 0u64;
-        let mut payload_errors = 0u64;
-        for (i, (&b, &l)) in self.tx_bits.iter().zip(llrs).enumerate() {
-            let err = u64::from(u8::from(l < 0.0) != b);
-            if i < p * m {
-                pilot_errors += err;
-            } else {
-                payload_errors += err;
-            }
-        }
-        if self.monitor == Monitor::Ecc {
-            let outcome = self.viterbi.decode_soft(&self.code, &llrs[p * m..n * m]);
-            self.stats.ecc_corrected += outcome.corrected;
-        }
+    /// error counts from the LLR signs, monitor counters, queue
+    /// decrement.
+    fn finish_frame(&mut self, llrs: &[f32]) {
+        let errors = self.engine.count_errors(llrs);
+        self.stats.ecc_corrected += self.engine.ecc_corrected(llrs);
         self.stats.frames += 1;
-        self.stats.payload_bits += ((n - p) * m) as u64;
-        self.stats.payload_bit_errors += payload_errors;
-        self.stats.pilot_bits += (p * m) as u64;
-        self.stats.pilot_bit_errors += pilot_errors;
+        self.stats.payload_bits += self.engine.payload_bits() as u64;
+        self.stats.payload_bit_errors += errors.payload;
+        self.stats.pilot_bits += self.engine.pilot_bits() as u64;
+        self.stats.pilot_bit_errors += errors.pilot;
         self.pending -= 1;
     }
 
@@ -403,11 +326,10 @@ impl Session {
     /// session's own buffers — no gather copy, so the per-link
     /// baseline the saturation bench measures is honest.
     fn serve_unbatched(&mut self, constellation: &Constellation, demapper: &dyn Demapper) {
-        self.gen_frame(constellation);
-        let llrs = std::mem::take(&mut self.llrs);
-        let mut llrs = llrs;
-        demapper.demap_block(&self.block, &mut llrs);
-        self.finish_frame(&llrs, constellation.bits_per_symbol());
+        self.engine.generate(constellation);
+        let mut llrs = std::mem::take(&mut self.llrs);
+        demapper.demap_block(self.engine.block(), &mut llrs);
+        self.finish_frame(&llrs);
         self.llrs = llrs;
     }
 }
@@ -562,33 +484,19 @@ impl LinkServer {
             .expect("unknown backend id");
         let m = backend.constellation.bits_per_symbol();
         let n = cfg.frame_symbols;
-        assert!(n > 0, "frame length must be positive");
-        assert!(cfg.pilot_symbols <= n, "pilots cannot exceed the frame");
-        let payload_bits = (n - cfg.pilot_symbols) * m;
-        let info_len = if cfg.monitor == Monitor::Ecc {
-            assert!(
-                payload_bits.is_multiple_of(2) && payload_bits / 2 > ConvCode::TAIL,
-                "ECC monitoring needs an even payload capacity above the tail"
-            );
-            payload_bits / 2 - ConvCode::TAIL
-        } else {
-            0
-        };
         let session = Session {
             backend: cfg.backend.0,
-            pilot_symbols: cfg.pilot_symbols,
-            monitor: cfg.monitor,
-            rng: Xoshiro256pp::stream(cfg.seed, 0),
-            channel: TrajectoryChannel::new(cfg.trajectory, n),
-            code: ConvCode::new(),
-            viterbi: Viterbi::new(),
+            engine: FrameEngine::new(
+                cfg.trajectory,
+                cfg.seed,
+                n,
+                cfg.pilot_symbols,
+                cfg.monitor,
+                m,
+            ),
             pending: 0,
             stats: SessionStats::default(),
-            tx_syms: vec![0; n],
-            block: vec![C32::zero(); n],
             llrs: vec![0.0; n * m],
-            tx_bits: vec![0; n * m],
-            info: vec![0; info_len],
         };
         let index = match self.free.pop() {
             Some(i) => {
@@ -620,6 +528,14 @@ impl LinkServer {
         Ok(slot)
     }
 
+    fn session_mut(&mut self, id: SessionId) -> Result<&mut Session, SessionError> {
+        let cell = self.slot_mut(id)?.session.as_mut();
+        let cell = cell.expect("slot_mut checked the slot is occupied");
+        Ok(cell
+            .get_mut()
+            .expect("a round panicked holding the session"))
+    }
+
     /// Closes a session: its counters fold into the retired
     /// accumulator (they stay visible to [`LinkServer::aggregate`]),
     /// the slot's generation is bumped so stale handles are rejected,
@@ -644,14 +560,12 @@ impl LinkServer {
 
     /// A session's current counters.
     pub fn session_stats(&mut self, id: SessionId) -> Result<SessionStats, SessionError> {
-        let slot = self.slot_mut(id)?;
-        Ok(slot.session.as_mut().unwrap().get_mut().unwrap().stats)
+        Ok(self.session_mut(id)?.stats)
     }
 
     /// Frames a session has queued.
     pub fn pending(&mut self, id: SessionId) -> Result<u32, SessionError> {
-        let slot = self.slot_mut(id)?;
-        Ok(slot.session.as_mut().unwrap().get_mut().unwrap().pending)
+        Ok(self.session_mut(id)?.pending)
     }
 
     /// Admission control: enqueues `frames` for the session, or sheds
@@ -663,8 +577,7 @@ impl LinkServer {
         // The slab check runs before any counter moves: a stale handle
         // must not touch the slot's current tenant (its shed/submit
         // counts belong to a different session).
-        let slot = self.slot_mut(id)?;
-        let s = slot.session.as_mut().unwrap().get_mut().unwrap();
+        let s = self.session_mut(id)?;
         s.stats.submitted_frames += u64::from(frames);
         if frames > cap - s.pending {
             s.stats.shed_frames += u64::from(frames);
@@ -691,26 +604,15 @@ impl LinkServer {
         id: SessionId,
         backend: BackendId,
     ) -> Result<(), SessionError> {
-        let to = self
-            .backends
-            .get(backend.0 as usize)
-            .expect("unknown backend id");
-        let to_points = to.constellation.points().to_vec();
-        let slot = self
-            .slots
-            .get_mut(id.index as usize)
-            .ok_or(SessionError::Stale)?;
-        if slot.generation != id.generation || slot.session.is_none() {
-            return Err(SessionError::Stale);
-        }
-        let s = slot.session.as_mut().unwrap().get_mut().unwrap();
-        let from = &self.backends[s.backend as usize];
+        let to = backend.0 as usize;
+        assert!(to < self.backends.len(), "unknown backend id");
+        let from = self.session_mut(id)?.backend as usize;
         assert_eq!(
-            from.constellation.points(),
-            &to_points[..],
+            self.backends[from].constellation.points(),
+            self.backends[to].constellation.points(),
             "backend switch must preserve the transmit constellation"
         );
-        s.backend = backend.0;
+        self.session_mut(id)?.backend = backend.0;
         Ok(())
     }
 
@@ -774,7 +676,7 @@ impl LinkServer {
                 }
                 order.push(i as u32);
                 offsets.push((sym, bits));
-                sym += s.block.len();
+                sym += s.engine.frame_symbols();
                 bits += s.llrs.len();
             }
             let mut c = seg_start;
@@ -814,7 +716,6 @@ impl LinkServer {
         pool.run(chunks.len(), |ci| {
             let c = chunks[ci];
             let backend = &backends[c.backend as usize];
-            let m = backend.constellation.bits_per_symbol();
             if c.end - c.start == 1 {
                 lock(c.start).serve_unbatched(&backend.constellation, backend.demapper.as_ref());
                 return;
@@ -824,9 +725,9 @@ impl LinkServer {
             // chunk per session, prefix-sum offsets).
             for (k, off) in offsets.iter().enumerate().take(c.end).skip(c.start) {
                 let mut s = lock(k);
-                s.gen_frame(&backend.constellation);
-                let dst = unsafe { gather.slice_mut(off.0, s.block.len()) };
-                dst.copy_from_slice(&s.block);
+                s.engine.generate(&backend.constellation);
+                let dst = unsafe { gather.slice_mut(off.0, s.engine.frame_symbols()) };
+                dst.copy_from_slice(s.engine.block());
             }
             let sym_end = offsets.get(c.end).map_or(total_sym, |o| o.0);
             let bit_end = offsets.get(c.end).map_or(total_bits, |o| o.1);
@@ -841,7 +742,7 @@ impl LinkServer {
             for (k, off) in offsets.iter().enumerate().take(c.end).skip(c.start) {
                 let mut s = lock(k);
                 let span = unsafe { gathered_llrs.slice_mut(off.1, s.llrs.len()) };
-                s.finish_frame(span, m);
+                s.finish_frame(span);
             }
         });
         *rounds += 1;
@@ -859,11 +760,6 @@ impl LinkServer {
             }
             total += served;
         }
-    }
-
-    /// Sessions currently open.
-    pub fn open_sessions(&self) -> usize {
-        self.slots.iter().filter(|s| s.session.is_some()).count()
     }
 
     /// Serving rounds executed.
@@ -918,7 +814,7 @@ mod tests {
     use super::*;
     use hybridem_comm::demapper::MaxLogMap;
     use hybridem_comm::trajectory::ChannelState;
-    use hybridem_mathkit::json::ToJson;
+    use hybridem_mathkit::json::{FromJson, Json, ToJson};
 
     fn qam_server(cfg: ServerCfg) -> (LinkServer, BackendId) {
         let qam = Constellation::qam_gray(16);
@@ -1190,6 +1086,53 @@ mod tests {
             "4 dB QAM-16 must show raw errors"
         );
         assert!(stats.ecc_corrected > 0, "the decoder must correct some");
+    }
+
+    #[test]
+    fn server_session_and_online_link_count_the_same_frames() {
+        // One frame engine behind both callers: an online link and a
+        // one-session server with the same seed, trajectory, frame
+        // geometry and max-log demapper transmit the same frames and
+        // report the same pilot and payload error totals.
+        use crate::runtime::{LinkParams, OnlineLink, OnlineLinkSpec};
+        let frames = 12u32;
+        let trajectory = Trajectory::new("drift")
+            .hold(4, ChannelState::clean(6.0))
+            .ramp(8, ChannelState::clean(9.0).with_phase(0.2));
+        for monitor in [Monitor::Pilot, Monitor::Ecc] {
+            let (mut server, backend) = qam_server(ServerCfg::default());
+            let mut cfg = SessionCfg::new(backend, trajectory.clone(), 41);
+            cfg.frame_symbols = 48;
+            cfg.pilot_symbols = 6;
+            cfg.monitor = monitor;
+            let id = server.open_session(cfg.clone());
+            server.submit(id, frames).unwrap();
+            server.serve();
+            let agg = server.aggregate();
+
+            let qam = Constellation::qam_gray(16);
+            let spec = OnlineLinkSpec {
+                trajectory: trajectory.clone(),
+                seed: cfg.seed,
+                params: LinkParams {
+                    frame_symbols: cfg.frame_symbols,
+                    pilot_symbols: cfg.pilot_symbols,
+                    monitor,
+                    ..LinkParams::default()
+                },
+            };
+            let mut link = OnlineLink::fixed(spec, qam.clone(), Box::new(MaxLogMap::new(qam, 0.2)));
+            for _ in 0..frames {
+                link.step();
+            }
+            let total =
+                |f: fn(&crate::runtime::FrameRecord) -> u64| link.log().iter().map(f).sum::<u64>();
+            assert!(agg.payload_bit_errors > 0, "{monitor:?}: a noisy channel");
+            assert_eq!(agg.pilot_bits, total(|r| r.pilot_bits));
+            assert_eq!(agg.pilot_bit_errors, total(|r| r.pilot_bit_errors));
+            assert_eq!(agg.payload_bits, total(|r| r.payload_bits));
+            assert_eq!(agg.payload_bit_errors, total(|r| r.payload_bit_errors));
+        }
     }
 
     #[test]

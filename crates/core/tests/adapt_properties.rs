@@ -6,16 +6,6 @@
 use hybridem_core::adapt::{AdaptThresholds, AdaptationController, Recommendation};
 use proptest::prelude::*;
 
-/// Observes `errors` wrong bits out of `trials` in one call.
-fn observe(c: &mut AdaptationController, errors: u64, trials: u64) {
-    let tx = vec![0u8; trials as usize];
-    let mut rx = tx.clone();
-    for slot in rx.iter_mut().take(errors as usize) {
-        *slot = 1;
-    }
-    c.observe_pilot_bits(&tx, &rx);
-}
-
 fn controller() -> AdaptationController {
     AdaptationController::new(AdaptThresholds::default())
 }
@@ -32,9 +22,9 @@ proptest! {
         let lo = lo_errors.min(trials);
         let hi = (lo_errors + extra).min(trials);
         let mut a = controller();
-        observe(&mut a, lo, trials);
+        a.observe_pilot_errors(lo, trials);
         let mut b = controller();
-        observe(&mut b, hi, trials);
+        b.observe_pilot_errors(hi, trials);
         if a.recommendation() == Recommendation::Retrain {
             prop_assert_eq!(b.recommendation(), Recommendation::Retrain,
                 "{} errors triggered but {} did not ({} trials)", lo, hi, trials);
@@ -56,7 +46,7 @@ proptest! {
     ) {
         let mut c = controller();
         for &(e, t) in &chunks {
-            observe(&mut c, e.min(t), t);
+            c.observe_pilot_errors(e.min(t), t);
         }
         for &(e, t) in &ecc {
             c.observe_ecc(e.min(t), t);
@@ -79,7 +69,7 @@ proptest! {
     ) {
         let mut fwd = controller();
         for &(e, t) in &chunks {
-            observe(&mut fwd, e.min(t), t);
+            fwd.observe_pilot_errors(e.min(t), t);
         }
         for &(e, t) in &ecc {
             fwd.observe_ecc(e.min(t), t);
@@ -90,7 +80,7 @@ proptest! {
             rev.observe_ecc(e.min(t), t);
         }
         for &(e, t) in chunks.iter().rev() {
-            observe(&mut rev, e.min(t), t);
+            rev.observe_pilot_errors(e.min(t), t);
         }
         prop_assert_eq!(fwd.recommendation(), rev.recommendation());
         prop_assert_eq!(fwd.is_healthy(), rev.is_healthy());
@@ -105,7 +95,7 @@ proptest! {
         errors in 0u64..2_000,
     ) {
         let mut c = controller();
-        observe(&mut c, errors.min(trials), trials);
+        c.observe_pilot_errors(errors.min(trials), trials);
         prop_assert_eq!(c.recommendation(), Recommendation::Continue);
         prop_assert!(!c.is_healthy());
     }

@@ -21,7 +21,7 @@ pub struct ImplReport {
     pub energy_per_sym_j: f64,
 }
 
-hybridem_mathkit::impl_to_json!(ImplReport {
+hybridem_mathkit::impl_json!(ImplReport {
     name,
     clock_mhz,
     latency_s,

@@ -23,7 +23,7 @@ pub struct ResourceUsage {
     pub bram36: f64,
 }
 
-hybridem_mathkit::impl_to_json!(ResourceUsage {
+hybridem_mathkit::impl_json!(ResourceUsage {
     lut,
     ff,
     dsp,

@@ -9,8 +9,8 @@
 //!
 //! - [`grid::LabelGrid`] — a rectangular map of symbol labels over a
 //!   window of the plane (the sampled decision regions);
-//! - [`regions`] — connected components, per-label masses and mass
-//!   centroids of a label grid;
+//! - [`components`] — connected components of a label grid, which the
+//!   extraction step uses to find each label's dominant region;
 //! - [`marching`] — marching-squares boundary extraction of a label's
 //!   region as polygons;
 //! - [`polygon`] — areas, vertex centroids, point-in-polygon and
@@ -27,7 +27,6 @@ pub mod grid;
 pub mod hull;
 pub mod marching;
 pub mod polygon;
-pub mod regions;
 pub mod voronoi;
 
 pub use components::label_components;

@@ -102,20 +102,6 @@ impl<T: Real> Complex<T> {
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
-
-    /// Widens to double precision.
-    #[inline]
-    pub fn to_c64(self) -> C64 {
-        C64::new(self.re.to_f64(), self.im.to_f64())
-    }
-}
-
-impl C64 {
-    /// Narrows to single precision.
-    #[inline]
-    pub fn to_c32(self) -> C32 {
-        C32::new(self.re as f32, self.im as f32)
-    }
 }
 
 impl<T: Real> Add for Complex<T> {

@@ -6,6 +6,9 @@
 //! replacement: a [`Json`] value tree, a writer (compact and pretty), a
 //! strict parser, and the [`ToJson`] / [`FromJson`] conversion traits
 //! implemented by the snapshot and report types across the workspace.
+//! Plain structs get both traits from one field list via
+//! [`impl_json!`](crate::impl_json), so the encoder and decoder of an
+//! artefact cannot drift apart.
 //!
 //! Object key order is preserved (insertion order), so serialisation is
 //! deterministic — important for byte-identical experiment artefacts
@@ -60,11 +63,6 @@ impl Json {
     /// Builds an object from `(key, value)` pairs.
     pub fn object<K: Into<String>, I: IntoIterator<Item = (K, Json)>>(pairs: I) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
-    /// Builds an array by converting each element with [`ToJson`].
-    pub fn array<T: ToJson, I: IntoIterator<Item = T>>(items: I) -> Json {
-        Json::Arr(items.into_iter().map(|x| x.to_json()).collect())
     }
 
     /// Looks up a key in an object; `None` for missing keys or non-objects.
@@ -675,28 +673,44 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-/// Implements [`ToJson`] for a struct by listing its fields; each
-/// field serialises under its own name, in declaration order.
+/// Implements [`ToJson`] and [`FromJson`] for a struct from one list
+/// of its fields. Each field serialises under its own name, in list
+/// order, and decodes from the object key of that name; the list must
+/// name every field. A missing key fails with ``missing field `name` ``.
 ///
 /// ```
 /// struct Point {
 ///     x: f64,
 ///     y: f64,
 /// }
-/// hybridem_mathkit::impl_to_json!(Point { x, y });
+/// hybridem_mathkit::impl_json!(Point { x, y });
 ///
-/// use hybridem_mathkit::json::ToJson;
+/// use hybridem_mathkit::json::{from_str, ToJson};
 /// let j = Point { x: 1.0, y: 2.0 }.to_json();
 /// assert_eq!(j.to_string_compact(), r#"{"x":1.0,"y":2.0}"#);
+/// let p: Point = from_str(&j.to_string_compact()).unwrap();
+/// assert_eq!((p.x, p.y), (1.0, 2.0));
+/// let err = from_str::<Point>(r#"{"x":1.0}"#).err().unwrap();
+/// assert!(err.to_string().contains("missing field `y`"));
 /// ```
 #[macro_export]
-macro_rules! impl_to_json {
+macro_rules! impl_json {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 $crate::json::Json::object([
                     $((stringify!($field), $crate::json::ToJson::to_json(&self.$field))),+
                 ])
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(
+                v: &$crate::json::Json,
+            ) -> ::std::result::Result<Self, $crate::json::JsonError> {
+                Ok(Self {
+                    $($field: $crate::json::FromJson::from_json(v.field(stringify!($field))?)?),+
+                })
             }
         }
     };

@@ -132,11 +132,6 @@ impl<T: Real> Matrix<T> {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Iterator over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[T]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Sets every element to zero (reusing the allocation).
     pub fn fill_zero(&mut self) {
         self.data.fill(T::ZERO);
@@ -170,13 +165,6 @@ impl<T: Real> Matrix<T> {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -332,11 +320,6 @@ impl<T: Real> Matrix<T> {
         }
         m
     }
-
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
 }
 
 impl<T: Real> std::ops::Index<(usize, usize)> for Matrix<T> {
@@ -371,7 +354,7 @@ impl<T: FromJson> FromJson for Matrix<T> {
         let rows = usize::from_json(v.field("rows")?)?;
         let cols = usize::from_json(v.field("cols")?)?;
         let data = Vec::<T>::from_json(v.field("data")?)?;
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(JsonError::new(format!(
                 "matrix data length {} does not match {rows}x{cols}",
                 data.len()

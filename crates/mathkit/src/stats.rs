@@ -5,6 +5,16 @@
 //! interval so experiments can report how trustworthy each point is and
 //! tests can assert against closed-form theory without flakiness.
 
+/// `errors / trials`, or exactly `0.0` (never NaN) when nothing was
+/// observed — the workspace's zero-observation contract for rates.
+pub fn error_rate(errors: u64, trials: u64) -> f64 {
+    if trials == 0 {
+        0.0
+    } else {
+        errors as f64 / trials as f64
+    }
+}
+
 /// Wilson score interval for a binomial proportion: `errors` successes
 /// in `trials` trials at `z` standard-normal quantiles (z = 1.96 ⇒
 /// 95 %). Well-behaved even at zero observed errors, unlike the naive
@@ -93,20 +103,6 @@ impl Welford {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Merges another accumulator (parallel reduction), Chan et al.
     pub fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
@@ -166,11 +162,7 @@ impl ErrorCounter {
     /// thresholds see a finite number. Use [`ErrorCounter::trials`] to
     /// distinguish "no errors observed" from "nothing measured".
     pub fn rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.errors as f64 / self.trials as f64
-        }
+        error_rate(self.errors, self.trials)
     }
 
     /// Wilson score interval at `z` standard normal quantiles

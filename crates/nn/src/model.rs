@@ -428,21 +428,11 @@ impl FromJson for Activation {
     }
 }
 
-hybridem_mathkit::impl_to_json!(MlpSpec {
+hybridem_mathkit::impl_json!(MlpSpec {
     dims,
     hidden,
     output
 });
-
-impl FromJson for MlpSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            dims: Vec::from_json(v.field("dims")?)?,
-            hidden: Activation::from_json(v.field("hidden")?)?,
-            output: Activation::from_json(v.field("output")?)?,
-        })
-    }
-}
 
 impl ToJson for LayerSnapshot {
     fn to_json(&self) -> Json {
@@ -497,6 +487,13 @@ impl FromJson for LayerSnapshot {
                 let total = u32::from_json(v.field("total_bits")?)?;
                 let frac = u32::from_json(v.field("frac_bits")?)?;
                 let signed = bool::from_json(v.field("signed")?)?;
+                // The QFormat constructors assert this; a corrupt
+                // snapshot must fail to decode, not panic.
+                if !(1..=63).contains(&total) || frac > total {
+                    return Err(JsonError::new(format!(
+                        "invalid fixed-point format ({total}, {frac})"
+                    )));
+                }
                 let format = if signed {
                     QFormat::signed(total, frac)
                 } else {
@@ -514,16 +511,7 @@ impl FromJson for LayerSnapshot {
     }
 }
 
-hybridem_mathkit::impl_to_json!(ModelSnapshot { input_dim, layers });
-
-impl FromJson for ModelSnapshot {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            input_dim: usize::from_json(v.field("input_dim")?)?,
-            layers: Vec::from_json(v.field("layers")?)?,
-        })
-    }
-}
+hybridem_mathkit::impl_json!(ModelSnapshot { input_dim, layers });
 
 #[cfg(test)]
 mod tests {

@@ -10,18 +10,15 @@
 //! from its own counter-derived RNG stream. Running on 1 thread or 64
 //! produces bit-identical results.
 //!
-//! - [`par_map`] / [`par_map_indexed`] — parallel map over a slice;
-//! - [`par_chunks_map`] — parallel map over contiguous chunks;
-//! - [`par_for_each_mut`] — parallel in-place mutation of independent
-//!   element states;
-//! - [`montecarlo::run`] — deterministic parallel Monte-Carlo with
-//!   per-task RNG streams and associative reduction;
-//! - [`montecarlo::RoundRunner`] — the resumable round-based variant
-//!   behind the campaign engine's statistical early stopping
-//!   (DESIGN.md §8);
-//! - [`shard::ShardRunner`] — fully independent stateful shards (one
-//!   online link per shard) stepped in parallel and folded in shard
-//!   order (DESIGN.md §10);
+//! Two executors, one per determinism regime:
+//!
+//! - [`par_for_each_mut`] — static-partition parallel in-place
+//!   mutation of independent element states, visited exactly once each
+//!   and read back in index order. Behind it sit
+//!   [`montecarlo::RoundRunner`], the resumable round-based
+//!   Monte-Carlo runner of the campaign engine's statistical early
+//!   stopping (DESIGN.md §8), and the drift and switch campaigns (one
+//!   online link per element, DESIGN.md §10);
 //! - [`steal::StealPool`] — persistent work-stealing workers for
 //!   latency-imbalanced serving rounds, where static partitioning
 //!   would let one hot task starve its whole range (DESIGN.md §12).
@@ -32,12 +29,10 @@
 
 pub mod montecarlo;
 pub mod par_iter;
-pub mod shard;
 pub mod steal;
 pub mod util;
 
-pub use montecarlo::{run as montecarlo_run, MonteCarloPlan, RoundRunner};
-pub use par_iter::{par_chunks_map, par_for_each_mut, par_map, par_map_indexed};
-pub use shard::ShardRunner;
+pub use montecarlo::{default_tasks, RoundRunner};
+pub use par_iter::par_for_each_mut;
 pub use steal::StealPool;
 pub use util::num_threads;

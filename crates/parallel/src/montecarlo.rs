@@ -6,91 +6,30 @@
 //! of **tasks** chosen by the caller (not by the scheduler); task `i`
 //! always processes the same number of trials with the RNG stream
 //! `Xoshiro256pp::stream(seed, i)`, and partial results are reduced in
-//! task order. The outcome is a pure function of `(plan, seed)`.
+//! task order. The outcome is a pure function of `(tasks, seed)` and
+//! the trial counts.
 //!
-//! Two execution modes share that machinery:
-//!
-//! - [`run`] — one-shot: all trials in a single pass;
-//! - [`RoundRunner`] — resumable: trials arrive in caller-chosen
-//!   **rounds**, each task keeping its accumulator and RNG stream
-//!   alive between rounds. The state after rounds `r₁, …, r_k` is a
-//!   pure function of `(tasks, seed, r₁ … r_k)` — independent of
-//!   thread count and of whether later rounds ever run — which is what
-//!   makes statistical early stopping deterministic: a caller that
-//!   stops after round `k` obtains exactly the `k`-round prefix of the
-//!   uncapped run (DESIGN.md §8). (Collapsing rounds into one bigger
-//!   round additionally preserves results whenever the per-task trial
-//!   splits line up, e.g. round sizes divisible by the task count.)
+//! [`RoundRunner`] runs the tasks resumably: trials arrive in
+//! caller-chosen **rounds**, each task keeping its accumulator and RNG
+//! stream alive between rounds. The state after rounds `r₁, …, r_k` is
+//! a pure function of `(tasks, seed, r₁ … r_k)` — independent of
+//! thread count and of whether later rounds ever run — which is what
+//! makes statistical early stopping deterministic: a caller that stops
+//! after round `k` obtains exactly the `k`-round prefix of the uncapped
+//! run (DESIGN.md §8). (Collapsing rounds into one bigger round
+//! additionally preserves results whenever the per-task trial splits
+//! line up, e.g. round sizes divisible by the task count.) A one-shot
+//! run is a single round.
 
 use crate::par_iter::par_for_each_mut;
 use hybridem_mathkit::rng::Xoshiro256pp;
 
-/// Shape of a Monte-Carlo run: how many trials, split into how many
-/// deterministic tasks.
-#[derive(Clone, Copy, Debug)]
-pub struct MonteCarloPlan {
-    /// Total number of trials across all tasks.
-    pub trials: u64,
-    /// Number of independent tasks (each gets its own RNG stream).
-    /// More tasks → finer load balancing; the result never changes.
-    pub tasks: u32,
-    /// Base seed; task `i` uses stream `(seed, i)`.
-    pub seed: u64,
-}
-
-impl MonteCarloPlan {
-    /// A plan with a task count suited to the current machine
-    /// (4× threads for load balancing) but results independent of it —
-    /// determinism only requires that *the same plan* be replayed.
-    pub fn new(trials: u64, seed: u64) -> Self {
-        let tasks = (crate::util::num_threads() * 4).clamp(1, 256) as u32;
-        Self {
-            trials,
-            tasks,
-            seed,
-        }
-    }
-
-    /// Explicit task count (use in tests asserting thread-count
-    /// invariance: fix `tasks`, vary `HYBRIDEM_THREADS`).
-    pub fn with_tasks(trials: u64, tasks: u32, seed: u64) -> Self {
-        assert!(tasks > 0, "at least one task");
-        Self {
-            trials,
-            tasks,
-            seed,
-        }
-    }
-
-    /// Number of trials assigned to task `i` (first tasks get the
-    /// remainder, same convention as `split_ranges`).
-    pub fn trials_of_task(&self, i: u32) -> u64 {
-        let base = self.trials / self.tasks as u64;
-        let extra = self.trials % self.tasks as u64;
-        base + u64::from((i as u64) < extra)
-    }
-}
-
-/// Runs the plan: each task folds `body` over its trials into a fresh
-/// accumulator from `init`, partial accumulators are combined with
-/// `merge` in task order.
-///
-/// `body(acc, rng)` performs **one trial**. Implemented as a
-/// [`RoundRunner`] executing a single round, so one-shot and
-/// incremental execution can never drift apart.
-pub fn run<A, I, B, M>(plan: &MonteCarloPlan, init: I, body: B, merge: M) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    B: Fn(&mut A, &mut Xoshiro256pp) + Sync,
-    M: Fn(&mut A, A),
-{
-    if plan.tasks == 0 {
-        return init();
-    }
-    let mut runner = RoundRunner::new(plan.tasks, plan.seed, init);
-    runner.run_round(plan.trials, body);
-    runner.into_merged(merge)
+/// A task count suited to the current machine: 4× the worker threads
+/// (for load balancing), clamped to `1..=256`. Results depend on the
+/// task count, never on the thread count, so replaying a run only
+/// requires the same task count.
+pub fn default_tasks() -> u32 {
+    (crate::util::num_threads() * 4).clamp(1, 256) as u32
 }
 
 struct TaskState<A> {
@@ -102,16 +41,15 @@ struct TaskState<A> {
 ///
 /// Holds one `(accumulator, RNG stream)` pair per task. Every call to
 /// [`RoundRunner::run_round`] splits the round's trials across the
-/// fixed task set (same remainder-first convention as
-/// [`MonteCarloPlan::trials_of_task`]) and lets each task continue its
-/// own stream where the previous round left it. Because task state
-/// never migrates between tasks, the accumulated result after any
-/// round prefix is a pure function of
-/// `(tasks, seed, round sizes so far)` — independent of thread count
-/// and of whether later rounds ever run. Stop decisions taken between
-/// rounds therefore cannot perturb the estimate they stopped.
+/// fixed task set (remainder first: the first `trials % tasks` tasks
+/// run one extra) and lets each task continue its own stream where
+/// the previous round left it. Because task state never migrates
+/// between tasks, the accumulated result after any round prefix is a
+/// pure function of `(tasks, seed, round sizes so far)` — independent
+/// of thread count and of whether later rounds ever run. Stop
+/// decisions taken between rounds therefore cannot perturb the
+/// estimate they stopped.
 pub struct RoundRunner<A> {
-    seed: u64,
     states: Vec<TaskState<A>>,
     rounds: u32,
     trials: u64,
@@ -132,21 +70,10 @@ impl<A: Send> RoundRunner<A> {
             })
             .collect();
         Self {
-            seed,
             states,
             rounds: 0,
             trials: 0,
         }
-    }
-
-    /// Number of tasks (fixed at construction).
-    pub fn tasks(&self) -> u32 {
-        self.states.len() as u32
-    }
-
-    /// Base seed the task streams were derived from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Rounds executed so far.
@@ -160,8 +87,8 @@ impl<A: Send> RoundRunner<A> {
     }
 
     /// Executes one round of `trials` further trials, split across the
-    /// task set with the [`MonteCarloPlan::trials_of_task`] convention
-    /// (first `trials % tasks` tasks get one extra).
+    /// task set (first `trials % tasks` tasks get one extra).
+    /// `body(acc, rng)` performs **one trial**.
     pub fn run_round<B>(&mut self, trials: u64, body: B)
     where
         B: Fn(&mut A, &mut Xoshiro256pp) + Sync,
@@ -196,17 +123,6 @@ impl<A: Send> RoundRunner<A> {
         }
         total
     }
-
-    /// Consumes the runner, merging the task accumulators by value in
-    /// task order (the reduction used by [`run`]).
-    pub fn into_merged<M: Fn(&mut A, A)>(self, merge: M) -> A {
-        let mut iter = self.states.into_iter();
-        let mut total = iter.next().expect("RoundRunner has at least one task").acc;
-        for s in iter {
-            merge(&mut total, s.acc);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -215,78 +131,80 @@ mod tests {
     use hybridem_mathkit::rng::Rng64;
     use hybridem_mathkit::stats::ErrorCounter;
 
-    fn pi_estimate(plan: &MonteCarloPlan) -> f64 {
-        let hits = run(
-            plan,
-            || 0u64,
-            |acc, rng| {
-                let x = rng.next_f64();
-                let y = rng.next_f64();
-                if x * x + y * y <= 1.0 {
-                    *acc += 1;
-                }
-            },
-            |a, b| *a += b,
-        );
-        4.0 * hits as f64 / plan.trials as f64
+    fn pi_trial(hits: &mut u64, rng: &mut Xoshiro256pp) {
+        let x = rng.next_f64();
+        let y = rng.next_f64();
+        if x * x + y * y <= 1.0 {
+            *hits += 1;
+        }
+    }
+
+    /// One round of `trials` pi trials over `tasks` task streams,
+    /// folded in task order.
+    fn pi_estimate(trials: u64, tasks: u32, seed: u64) -> f64 {
+        let mut r = RoundRunner::new(tasks, seed, || 0u64);
+        r.run_round(trials, pi_trial);
+        let hits = r.fold(|a| *a, |a, b| *a += b);
+        4.0 * hits as f64 / trials as f64
     }
 
     #[test]
     fn estimates_pi() {
-        let plan = MonteCarloPlan::with_tasks(1_000_000, 16, 42);
-        let pi = pi_estimate(&plan);
+        let pi = pi_estimate(1_000_000, 16, 42);
         assert!((pi - std::f64::consts::PI).abs() < 0.01, "pi ≈ {pi}");
     }
 
     #[test]
     fn deterministic_replay() {
-        let plan = MonteCarloPlan::with_tasks(100_000, 8, 7);
-        assert_eq!(pi_estimate(&plan).to_bits(), pi_estimate(&plan).to_bits());
+        assert_eq!(
+            pi_estimate(100_000, 8, 7).to_bits(),
+            pi_estimate(100_000, 8, 7).to_bits()
+        );
     }
 
     #[test]
     fn independent_of_thread_count() {
-        // Same plan evaluated with the scheduler forced to one thread
-        // must agree bit-for-bit with the parallel run. We emulate the
-        // one-thread case by folding tasks sequentially by hand.
-        let plan = MonteCarloPlan::with_tasks(50_000, 12, 99);
-        let parallel = pi_estimate(&plan);
+        // The same round evaluated with the scheduler forced to one
+        // thread must agree bit-for-bit with the parallel run. We
+        // emulate the one-thread case by running tasks sequentially by
+        // hand, with the remainder-first split.
+        let (trials, tasks, seed) = (50_000u64, 12u32, 99);
+        let parallel = pi_estimate(trials, tasks, seed);
         let mut hits = 0u64;
-        for i in 0..plan.tasks {
-            let mut rng = Xoshiro256pp::stream(plan.seed, i as u64);
-            for _ in 0..plan.trials_of_task(i) {
-                let x = rng.next_f64();
-                let y = rng.next_f64();
-                if x * x + y * y <= 1.0 {
-                    hits += 1;
-                }
+        for i in 0..tasks {
+            let mut rng = Xoshiro256pp::stream(seed, u64::from(i));
+            let n = trials / u64::from(tasks) + u64::from(u64::from(i) < trials % u64::from(tasks));
+            for _ in 0..n {
+                pi_trial(&mut hits, &mut rng);
             }
         }
-        let sequential = 4.0 * hits as f64 / plan.trials as f64;
+        let sequential = 4.0 * hits as f64 / trials as f64;
         assert_eq!(parallel.to_bits(), sequential.to_bits());
     }
 
     #[test]
-    fn trial_split_is_exact() {
-        for trials in [0u64, 1, 999, 1000, 1001] {
-            let plan = MonteCarloPlan::with_tasks(trials, 7, 0);
-            let sum: u64 = (0..plan.tasks).map(|i| plan.trials_of_task(i)).sum();
-            assert_eq!(sum, trials);
+    fn trial_split_is_exact_and_remainder_first() {
+        for trials in [0u64, 1, 10, 999, 1000, 1001] {
+            let mut r = RoundRunner::new(7, 0, || 0u64);
+            r.run_round(trials, |acc, _| *acc += 1);
+            let per_task = r.fold(|&a| vec![a], |a, b| a.extend(b));
+            assert_eq!(per_task.iter().sum::<u64>(), trials);
+            let extra = (trials % 7) as usize;
+            assert!(per_task[..extra].iter().all(|&n| n == trials / 7 + 1));
+            assert!(per_task[extra..].iter().all(|&n| n == trials / 7));
         }
     }
 
     #[test]
     fn works_with_error_counter() {
         // Simulate a Bernoulli(0.1) error process.
-        let plan = MonteCarloPlan::with_tasks(200_000, 16, 5);
-        let counter = run(
-            &plan,
-            ErrorCounter::new,
-            |acc, rng| acc.push(rng.next_f64() < 0.1),
-            |a, b| a.merge(&b),
-        );
+        let mut runner = RoundRunner::new(16, 5, ErrorCounter::new);
+        runner.run_round(200_000, |acc, rng| acc.push(rng.next_f64() < 0.1));
+        let counter = runner.fold(|c| *c, |a, b| a.merge(&b));
         assert_eq!(counter.trials(), 200_000);
         assert!(counter.consistent_with(0.1, 3.9), "rate {}", counter.rate());
+        assert_eq!(runner.rounds(), 1);
+        assert_eq!(runner.trials(), 200_000);
     }
 
     #[test]
@@ -298,49 +216,12 @@ mod tests {
         let hits = |rounds: &[u64]| {
             let mut r = RoundRunner::new(8, 33, || 0u64);
             for &t in rounds {
-                r.run_round(t, |acc, rng| {
-                    let x = rng.next_f64();
-                    let y = rng.next_f64();
-                    if x * x + y * y <= 1.0 {
-                        *acc += 1;
-                    }
-                });
+                r.run_round(t, pi_trial);
             }
             r.fold(|a| *a, |a, b| *a += b)
         };
         assert_eq!(hits(&[1000, 4000, 16000]), hits(&[21000]));
         assert_eq!(hits(&[1000, 4000]), hits(&[5000]));
-    }
-
-    #[test]
-    fn round_runner_matches_run() {
-        let plan = MonteCarloPlan::with_tasks(40_000, 16, 5);
-        let via_run = run(
-            &plan,
-            ErrorCounter::new,
-            |acc, rng| acc.push(rng.next_f64() < 0.25),
-            |a, b| a.merge(&b),
-        );
-        let mut runner = RoundRunner::new(plan.tasks, plan.seed, ErrorCounter::new);
-        runner.run_round(plan.trials, |acc, rng| acc.push(rng.next_f64() < 0.25));
-        let via_rounds = runner.fold(|c| *c, |a, b| a.merge(&b));
-        assert_eq!(via_run.errors(), via_rounds.errors());
-        assert_eq!(via_run.trials(), via_rounds.trials());
-        assert_eq!(runner.rounds(), 1);
-        assert_eq!(runner.trials(), 40_000);
-        assert_eq!(runner.tasks(), 16);
-        assert_eq!(runner.seed(), 5);
-    }
-
-    #[test]
-    fn round_split_uses_plan_convention() {
-        // 10 trials over 4 tasks: tasks 0,1 run 3 trials, tasks 2,3
-        // run 2 — the trials_of_task convention, observable by counting
-        // per-task bodies.
-        let mut r = RoundRunner::new(4, 0, Vec::<u64>::new);
-        r.run_round(10, |acc, _| acc.push(1));
-        let per_task = r.fold(|a| vec![a.len() as u64], |a, b| a.extend(b));
-        assert_eq!(per_task, vec![3, 3, 2, 2]);
     }
 
     #[test]
@@ -350,11 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_trials_merge_only_inits() {
+    fn zero_trials_fold_only_inits() {
         // 4 tasks, 0 trials each: body never runs, the four init
-        // accumulators (17 each) are summed by the merge.
-        let plan = MonteCarloPlan::with_tasks(0, 4, 1);
-        let v = run(&plan, || 17u32, |_, _| unreachable!(), |a, b| *a += b);
-        assert_eq!(v, 68);
+        // accumulators (17 each) are summed by the fold.
+        let mut r = RoundRunner::new(4, 1, || 17u32);
+        r.run_round(0, |_, _| unreachable!());
+        assert_eq!(r.fold(|a| *a, |a, b| *a += b), 68);
     }
 }

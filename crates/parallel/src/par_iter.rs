@@ -1,74 +1,23 @@
-//! Parallel map primitives over slices.
+//! Parallel in-place mutation over slices.
 //!
-//! These are fork–join helpers in the Rayon style, specialised to the
-//! access patterns of the workspace (read-only input slice, owned output
-//! per element). Results are always assembled in input order, so the
-//! output is identical to the sequential map regardless of scheduling.
+//! A fork–join helper in the Rayon style, specialised to the access
+//! pattern of the workspace: every element owns independent state
+//! (an accumulator and RNG stream, or one whole online link), and the
+//! elements are partitioned contiguously across scoped worker threads.
+//! Element `i` is always stepped against its own state, exactly once,
+//! so the outcome is identical to the sequential loop regardless of
+//! scheduling; callers that reduce afterwards fold in index order.
 
 use crate::util::{num_threads, split_ranges};
-
-/// Parallel equivalent of `items.iter().map(f).collect()`.
-///
-/// Falls back to the sequential map for small inputs where spawning
-/// costs more than the work.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items, |_, item| f(item))
-}
-
-/// Parallel map that also passes the element index.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = num_threads();
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if threads == 1 || items.len() < 2 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let ranges = split_ranges(items.len(), threads);
-    let pieces: Vec<Vec<R>> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .map(|r| {
-                let f = &f;
-                s.spawn(move || {
-                    items[r.clone()]
-                        .iter()
-                        .enumerate()
-                        .map(|(k, t)| f(r.start + k, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for p in pieces {
-        out.extend(p);
-    }
-    out
-}
 
 /// Parallel in-place mutation: runs `f(index, &mut items[index])` for
 /// every element, partitioned contiguously across worker threads.
 ///
 /// This is the primitive behind resumable Monte-Carlo rounds
-/// ([`crate::montecarlo::RoundRunner`]): each element owns independent
-/// state (accumulator + RNG stream), so the result is identical to the
-/// sequential loop regardless of how elements land on threads.
+/// ([`crate::montecarlo::RoundRunner`]) and the drift and switch
+/// campaigns (one online link per element): each element owns
+/// independent state, so the result is identical to the sequential
+/// loop regardless of how elements land on threads.
 pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
@@ -107,60 +56,9 @@ where
     });
 }
 
-/// Parallel map over contiguous chunks of at most `chunk` elements;
-/// `f` receives `(chunk_index, chunk_slice)`. Chunk outputs are returned
-/// in order.
-pub fn par_chunks_map<T, R, F>(items: &[T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-    par_map_indexed(&chunks, |i, c| f(i, c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn matches_sequential_map() {
-        let xs: Vec<i64> = (0..10_000).collect();
-        let seq: Vec<i64> = xs.iter().map(|x| x * x - 3).collect();
-        let par = par_map(&xs, |x| x * x - 3);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn indexed_variant_sees_correct_indices() {
-        let xs = vec![10u64; 1000];
-        let par = par_map_indexed(&xs, |i, &x| i as u64 + x);
-        for (i, v) in par.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 10);
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, |x| *x).is_empty());
-        assert_eq!(par_map(&[42], |x| x + 1), vec![43]);
-    }
-
-    #[test]
-    fn all_elements_visited_exactly_once() {
-        let xs: Vec<usize> = (0..5000).collect();
-        let counter = AtomicUsize::new(0);
-        let out = par_map(&xs, |&x| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), xs.len());
-        assert_eq!(out, xs);
-    }
 
     #[test]
     fn for_each_mut_matches_sequential() {
@@ -183,15 +81,24 @@ mod tests {
     }
 
     #[test]
-    fn chunks_map_order_and_sizes() {
-        let xs: Vec<u32> = (0..10).collect();
-        let sums = par_chunks_map(&xs, 4, |i, c| (i, c.iter().sum::<u32>()));
-        assert_eq!(sums, vec![(0, 1 + 2 + 3), (1, 4 + 5 + 6 + 7), (2, 8 + 9)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_rejected() {
-        let _ = par_chunks_map(&[1, 2, 3], 0, |_, c| c.len());
+    fn fold_order_pinned_under_imbalanced_load() {
+        // Regression pin for the determinism contract: even when some
+        // elements take much longer than others (so parallel
+        // *completion* order scrambles), every element must be visited
+        // exactly once with its own index, and the results must read
+        // back in index order. This is exactly the property StealPool
+        // does NOT provide, and the drift and switch campaigns' report
+        // folds depend on par_for_each_mut keeping it.
+        let mut items: Vec<(usize, u32)> = vec![(usize::MAX, 0); 8];
+        par_for_each_mut(&mut items, |i, s| {
+            if i % 3 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            s.0 = i;
+            s.1 += 1;
+        });
+        let order: Vec<usize> = items.iter().map(|s| s.0).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        assert!(items.iter().all(|s| s.1 == 1), "one visit per element");
     }
 }

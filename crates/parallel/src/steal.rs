@@ -1,11 +1,10 @@
 //! Work-stealing task pool for latency-imbalanced workloads.
 //!
-//! The fork–join helpers in [`crate::par_iter`] and the stateful
-//! [`crate::shard::ShardRunner`] both **static-partition**: element
-//! ranges are fixed before any work runs, which is what makes their
-//! results a pure function of the input (DESIGN.md §10) — and what
-//! lets one slow element starve its whole partition while other
-//! workers sit idle. [`StealPool`] is the complement for workloads
+//! [`crate::par_for_each_mut`] **static-partitions**: element ranges
+//! are fixed before any work runs, which is what makes its results a
+//! pure function of the input (DESIGN.md §10) — and what lets one
+//! slow element starve its whole partition while other workers sit
+//! idle. [`StealPool`] is the complement for workloads
 //! where *who* runs a task must not matter but *when* it finishes
 //! does: each participant owns a deque seeded with a contiguous range
 //! of task indices, pops its own work from the front, and — when its
@@ -16,9 +15,8 @@
 //! Scheduling is **not** deterministic: tasks run exactly once each,
 //! but on arbitrary workers in arbitrary order. Callers that need
 //! bit-stable results must keep per-task state independent and fold in
-//! task order afterwards — the same discipline
-//! [`ShardRunner::fold`](crate::shard::ShardRunner::fold) already
-//! enforces for campaigns.
+//! task order afterwards — the same discipline the campaigns keep
+//! over [`crate::par_for_each_mut`].
 //!
 //! Workers are **persistent**: `new` spawns them once, every
 //! [`StealPool::run`] round reuses them, and a warm round performs no
@@ -26,7 +24,6 @@
 //! type-erased pointer) — the pool sits on the link server's
 //! steady-state hot path, which is allocation-free by contract.
 
-use crate::util::num_threads;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,17 +101,6 @@ impl StealPool {
             })
             .collect();
         Self { shared, workers }
-    }
-
-    /// Pool sized by [`num_threads`] (`HYBRIDEM_THREADS`-capped host
-    /// parallelism).
-    pub fn with_default_threads() -> Self {
-        Self::new(num_threads())
-    }
-
-    /// Participants, including the calling thread.
-    pub fn threads(&self) -> usize {
-        self.shared.deques.len()
     }
 
     /// Tasks executed via a steal (cumulative across rounds). Zero on

@@ -1,39 +1,34 @@
 //! Property-based tests of the parallel substrate: order preservation,
 //! determinism, and exact work accounting.
 
-use hybridem_mathkit::rng::Rng64;
-use hybridem_parallel::montecarlo::{run, MonteCarloPlan};
-use hybridem_parallel::par_iter::{par_chunks_map, par_map, par_map_indexed};
+use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
+use hybridem_parallel::montecarlo::RoundRunner;
+use hybridem_parallel::par_iter::par_for_each_mut;
 use hybridem_parallel::util::split_ranges;
 use hybridem_parallel::StealPool;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// One round of `trials` trials of `body` over `tasks` task streams,
+/// folded in task order.
+fn one_round(
+    trials: u64,
+    tasks: u32,
+    seed: u64,
+    body: impl Fn(&mut u64, &mut Xoshiro256pp) + Sync,
+) -> u64 {
+    let mut runner = RoundRunner::new(tasks, seed, || 0u64);
+    runner.run_round(trials, body);
+    runner.fold(|a| *a, |a, b| *a += b)
+}
+
 proptest! {
     #[test]
-    fn par_map_equals_sequential(xs in proptest::collection::vec(any::<i32>(), 0..500)) {
-        let seq: Vec<i64> = xs.iter().map(|&x| x as i64 * 3 - 7).collect();
-        let par = par_map(&xs, |&x| x as i64 * 3 - 7);
+    fn par_for_each_mut_equals_sequential(xs in proptest::collection::vec(any::<i32>(), 0..500)) {
+        let seq: Vec<i64> = xs.iter().enumerate().map(|(i, &x)| x as i64 * 3 - i as i64).collect();
+        let mut par: Vec<i64> = xs.iter().map(|&x| x as i64).collect();
+        par_for_each_mut(&mut par, |i, x| *x = *x * 3 - i as i64);
         prop_assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_map_indexed_order(n in 0usize..300) {
-        let xs = vec![1u64; n];
-        let out = par_map_indexed(&xs, |i, &x| i as u64 * 10 + x);
-        for (i, v) in out.iter().enumerate() {
-            prop_assert_eq!(*v, i as u64 * 10 + 1);
-        }
-    }
-
-    #[test]
-    fn chunks_cover_input(xs in proptest::collection::vec(any::<u8>(), 1..200), chunk in 1usize..40) {
-        let lens = par_chunks_map(&xs, chunk, |_, c| c.len());
-        prop_assert_eq!(lens.iter().sum::<usize>(), xs.len());
-        // All full except possibly the last.
-        for &l in &lens[..lens.len().saturating_sub(1)] {
-            prop_assert_eq!(l, chunk);
-        }
     }
 
     #[test]
@@ -56,12 +51,11 @@ proptest! {
         // Different task counts give different (but individually
         // reproducible) streams; the *same* plan must always replay.
         let go = |tasks: u32| {
-            let plan = MonteCarloPlan::with_tasks(trials, tasks, seed);
-            run(&plan, || 0u64, |acc, rng| {
+            one_round(trials, tasks, seed, |acc, rng| {
                 if rng.next_f64() < 0.25 {
                     *acc += 1;
                 }
-            }, |a, b| *a += b)
+            })
         };
         prop_assert_eq!(go(tasks_a), go(tasks_a));
         prop_assert_eq!(go(tasks_b), go(tasks_b));
@@ -72,8 +66,7 @@ proptest! {
 
     #[test]
     fn montecarlo_trial_count_exact(trials in 0u64..10_000, tasks in 1u32..64, seed in any::<u64>()) {
-        let plan = MonteCarloPlan::with_tasks(trials, tasks, seed);
-        let counted = run(&plan, || 0u64, |acc, _| *acc += 1, |a, b| *a += b);
+        let counted = one_round(trials, tasks, seed, |acc, _| *acc += 1);
         prop_assert_eq!(counted, trials);
     }
 

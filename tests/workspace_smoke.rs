@@ -21,8 +21,9 @@ fn facade_reexports_resolve() {
     let q = hybridem::fixed::QFormat::signed(8, 6);
     assert_eq!(q.total_bits, 8);
     // parallel
-    let doubled = hybridem::parallel::par_iter::par_map(&[1, 2, 3], |x| x * 2);
-    assert_eq!(doubled, vec![2, 4, 6]);
+    let mut doubled = [1, 2, 3];
+    hybridem::parallel::par_iter::par_for_each_mut(&mut doubled, |_, x| *x *= 2);
+    assert_eq!(doubled, [2, 4, 6]);
     // nn
     let spec = hybridem::nn::model::MlpSpec::paper_demapper();
     assert_eq!(spec.mac_count(), 352);
