@@ -74,7 +74,6 @@ fn main() {
         window_frames: 6,
         min_dwell_frames: 6,
         initial_es_n0_db: 12.7,
-        ..SwitchPolicy::default()
     };
     let links = if quick_mode() { 2 } else { 4 };
     let spec = SwitchCampaignSpec {

@@ -14,8 +14,9 @@
 //!    claim regression exits non-zero.
 //! 2. `BENCH_equalizer.json` — the committed `hybridem-perf-v1`
 //!    trajectory for the adaptive-FIR hot paths (blind CMA/DD
-//!    equalize, supervised LMS train, the wrapped equalize+demap
-//!    block), under the same 15% regression gate as the other kernel
+//!    equalize, supervised LMS train, and equalize followed by a
+//!    max-log demap block — the two stages an equalized link runs per
+//!    frame), under the same 15% regression gate as the other kernel
 //!    trajectories (DESIGN.md §11.4).
 //!
 //! Budget knobs: `HYBRIDEM_QUICK=1` halves the link count;
@@ -28,7 +29,7 @@
 use hybridem_bench::{banner, perf, quick_mode, write_json};
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::{Demapper, MaxLogMap};
-use hybridem_comm::equalizer::{AdaptiveEqualizer, EqualizedDemapper, EqualizerConfig};
+use hybridem_comm::equalizer::{AdaptiveEqualizer, EqualizerConfig};
 use hybridem_comm::snr::noise_sigma;
 use hybridem_comm::trajectory::{ChannelState, Taps, Trajectory};
 use hybridem_core::runtime::{
@@ -39,7 +40,6 @@ use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::json::{FromJson, Json, ToJson};
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// The bench operating point: QPSK at 12 dB Es/N0. Low enough that
 /// two-ray ISI is catastrophic for a memoryless demapper, high enough
@@ -201,16 +201,16 @@ fn main() {
         black_box(&block);
     });
 
-    // The wrapped datapath: equalize + max-log demap in one
-    // demap_block call, the per-frame cost of an equalized link.
+    // The equalized link's two datapath stages: blind equalize in
+    // place, then one max-log demap_block over the equalized samples.
     let sigma = noise_sigma(ES_N0_DB, 1.0) as f32;
-    let wrapped = EqualizedDemapper::new(
-        Arc::new(MaxLogMap::new(qam.clone(), sigma)),
-        AdaptiveEqualizer::new(qam.clone(), EqualizerConfig::default()),
-    );
-    let mut llrs = vec![0f32; n * wrapped.bits_per_symbol()];
+    let maxlog = MaxLogMap::new(qam.clone(), sigma);
+    let mut eq_d = AdaptiveEqualizer::new(qam.clone(), EqualizerConfig::default());
+    let mut llrs = vec![0f32; n * maxlog.bits_per_symbol()];
     let demap = perf::measure_melems(n as u64, || {
-        wrapped.demap_block(black_box(&rx), &mut llrs);
+        block.copy_from_slice(&rx);
+        eq_d.equalize(black_box(&mut block));
+        maxlog.demap_block(&block, &mut llrs);
         black_box(&llrs);
     });
 

@@ -21,6 +21,7 @@
 //! | `linkserver` | (infra) many-link serving saturation curves (workers × batch), trajectory in `BENCH_linkserver.json` |
 //! | `equalizer` | (ext.) blind re-convergence on two-ray ISI + adaptive-FIR kernel trajectory in `BENCH_equalizer.json` |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod perf;

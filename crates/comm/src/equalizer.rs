@@ -38,16 +38,20 @@
 //!
 //! Adaptation is a pure fold over the input sample stream: no RNG, no
 //! time, no thread-dependent state. Two equalizers with equal configs
-//! fed equal streams hold bit-identical taps. [`EqualizedDemapper`]
-//! keeps its state behind a `Mutex` only to satisfy the `&self`
-//! [`Demapper`] API — each runtime link owns a private instance, so
-//! artefacts stay byte-identical at any `HYBRIDEM_THREADS`.
+//! fed equal streams hold bit-identical taps.
+//!
+//! The equalizer is stateful, so it is deliberately **not** a
+//! [`Demapper`](crate::demapper::Demapper) (whose API is `&self` and
+//! shareable). It is a stage of one link's datapath: the online link
+//! runtime (`core::runtime::OnlineLink::equalized`) owns one instance
+//! per link, trains it on the pilot prefix, equalizes the payload in
+//! place and then hands the block to a stateless demapper. A private
+//! instance per link keeps artefacts byte-identical at any
+//! `HYBRIDEM_THREADS`.
 
 use crate::constellation::Constellation;
-use crate::demapper::Demapper;
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::linsolve::solve_least_squares;
-use std::sync::{Arc, Mutex};
 
 /// Step sizes and mode-handoff thresholds for [`AdaptiveEqualizer`].
 #[derive(Clone, Copy, Debug)]
@@ -299,63 +303,6 @@ impl AdaptiveEqualizer {
     }
 }
 
-/// A [`Demapper`] that runs an [`AdaptiveEqualizer`] ahead of an inner
-/// demapper: each `demap_block` equalizes the samples (adapting
-/// unsupervised) and feeds the inner demapper the restored memoryless
-/// stream.
-///
-/// The equalizer sits behind a `Mutex` because the `Demapper` API is
-/// `&self`; build **one instance per link** (see
-/// `core::registry::equalized`) — a shared instance fed by interleaved
-/// streams would adapt on a thread-dependent sample order and break
-/// the artefact determinism contract.
-pub struct EqualizedDemapper {
-    inner: Arc<dyn Demapper>,
-    eq: Mutex<AdaptiveEqualizer>,
-}
-
-impl EqualizedDemapper {
-    /// Wraps `inner` behind a fresh equalizer. The inner demapper is
-    /// shared (it is stateless); the equalizer state is private to
-    /// this instance.
-    pub fn new(inner: Arc<dyn Demapper>, eq: AdaptiveEqualizer) -> Self {
-        Self {
-            inner,
-            eq: Mutex::new(eq),
-        }
-    }
-
-    /// Runs `f` against the equalizer state (mode inspection, pilot
-    /// training, LS bootstrap).
-    pub fn with_equalizer<R>(&self, f: impl FnOnce(&mut AdaptiveEqualizer) -> R) -> R {
-        f(&mut self.eq.lock().expect("equalizer mutex poisoned"))
-    }
-
-    /// The wrapped demapper — for callers that equalize a buffer
-    /// explicitly via [`EqualizedDemapper::with_equalizer`] and then
-    /// demap it without re-running the equalizer.
-    pub fn inner(&self) -> &dyn Demapper {
-        self.inner.as_ref()
-    }
-}
-
-impl Demapper for EqualizedDemapper {
-    fn bits_per_symbol(&self) -> usize {
-        self.inner.bits_per_symbol()
-    }
-
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        let z = self.with_equalizer(|eq| eq.equalize_symbol(y));
-        self.inner.llrs(z, out);
-    }
-
-    fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
-        let mut zs = ys.to_vec();
-        self.with_equalizer(|eq| eq.equalize(&mut zs));
-        self.inner.demap_block(&zs, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,27 +401,5 @@ mod tests {
             "eye closed (dd_mse {}) but no CMA fallback",
             eq.dd_mse()
         );
-    }
-
-    #[test]
-    fn equalized_demapper_matches_manual_pipeline() {
-        use crate::demapper::MaxLogMap;
-        let (_, rx) = two_ray_stream(512, 9, 0.3, 0.1);
-        let c = qpsk();
-        let sigma = 0.1;
-        let wrapped = EqualizedDemapper::new(
-            Arc::new(MaxLogMap::new(c.clone(), sigma)),
-            AdaptiveEqualizer::new(c.clone(), EqualizerConfig::default()),
-        );
-        let mut got = vec![0.0f32; rx.len() * wrapped.bits_per_symbol()];
-        wrapped.demap_block(&rx, &mut got);
-        // Manual: equalize then demap.
-        let mut eq = AdaptiveEqualizer::new(c.clone(), EqualizerConfig::default());
-        let mut zs = rx.clone();
-        eq.equalize(&mut zs);
-        let inner = MaxLogMap::new(c, sigma);
-        let mut want = vec![0.0f32; got.len()];
-        inner.demap_block(&zs, &mut want);
-        assert_eq!(got, want);
     }
 }

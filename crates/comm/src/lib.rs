@@ -16,9 +16,9 @@
 //!   extracted centroids, plus hard decision;
 //! - [`metrics`] — BER/SER counting, bitwise mutual information, EVM;
 //! - [`equalizer`] — linear FIR equalization for ISI channels: CMA
-//!   acquisition, decision-directed LMS tracking, supervised LS/pilot
-//!   bootstrap, and the [`equalizer::EqualizedDemapper`] wrapper that
-//!   runs one ahead of any demapper (DESIGN.md §14);
+//!   acquisition, decision-directed LMS tracking and supervised
+//!   LS/pilot bootstrap; a stateful per-link stage that runs ahead of
+//!   a stateless demapper (DESIGN.md §14);
 //! - [`ecc`] — the outer code used for retrain triggering: a rate-1/2
 //!   convolutional code with hard/soft Viterbi;
 //! - [`frame`] — the paper's §II-C monitoring frame: the
@@ -44,6 +44,7 @@
 //! **positive LLR means bit 0**. The paper displays the opposite sign;
 //! only the convention differs, decisions are identical.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bits;
@@ -67,6 +68,6 @@ pub use campaign::{
 pub use channel::{Awgn, Channel, ChannelChain, PhaseOffset};
 pub use constellation::Constellation;
 pub use demapper::{Demapper, ExactLogMap, HardNearest, MaxLogMap};
-pub use equalizer::{AdaptiveEqualizer, EqualizedDemapper, EqualizerConfig, EqualizerMode};
+pub use equalizer::{AdaptiveEqualizer, EqualizerConfig, EqualizerMode};
 pub use linksim::{simulate_link, LinkResult, LinkSim, LinkSpec};
 pub use trajectory::{ChannelState, Taps, Trajectory, TrajectoryChannel};

@@ -35,7 +35,6 @@ use crate::hybrid::HybridDemapper;
 use crate::pipeline::HybridPipeline;
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::{Demapper, ExactLogMap, MaxLogMap};
-use hybridem_comm::equalizer::{AdaptiveEqualizer, EqualizedDemapper, EqualizerConfig};
 use hybridem_comm::snr::noise_sigma;
 use hybridem_comm::theory::ber_qam_gray_approx;
 use hybridem_fpga::demapper_accel::{SoftDemapperAccel, SoftDemapperConfig};
@@ -425,10 +424,6 @@ mod penalty {
     pub const ACCEL: f64 = 0.55;
     /// Spiking/event-driven readout stub.
     pub const SNN: f64 = 1.8;
-    /// Adaptive FIR equalizer ahead of any backend: converged excess
-    /// MSE (noise enhancement + residual ISI + tap jitter) modelled as
-    /// an SNR shift of the wrapped family's curve.
-    pub const EQUALIZER: f64 = 0.3;
 
     /// Quantized MVAU graph penalty by weight width.
     pub fn graph(weight_bits: u32) -> f64 {
@@ -644,82 +639,6 @@ fn exact_backend(tx: Constellation, points: Constellation) -> ModelBackend {
         MODEL_CLOCK_MHZ,
         4.0 * m,
     )
-}
-
-/// A [`Backend`] wrapped behind a per-link adaptive FIR equalizer —
-/// built by [`equalized`].
-pub struct EqualizedBackend {
-    name: String,
-    inner: Arc<dyn Backend>,
-    cfg: EqualizerConfig,
-}
-
-impl Backend for EqualizedBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn constellation(&self) -> &Constellation {
-        self.inner.constellation()
-    }
-
-    /// A **fresh** [`EqualizedDemapper`] per call: the equalizer is
-    /// stateful, so sharing one instance across links would adapt on a
-    /// thread-dependent interleaving of their sample streams and break
-    /// artefact determinism. Campaign and runtime plumbing calls
-    /// `demapper()` once per link, which makes every link's equalizer
-    /// private by construction.
-    fn demapper(&self, es_n0_db: f64) -> Arc<dyn Demapper> {
-        let eq = AdaptiveEqualizer::new(self.inner.constellation().clone(), self.cfg);
-        Arc::new(EqualizedDemapper::new(self.inner.demapper(es_n0_db), eq))
-    }
-
-    /// The wrapped backend's cost plus the FIR stage: `num_taps`
-    /// complex MACs per symbol over a 4-wide float MAC bank (one
-    /// complex MAC per cycle), always toggling — adaptation updates
-    /// run every symbol regardless of SNR.
-    fn cost(&self, es_n0_db: f64) -> BackendCost {
-        let inner = self.inner.cost(es_n0_db);
-        let taps = self.cfg.num_taps as f64;
-        let usage = float_mac().times(4)
-            + ResourceUsage {
-                lut: 500, // delay line + mode/handoff control
-                ff: 400,
-                dsp: 0,
-                bram36: 0.0,
-            };
-        let throughput = MODEL_CLOCK_MHZ * 1e6 / taps;
-        let energy =
-            PowerModel::default().energy_per_symbol_j(&usage, MODEL_CLOCK_MHZ, 1.0, throughput);
-        BackendCost {
-            cycles_per_symbol: inner.cycles_per_symbol + taps,
-            energy_per_symbol_j: inner.energy_per_symbol_j + energy,
-        }
-    }
-
-    /// The wrapped family's curve shifted by `penalty::EQUALIZER` — on
-    /// the memoryless channels the prediction models, a converged
-    /// equalizer is a small excess-MSE tax, not a gain.
-    fn predicted_ber(&self, es_n0_db: f64) -> f64 {
-        self.inner.predicted_ber(es_n0_db - penalty::EQUALIZER)
-    }
-}
-
-/// Wraps any backend behind a per-link adaptive FIR equalizer
-/// (CMA acquisition → DD-LMS tracking, see
-/// [`hybridem_comm::equalizer`]): campaigns and the backend-switch
-/// runtime enumerate equalized families exactly like stock ones. The
-/// entry is named `<inner>+eq`, so both variants can share a registry.
-///
-/// Not part of [`paper_registry`]/[`switch_registry`] — their name
-/// lists are pinned by the determinism tests; line-ups that want
-/// equalized entries register them explicitly.
-pub fn equalized(inner: Arc<dyn Backend>, cfg: EqualizerConfig) -> Arc<dyn Backend> {
-    Arc::new(EqualizedBackend {
-        name: format!("{}+eq", inner.name()),
-        inner,
-        cfg,
-    })
 }
 
 /// Clones the pipeline's trained demapper network (snapshot
@@ -956,42 +875,5 @@ mod tests {
             assert!(c.energy_per_symbol_j <= prev.energy_per_symbol_j);
             prev = c;
         }
-    }
-
-    #[test]
-    fn equalized_wrapper_names_costs_and_isolates_instances() {
-        use hybridem_comm::equalizer::EqualizerConfig;
-        let qam = Constellation::qam_gray(4);
-        let inner: Arc<dyn Backend> =
-            Arc::new(max_log_backend("conventional", qam.clone(), qam.clone()));
-        let eq = equalized(inner.clone(), EqualizerConfig::default());
-        assert_eq!(eq.name(), "conventional+eq");
-        assert_eq!(eq.constellation().points(), inner.constellation().points());
-        // The FIR stage is pure overhead on the cost axis …
-        let (ci, ce) = (inner.cost(12.0), eq.cost(12.0));
-        assert!(ce.cycles_per_symbol > ci.cycles_per_symbol);
-        assert!(ce.energy_per_symbol_j > ci.energy_per_symbol_j);
-        // … and an excess-MSE tax on the predicted-BER axis.
-        assert!(eq.predicted_ber(12.0) > inner.predicted_ber(12.0));
-        // Every demapper() call hands out a private equalizer: feeding
-        // one instance must not perturb another (per-link isolation).
-        let a = eq.demapper(12.0);
-        let b = eq.demapper(12.0);
-        let ys: Vec<C32> = (0..64).map(|k| qam.point(k % 4)).collect();
-        let m = a.bits_per_symbol();
-        let mut la = vec![0.0f32; ys.len() * m];
-        let mut lb = vec![0.0f32; ys.len() * m];
-        a.demap_block(&ys, &mut la); // adapts `a`'s equalizer state
-        a.demap_block(&ys, &mut la);
-        b.demap_block(&ys, &mut lb);
-        let mut fresh = vec![0.0f32; ys.len() * m];
-        eq.demapper(12.0).demap_block(&ys, &mut fresh);
-        assert_eq!(lb, fresh, "instances must not share adaptation state");
-        // Both registry line-ups can hold stock and equalized variants
-        // side by side (unique names).
-        let mut reg = BackendRegistry::new();
-        reg.register(inner);
-        reg.register(eq);
-        assert_eq!(reg.names(), vec!["conventional", "conventional+eq"]);
     }
 }

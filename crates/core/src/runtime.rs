@@ -30,9 +30,7 @@ use crate::retrain::Retrainer;
 use hybridem_comm::channel::Channel;
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::Demapper;
-use hybridem_comm::equalizer::{
-    AdaptiveEqualizer, EqualizedDemapper, EqualizerConfig, EqualizerMode,
-};
+use hybridem_comm::equalizer::{AdaptiveEqualizer, EqualizerConfig, EqualizerMode};
 use hybridem_comm::frame::FrameEngine;
 use hybridem_comm::metrics::BitwiseMiEstimator;
 use hybridem_comm::trajectory::{ChannelState, Taps, Trajectory, TrajectoryChannel};
@@ -73,13 +71,15 @@ pub struct LinkParams {
     pub action: TriggerAction,
     /// Controller thresholds.
     pub thresholds: AdaptThresholds,
-    /// Symbol rate in symbols/s — converts the FPGA trainer's
-    /// simulated retrain time into frames of latency.
-    pub symbol_rate: f64,
-    /// Width of the recompiled integer deployment (the paper's 8-bit
-    /// datapath).
-    pub deploy_bits: u32,
 }
+
+/// Modelled symbol rate in symbols/s: converts the FPGA trainer's
+/// simulated retrain time into frames of latency.
+const SYMBOL_RATE: f64 = 1e6;
+
+/// Width of the recompiled integer deployment (the paper's 8-bit
+/// datapath).
+const DEPLOY_BITS: u32 = 8;
 
 impl Default for LinkParams {
     fn default() -> Self {
@@ -94,8 +94,6 @@ impl Default for LinkParams {
             // spurious clean-channel retrain would eat the latency
             // budget right before a scripted drift lands.
             thresholds: AdaptThresholds::default(),
-            symbol_rate: 1e6,
-            deploy_bits: 8,
         }
     }
 }
@@ -178,39 +176,44 @@ struct Pending {
     sim_time_s: f64,
 }
 
-struct Adaptive {
+/// The retrain policy: the link's own demapper ANN, its live integer
+/// deployment and the adaptation controller. A trigger retrains the
+/// ANN and recompiles the deployment; once the modelled retrain
+/// latency has elapsed, the re-extracted centroid demapper replaces
+/// the link's demapper.
+struct Retrain {
     cfg: SystemConfig,
     ann: NeuralDemapper,
-    hybrid: HybridDemapper,
     deployment: QuantizedGraph,
     controller: AdaptationController,
     pending: Option<Pending>,
     events: Vec<RetrainEvent>,
 }
 
-/// Compiles the current float demapper to the shared integer IR with
-/// freshly calibrated tensor-boundary formats — the runtime's
-/// mid-stream deployment path (full QAT fine-tuning would blow the
-/// retrain-latency budget; see [`crate::qat::calibrate_boundaries`]).
+/// Compiles the current float demapper to the shared integer IR at
+/// [`DEPLOY_BITS`] with freshly calibrated tensor-boundary formats —
+/// the runtime's mid-stream deployment path (full QAT fine-tuning
+/// would blow the retrain-latency budget; see
+/// [`crate::qat::calibrate_boundaries`]).
 fn compile_deployment(
     constellation: &Constellation,
     model: &Sequential,
     sigma: f32,
-    bits: u32,
     seed: u64,
 ) -> QuantizedGraph {
     let boundaries =
-        crate::qat::calibrate_boundaries(constellation, model, sigma, bits, 1024, seed);
+        crate::qat::calibrate_boundaries(constellation, model, sigma, DEPLOY_BITS, 1024, seed);
     hybridem_fpga::graph::compile(model, &boundaries)
 }
 
-impl Adaptive {
-    fn maybe_swap(&mut self, frame: u64) -> bool {
+impl Retrain {
+    /// The matured retrain's centroid demapper, once its latency has
+    /// elapsed; the recompiled deployment goes live with it.
+    fn maybe_swap(&mut self, frame: u64) -> Option<Arc<dyn Demapper>> {
         if self.pending.as_ref().is_none_or(|p| frame < p.swap_frame) {
-            return false;
+            return None;
         }
-        let pnd = self.pending.take().unwrap();
-        self.hybrid = pnd.hybrid;
+        let pnd = self.pending.take()?;
         self.deployment = pnd.deployment;
         self.controller.reset_after_retrain();
         self.events.push(RetrainEvent {
@@ -219,16 +222,34 @@ impl Adaptive {
             latency_frames: frame - pnd.trigger_frame,
             sim_time_s: pnd.sim_time_s,
         });
-        true
+        Some(Arc::new(pnd.hybrid))
     }
 
-    fn on_trigger(
+    /// Feeds one frame's pilot (or ECC) evidence to the controller and
+    /// reacts to a retrain recommendation. Returns true when the
+    /// controller fired this frame.
+    fn observe(
         &mut self,
         frame: u64,
         constellation: &Constellation,
-        channel: &TrajectoryChannel,
+        engine: &FrameEngine,
+        llrs: &[f32],
+        pilot_errors: u64,
         params: &LinkParams,
-    ) {
+    ) -> bool {
+        match params.monitor {
+            Monitor::Pilot => self
+                .controller
+                .observe_pilot_errors(pilot_errors, engine.pilot_bits() as u64),
+            Monitor::Ecc => {
+                let corrected = engine.ecc_corrected(llrs);
+                self.controller
+                    .observe_ecc(corrected, engine.payload_bits() as u64);
+            }
+        }
+        if self.pending.is_some() || self.controller.recommendation() != Recommendation::Retrain {
+            return false;
+        }
         match params.action {
             TriggerAction::LogOnly => {
                 self.events.push(RetrainEvent {
@@ -244,6 +265,7 @@ impl Adaptive {
                 // conditions (CFO rate folded to its accumulated
                 // rotation): pilots collected at trigger time, not a
                 // moving target.
+                let channel = engine.channel();
                 let mut snapshot: Box<dyn Channel> = Box::new(channel.snapshot_static());
                 let mut rcfg = self.cfg.clone();
                 rcfg.seed = SplitMix64::derive(self.cfg.seed, 0x5e7 + self.events.len() as u64);
@@ -256,12 +278,11 @@ impl Adaptive {
                     constellation,
                     self.ann.model(),
                     self.cfg.sigma(),
-                    params.deploy_bits,
                     rcfg.seed,
                 );
                 let sim_time = report.sim_time_s.expect("hardware accounting enabled");
-                let latency = ((sim_time * params.symbol_rate / channel.frame_symbols() as f64)
-                    .ceil() as u64)
+                let latency = ((sim_time * SYMBOL_RATE / channel.frame_symbols() as f64).ceil()
+                    as u64)
                     .max(1);
                 self.pending = Some(Pending {
                     trigger_frame: frame,
@@ -272,6 +293,7 @@ impl Adaptive {
                 });
             }
         }
+        true
     }
 }
 
@@ -293,10 +315,6 @@ pub struct SwitchPolicy {
     /// Operating point assumed before the first estimate matures —
     /// selects the initial backend.
     pub initial_es_n0_db: f64,
-    /// Estimate clamp floor in dB (an all-error window maps here).
-    pub es_floor_db: f64,
-    /// Estimate clamp ceiling in dB (an error-free window maps here).
-    pub es_ceil_db: f64,
 }
 
 impl Default for SwitchPolicy {
@@ -306,11 +324,15 @@ impl Default for SwitchPolicy {
             window_frames: 8,
             min_dwell_frames: 8,
             initial_es_n0_db: 12.0,
-            es_floor_db: -10.0,
-            es_ceil_db: 40.0,
         }
     }
 }
+
+/// SNR-estimate clamp floor in dB (an all-error window maps here).
+const ES_FLOOR_DB: f64 = -10.0;
+
+/// SNR-estimate clamp ceiling in dB (an error-free window maps here).
+const ES_CEIL_DB: f64 = 40.0;
 
 /// One backend switch of a switching link.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -329,47 +351,75 @@ pub struct SwitchEvent {
     pub downshift: bool,
 }
 
-/// The `SwitchBackend` receiver state: a registry handle, the live
-/// demapper, and a ring buffer of per-frame pilot signal/error
-/// energies feeding a data-aided SNR estimator.
-struct Switching {
+/// The switch policy: a registry handle and a ring buffer of per-frame
+/// pilot signal/error energies feeding a data-aided SNR estimator. A
+/// decision replaces the link's demapper from the next frame on.
+struct Switch {
     registry: Arc<BackendRegistry>,
     policy: SwitchPolicy,
     active: BackendHandle,
-    current: Arc<dyn Demapper>,
+    /// The selected backend's demapper, installed at the next frame.
+    next: Option<Arc<dyn Demapper>>,
     win_sig: Vec<f64>,
     win_err: Vec<f64>,
     filled: usize,
     cursor: usize,
     last_switch: u64,
-    just_switched: bool,
     trace: Vec<u32>,
     events: Vec<SwitchEvent>,
 }
 
-impl Switching {
+impl Switch {
     /// Windowed data-aided estimate: Es/N0 ≈ Σ|x|² / Σ|y·e^{−jθ} − x|²
-    /// over the pooled pilot window, in dB, clamped to the policy range
-    /// (an error-free window saturates at the ceiling). Each frame's
-    /// error energy is derotated by its one-tap LS phase estimate
-    /// before pooling (see the accumulation in [`OnlineLink::step`]),
-    /// so a static rotation or slow CFO is not mistaken for noise.
+    /// over the pooled pilot window, in dB, clamped to
+    /// `ES_FLOOR_DB..=ES_CEIL_DB` (an error-free window saturates at
+    /// the ceiling). Each frame's error energy is derotated by its
+    /// one-tap LS phase estimate before pooling (see
+    /// [`Switch::observe`]), so a static rotation or slow CFO is not
+    /// mistaken for noise.
     fn estimate_es_n0_db(&self) -> f64 {
         let sig: f64 = self.win_sig[..self.filled].iter().sum();
         let err: f64 = self.win_err[..self.filled].iter().sum();
         if err <= 0.0 {
-            return self.policy.es_ceil_db;
+            return ES_CEIL_DB;
         }
-        (10.0 * (sig / err).log10()).clamp(self.policy.es_floor_db, self.policy.es_ceil_db)
+        (10.0 * (sig / err).log10()).clamp(ES_FLOOR_DB, ES_CEIL_DB)
     }
 
-    /// Feeds one frame of pilot evidence and, once the window is full
-    /// and the dwell has elapsed, re-runs the selection rule. Returns
-    /// true when the decision switched backends (effective next
-    /// frame).
-    fn observe_pilots(&mut self, frame: u64, sig: f64, err: f64) -> bool {
+    /// Records who demapped this frame, feeds its pilot energies to the
+    /// estimator and, once the window is full and the dwell has
+    /// elapsed, re-runs the selection rule. Returns true when the
+    /// decision switched backends (effective next frame).
+    fn observe(
+        &mut self,
+        frame: u64,
+        constellation: &Constellation,
+        engine: &FrameEngine,
+        pilots: usize,
+    ) -> bool {
+        // The trace records who demapped *this* frame before the
+        // decision runs — a switch takes effect next frame.
+        self.trace.push(self.active.index() as u32);
+        // Pilot energies for the SNR estimate, derotated by the
+        // one-tap LS phase θ* = arg Σ y·x̄ (the phase minimising
+        // Σ|y·e^{−jθ} − x|²): raw Σ|y − x|² counts any uncompensated
+        // rotation/CFO as noise and drives spurious downshifts on
+        // phase-impaired links. With θ* the error has the closed
+        // form Σ|y|² + Σ|x|² − 2·|Σ y·x̄|.
+        let mut sig = 0.0f64;
+        let mut ysq = 0.0f64;
+        let (mut cr, mut ci) = (0.0f64, 0.0f64);
+        for (&u, &y) in engine.tx_symbols()[..pilots].iter().zip(engine.block()) {
+            let x = constellation.point(u);
+            sig += f64::from(x.re) * f64::from(x.re) + f64::from(x.im) * f64::from(x.im);
+            ysq += f64::from(y.re) * f64::from(y.re) + f64::from(y.im) * f64::from(y.im);
+            cr += f64::from(y.re) * f64::from(x.re) + f64::from(y.im) * f64::from(x.im);
+            ci += f64::from(y.im) * f64::from(x.re) - f64::from(y.re) * f64::from(x.im);
+        }
         self.win_sig[self.cursor] = sig;
-        self.win_err[self.cursor] = err;
+        // Rounding can push a noiseless frame epsilon-negative; an
+        // err ≤ 0 frame saturates the estimate at the ceiling.
+        self.win_err[self.cursor] = (ysq + sig - 2.0 * cr.hypot(ci)).max(0.0);
         self.cursor = (self.cursor + 1) % self.win_sig.len();
         self.filled = (self.filled + 1).min(self.win_sig.len());
         if self.filled < self.win_sig.len()
@@ -394,10 +444,9 @@ impl Switching {
             est_es_n0_db: est,
             downshift,
         });
-        self.current = self.registry.get(sel).demapper(est);
+        self.next = Some(self.registry.get(sel).demapper(est));
         self.active = sel;
         self.last_switch = frame;
-        self.just_switched = true;
         // The estimator restarts: evidence gathered under the old
         // operating decision should not double-trigger.
         self.filled = 0;
@@ -406,30 +455,32 @@ impl Switching {
     }
 }
 
-/// The self-equalizing receiver state: a per-link
-/// [`EqualizedDemapper`] plus the per-frame mode trace. Pilots, when
-/// the frame has any, feed the equalizer's supervised LMS update; the
-/// payload always adapts unsupervised (CMA → DD-LMS), so the receiver
-/// keeps re-converging on a drifting ISI channel with **zero** pilot
-/// overhead when `pilot_symbols == 0`.
-struct Equalized {
-    demapper: EqualizedDemapper,
-    mode_trace: Vec<EqualizerMode>,
-}
-
-enum Receiver {
-    Fixed(Box<dyn Demapper>),
-    Adaptive(Box<Adaptive>),
-    Switching(Box<Switching>),
-    Equalized(Box<Equalized>),
+/// A link's adaptation policy: the only thing that may replace its
+/// demapper.
+enum Policy {
+    Retrain(Box<Retrain>),
+    Switch(Box<Switch>),
 }
 
 /// One link streaming frames through a scripted time-varying channel.
+///
+/// Every receiver runs the same datapath: the frame, an optional
+/// adaptive FIR equalizer, the live demapper, the error counts, and at
+/// most one adaptation policy, which may replace the demapper from the
+/// next frame on. The constructors differ only in which parts they
+/// fill in.
 pub struct OnlineLink {
     spec: OnlineLinkSpec,
     constellation: Constellation,
     engine: FrameEngine,
-    receiver: Receiver,
+    /// The live demapper every frame demaps through.
+    demapper: Arc<dyn Demapper>,
+    /// The blind FIR stage ahead of the demapper. Owned by this link,
+    /// so its taps adapt on this link's stream alone.
+    equalizer: Option<AdaptiveEqualizer>,
+    /// Equalizer mode after each frame (empty without an equalizer).
+    eq_modes: Vec<EqualizerMode>,
+    policy: Option<Policy>,
     frame: u64,
     log: Vec<FrameRecord>,
     // Per-frame scratch, reused so streaming allocates nothing after
@@ -442,17 +493,18 @@ pub struct OnlineLink {
 }
 
 impl OnlineLink {
-    fn build(spec: OnlineLinkSpec, constellation: Constellation, receiver: Receiver) -> Self {
+    fn build(
+        spec: OnlineLinkSpec,
+        constellation: Constellation,
+        demapper: Arc<dyn Demapper>,
+        equalizer: Option<AdaptiveEqualizer>,
+        policy: Option<Policy>,
+    ) -> Self {
         let p = &spec.params;
         let m = constellation.bits_per_symbol();
-        let demapper_m = match &receiver {
-            Receiver::Fixed(d) => d.bits_per_symbol(),
-            Receiver::Adaptive(a) => a.hybrid.bits_per_symbol(),
-            Receiver::Switching(s) => s.current.bits_per_symbol(),
-            Receiver::Equalized(e) => e.demapper.bits_per_symbol(),
-        };
         assert_eq!(
-            m, demapper_m,
+            m,
+            demapper.bits_per_symbol(),
             "constellation and demapper disagree on bits/symbol"
         );
         let engine = FrameEngine::new(
@@ -463,30 +515,15 @@ impl OnlineLink {
             p.monitor,
             m,
         );
-        // An adaptive receiver whose controller never sees evidence
-        // can never trigger — reject the silent misconfiguration.
-        if matches!(receiver, Receiver::Adaptive(_)) && p.monitor == Monitor::Pilot {
-            assert!(
-                p.pilot_symbols > 0,
-                "pilot monitoring needs pilot_symbols > 0 (an adaptive \
-                 receiver without evidence can never trigger)"
-            );
-        }
-        // The switching receiver's SNR estimator is pilot-driven
-        // unconditionally — same misconfiguration guard.
-        if matches!(receiver, Receiver::Switching(_)) {
-            assert!(
-                p.pilot_symbols > 0,
-                "backend switching needs pilot_symbols > 0 (the SNR \
-                 estimator is data-aided from the pilot prefix)"
-            );
-        }
         let (n, pilots) = (p.frame_symbols, p.pilot_symbols);
         Self {
             spec,
             constellation,
             engine,
-            receiver,
+            demapper,
+            equalizer,
+            eq_modes: Vec::new(),
+            policy,
             frame: 0,
             log: Vec::new(),
             llrs: vec![0.0; n * m],
@@ -506,19 +543,27 @@ impl OnlineLink {
         constellation: Constellation,
         demapper: Box<dyn Demapper>,
     ) -> Self {
-        Self::build(spec, constellation, Receiver::Fixed(demapper))
+        Self::build(spec, constellation, Arc::from(demapper), None, None)
     }
 
     /// The adaptive hybrid receiver, cloned out of a pipeline that has
     /// already trained and extracted: per-link copies of the demapper
     /// ANN and centroid demapper, a fresh controller, and an initial
-    /// integer deployment compiled at [`LinkParams::deploy_bits`].
-    /// The retrainer/calibration seeds are re-derived from the link
-    /// seed so shards are independent.
+    /// integer deployment compiled at the paper's 8-bit width. The
+    /// retrainer/calibration seeds are re-derived from the link seed
+    /// so shards are independent.
     ///
     /// # Panics
-    /// Panics unless [`HybridPipeline::extract_centroids`] ran.
+    /// Panics unless [`HybridPipeline::extract_centroids`] ran, or
+    /// when pilot monitoring has no pilot symbols.
     pub fn adaptive(spec: OnlineLinkSpec, pipe: &HybridPipeline) -> Self {
+        // An adaptive receiver whose controller never sees evidence
+        // can never trigger — reject the silent misconfiguration.
+        assert!(
+            spec.params.monitor != Monitor::Pilot || spec.params.pilot_symbols > 0,
+            "pilot monitoring needs pilot_symbols > 0 (an adaptive \
+             receiver without evidence can never trigger)"
+        );
         let hybrid_src = pipe
             .hybrid_demapper()
             .expect("adaptive link needs extracted centroids: run extract_centroids() first");
@@ -529,24 +574,17 @@ impl OnlineLink {
             pipe.ann_demapper().model().snapshot(),
         ));
         let hybrid = HybridDemapper::from_centroids(hybrid_src.centroids().clone(), cfg.sigma());
-        let deployment = compile_deployment(
-            &constellation,
-            ann.model(),
-            cfg.sigma(),
-            spec.params.deploy_bits,
-            spec.seed,
-        );
-        let controller = AdaptationController::new(spec.params.thresholds);
-        let adaptive = Adaptive {
+        let deployment = compile_deployment(&constellation, ann.model(), cfg.sigma(), spec.seed);
+        let retrain = Retrain {
+            controller: AdaptationController::new(spec.params.thresholds),
             cfg,
             ann,
-            hybrid,
             deployment,
-            controller,
             pending: None,
             events: Vec::new(),
         };
-        Self::build(spec, constellation, Receiver::Adaptive(Box::new(adaptive)))
+        let policy = Policy::Retrain(Box::new(retrain));
+        Self::build(spec, constellation, Arc::new(hybrid), None, Some(policy))
     }
 
     /// The backend-switching receiver (`SwitchBackend` adaptation
@@ -554,45 +592,61 @@ impl OnlineLink {
     /// prefix drives [`BackendRegistry::select_or_best`] — the link
     /// rides the registry's cost ladder instead of retraining. The
     /// initial backend is selected at [`SwitchPolicy::initial_es_n0_db`];
-    /// the transmit constellation is the registry's (every entry of a
-    /// [`crate::registry::switch_registry`] shares it).
+    /// the transmit constellation is the first entry's, and every
+    /// other entry must share it (a [`crate::registry::switch_registry`]
+    /// does).
     ///
     /// # Panics
-    /// Panics on an empty registry, on mixed constellation widths
-    /// inside the registry, or when the spec has no pilot symbols.
+    /// Panics on an empty registry, on an entry whose constellation
+    /// points differ from the first entry's, or when the spec has no
+    /// pilot symbols.
     pub fn switching(
         spec: OnlineLinkSpec,
         registry: Arc<BackendRegistry>,
         policy: SwitchPolicy,
     ) -> Self {
-        assert!(!registry.is_empty(), "switching needs ≥ 1 backend");
         assert!(policy.window_frames >= 1, "estimator window must be ≥ 1");
+        assert!(policy.ber_target > 0.0, "degenerate switch policy");
+        // The switching receiver's SNR estimator is pilot-driven
+        // unconditionally — without pilots it can never decide.
         assert!(
-            policy.ber_target > 0.0 && policy.es_floor_db < policy.es_ceil_db,
-            "degenerate switch policy"
+            spec.params.pilot_symbols > 0,
+            "backend switching needs pilot_symbols > 0 (the SNR \
+             estimator is data-aided from the pilot prefix)"
         );
-        let constellation = registry.iter().next().unwrap().1.constellation().clone();
+        let mut entries = registry.iter().map(|(_, b)| b);
+        let constellation = entries
+            .next()
+            .expect("switching needs ≥ 1 backend")
+            .constellation()
+            .clone();
+        // A switch changes the demapper, never the transmitter — the
+        // rule `LinkServer::switch_backend` enforces per switch.
+        for backend in entries {
+            assert!(
+                backend.constellation().points() == constellation.points(),
+                "backend switch must preserve the transmit constellation \
+                 (`{}` differs from the first entry)",
+                backend.name()
+            );
+        }
         let active = registry.select_or_best(policy.initial_es_n0_db, policy.ber_target);
-        let current = registry.get(active).demapper(policy.initial_es_n0_db);
-        let switching = Switching {
+        let demapper = registry.get(active).demapper(policy.initial_es_n0_db);
+        let switch = Switch {
             registry,
             policy,
             active,
-            current,
+            next: None,
             win_sig: vec![0.0; policy.window_frames],
             win_err: vec![0.0; policy.window_frames],
             filled: 0,
             cursor: 0,
             last_switch: 0,
-            just_switched: false,
             trace: Vec::new(),
             events: Vec::new(),
         };
-        Self::build(
-            spec,
-            constellation,
-            Receiver::Switching(Box::new(switching)),
-        )
+        let policy = Policy::Switch(Box::new(switch));
+        Self::build(spec, constellation, demapper, None, Some(policy))
     }
 
     /// The self-equalizing receiver: a linear FIR equalizer adapts
@@ -614,15 +668,7 @@ impl OnlineLink {
         eq_cfg: EqualizerConfig,
     ) -> Self {
         let eq = AdaptiveEqualizer::new(constellation.clone(), eq_cfg);
-        let equalized = Equalized {
-            demapper: EqualizedDemapper::new(Arc::from(inner), eq),
-            mode_trace: Vec::new(),
-        };
-        Self::build(
-            spec,
-            constellation,
-            Receiver::Equalized(Box::new(equalized)),
-        )
+        Self::build(spec, constellation, Arc::from(inner), Some(eq), None)
     }
 
     /// The link spec.
@@ -643,24 +689,24 @@ impl OnlineLink {
     /// Completed trigger→swap cycles (empty for fixed and switching
     /// receivers).
     pub fn events(&self) -> &[RetrainEvent] {
-        match &self.receiver {
-            Receiver::Adaptive(a) => &a.events,
+        match &self.policy {
+            Some(Policy::Retrain(r)) => &r.events,
             _ => &[],
         }
     }
 
     /// Backend switches so far (empty for non-switching receivers).
     pub fn switch_events(&self) -> &[SwitchEvent] {
-        match &self.receiver {
-            Receiver::Switching(s) => &s.events,
+        match &self.policy {
+            Some(Policy::Switch(s)) => &s.events,
             _ => &[],
         }
     }
 
     /// The live registry handle (switching receivers only).
     pub fn active_backend(&self) -> Option<BackendHandle> {
-        match &self.receiver {
-            Receiver::Switching(s) => Some(s.active),
+        match &self.policy {
+            Some(Policy::Switch(s)) => Some(s.active),
             _ => None,
         }
     }
@@ -668,8 +714,8 @@ impl OnlineLink {
     /// Per-frame backend trace — `trace[f]` is the registry index
     /// that demapped frame `f` (empty for non-switching receivers).
     pub fn backend_trace(&self) -> &[u32] {
-        match &self.receiver {
-            Receiver::Switching(s) => &s.trace,
+        match &self.policy {
+            Some(Policy::Switch(s)) => &s.trace,
             _ => &[],
         }
     }
@@ -678,16 +724,13 @@ impl OnlineLink {
     /// after frame `f` was equalized (empty for non-equalized
     /// receivers). The CMA→DD transition marks acquisition.
     pub fn equalizer_mode_trace(&self) -> &[EqualizerMode] {
-        match &self.receiver {
-            Receiver::Equalized(e) => &e.mode_trace,
-            _ => &[],
-        }
+        &self.eq_modes
     }
 
     /// The live integer deployment (adaptive receivers only).
     pub fn deployment(&self) -> Option<&QuantizedGraph> {
-        match &self.receiver {
-            Receiver::Adaptive(a) => Some(&a.deployment),
+        match &self.policy {
+            Some(Policy::Retrain(r)) => Some(&r.deployment),
             _ => None,
         }
     }
@@ -703,48 +746,41 @@ impl OnlineLink {
         let p = self.spec.params.pilot_symbols;
 
         // 0. A matured retrain (or a backend switch decided on the
-        // previous frame's evidence) enters the datapath here.
-        let swapped = match &mut self.receiver {
-            Receiver::Fixed(_) | Receiver::Equalized(_) => false,
-            Receiver::Adaptive(a) => a.maybe_swap(frame),
-            Receiver::Switching(s) => std::mem::take(&mut s.just_switched),
+        // previous frame's evidence) replaces the demapper here.
+        let swap = match &mut self.policy {
+            Some(Policy::Retrain(r)) => r.maybe_swap(frame),
+            Some(Policy::Switch(s)) => s.next.take(),
+            None => None,
         };
+        let swapped = swap.is_some();
+        if let Some(demapper) = swap {
+            self.demapper = demapper;
+        }
 
         // 1. Frame construction: pilot prefix, payload, mapping and
         // channel (comm::frame).
         self.engine.generate(&self.constellation);
 
-        // 2. One block demap for the whole frame. The equalized
-        // receiver first adapts its FIR stage in place — supervised
+        // 2. The equalizer adapts its FIR stage in place: supervised
         // LMS over the known pilot prefix, blind CMA/DD-LMS over the
-        // payload — then demaps the equalized samples.
-        if let Receiver::Equalized(e) = &mut self.receiver {
+        // payload.
+        if let Some(eq) = &mut self.equalizer {
             for (pt, &u) in self.pilot_pts.iter_mut().zip(self.engine.tx_symbols()) {
                 *pt = self.constellation.point(u);
             }
-            let (block, pilot_pts) = (self.engine.block_mut(), &self.pilot_pts);
-            let mode = e.demapper.with_equalizer(|eq| {
-                if p > 0 {
-                    eq.train(&mut block[..p], pilot_pts);
-                }
-                eq.equalize(&mut block[p..]);
-                eq.mode()
-            });
-            e.mode_trace.push(mode);
-            e.demapper
-                .inner()
-                .demap_block(self.engine.block(), &mut self.llrs);
-        } else {
-            let demapper: &dyn Demapper = match &self.receiver {
-                Receiver::Fixed(d) => d.as_ref(),
-                Receiver::Adaptive(a) => &a.hybrid,
-                Receiver::Switching(s) => s.current.as_ref(),
-                Receiver::Equalized(_) => unreachable!(),
-            };
-            demapper.demap_block(self.engine.block(), &mut self.llrs);
+            let block = self.engine.block_mut();
+            if p > 0 {
+                eq.train(&mut block[..p], &self.pilot_pts);
+            }
+            eq.equalize(&mut block[p..]);
+            self.eq_modes.push(eq.mode());
         }
 
-        // 3. Frame statistics.
+        // 3. One block demap for the whole frame.
+        self.demapper
+            .demap_block(self.engine.block(), &mut self.llrs);
+
+        // 4. Frame statistics.
         let errors = self.engine.count_errors(&self.llrs);
         let pilot_bits = self.engine.pilot_bits();
         let mut mi = BitwiseMiEstimator::new();
@@ -755,60 +791,20 @@ impl OnlineLink {
             mi.push(b, l);
         }
 
-        // 4. Monitor + trigger.
-        let mut triggered = false;
-        if let Receiver::Switching(s) = &mut self.receiver {
-            // The trace records who demapped *this* frame before the
-            // decision runs — a switch takes effect next frame.
-            s.trace.push(s.active.index() as u32);
-            // Pilot energies for the SNR estimate, derotated by the
-            // one-tap LS phase θ* = arg Σ y·x̄ (the phase minimising
-            // Σ|y·e^{−jθ} − x|²): raw Σ|y − x|² counts any uncompensated
-            // rotation/CFO as noise and drives spurious downshifts on
-            // phase-impaired links. With θ* the error has the closed
-            // form Σ|y|² + Σ|x|² − 2·|Σ y·x̄|.
-            let mut sig = 0.0f64;
-            let mut ysq = 0.0f64;
-            let (mut cr, mut ci) = (0.0f64, 0.0f64);
-            for (&u, &y) in self.engine.tx_symbols()[..p]
-                .iter()
-                .zip(self.engine.block())
-            {
-                let x = self.constellation.point(u);
-                sig += f64::from(x.re) * f64::from(x.re) + f64::from(x.im) * f64::from(x.im);
-                ysq += f64::from(y.re) * f64::from(y.re) + f64::from(y.im) * f64::from(y.im);
-                cr += f64::from(y.re) * f64::from(x.re) + f64::from(y.im) * f64::from(x.im);
-                ci += f64::from(y.im) * f64::from(x.re) - f64::from(y.re) * f64::from(x.im);
-            }
-            // Rounding can push a noiseless frame epsilon-negative; an
-            // err ≤ 0 frame saturates the estimate at the ceiling.
-            let err = (ysq + sig - 2.0 * cr.hypot(ci)).max(0.0);
-            triggered = s.observe_pilots(frame, sig, err);
-        }
-        if let Receiver::Adaptive(a) = &mut self.receiver {
-            match self.spec.params.monitor {
-                Monitor::Pilot => {
-                    if p > 0 {
-                        a.controller
-                            .observe_pilot_errors(errors.pilot, pilot_bits as u64);
-                    }
-                }
-                Monitor::Ecc => {
-                    let corrected = self.engine.ecc_corrected(&self.llrs);
-                    a.controller
-                        .observe_ecc(corrected, self.engine.payload_bits() as u64);
-                }
-            }
-            if a.pending.is_none() && a.controller.recommendation() == Recommendation::Retrain {
-                triggered = true;
-                a.on_trigger(
-                    frame,
-                    &self.constellation,
-                    self.engine.channel(),
-                    &self.spec.params,
-                );
-            }
-        }
+        // 5. The policy observes the frame: the switch policy traces
+        // and re-selects, the retrain policy monitors and triggers.
+        let triggered = match &mut self.policy {
+            Some(Policy::Retrain(r)) => r.observe(
+                frame,
+                &self.constellation,
+                &self.engine,
+                &self.llrs,
+                errors.pilot,
+                &self.spec.params,
+            ),
+            Some(Policy::Switch(s)) => s.observe(frame, &self.constellation, &self.engine, p),
+            None => false,
+        };
 
         self.log.push(FrameRecord {
             frame,
@@ -1387,7 +1383,7 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
             }
             let ber: Vec<f64> = bit_errors
                 .iter()
-                .map(|&e| e as f64 / payload_bits.max(1) as f64)
+                .map(|&e| error_rate(e, payload_bits))
                 .collect();
             let pilot_ber: Vec<f64> = pilot_errors
                 .iter()
@@ -1434,8 +1430,8 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
         links: spec.links,
         frame_symbols: spec.params.frame_symbols as u64,
         pilot_symbols: spec.params.pilot_symbols as u64,
-        symbol_rate: spec.params.symbol_rate,
-        deploy_bits: spec.params.deploy_bits,
+        symbol_rate: SYMBOL_RATE,
+        deploy_bits: DEPLOY_BITS,
         rows,
     }
 }
@@ -1919,6 +1915,31 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_link_triggers_on_ecc_evidence_without_pilots() {
+        // The paper's second monitor: no pilot overhead, the corrected
+        // Viterbi flips of the coded payload are the evidence.
+        let pipe = tiny_pipeline();
+        let es = pipe.config().es_n0_db();
+        let trajectory = Trajectory::new("step")
+            .hold(4, ChannelState::clean(es))
+            .hold(
+                40,
+                ChannelState::clean(es).with_phase(std::f32::consts::FRAC_PI_4),
+            );
+        let mut spec = OnlineLinkSpec::new(trajectory, 29);
+        spec.params.pilot_symbols = 0;
+        spec.params.monitor = Monitor::Ecc;
+        spec.params.action = TriggerAction::LogOnly;
+        spec.params.thresholds = test_thresholds();
+        let mut link = OnlineLink::adaptive(spec, &pipe);
+        link.run();
+        let first = link.events().first().expect("π/4 offset must trigger");
+        assert!(first.trigger_frame >= 4, "triggered on the clean prefix");
+        assert_eq!(first.latency_frames, 0);
+        assert!(link.log().iter().all(|r| r.pilot_bits == 0));
+    }
+
+    #[test]
     fn drift_campaign_pools_links_and_round_trips_json() {
         use hybridem_mathkit::json::ToJson;
         let qam = Constellation::qam_gray(16);
@@ -2050,7 +2071,6 @@ mod tests {
             window_frames: 4,
             min_dwell_frames: 4,
             initial_es_n0_db: 10.0,
-            ..SwitchPolicy::default()
         }
     }
 
@@ -2183,6 +2203,60 @@ mod tests {
     }
 
     #[test]
+    fn equalized_link_frame_matches_the_hand_run_stages() {
+        // One frame of an equalized link with pilots equals the stages
+        // run by hand from the same seed: frame engine → LMS training
+        // on the pilots → blind equalization of the payload → the
+        // inner demapper's block call.
+        let qam = Constellation::qam_gray(4);
+        let sigma = noise_sigma(12.0, 1.0) as f32;
+        let traj = Trajectory::constant(
+            "isi",
+            ChannelState::clean(12.0).with_taps(Taps::two_ray(0.4, 0.35, 1)),
+            1,
+        );
+        let spec = OnlineLinkSpec {
+            trajectory: traj.clone(),
+            seed: 6,
+            params: LinkParams {
+                pilot_symbols: 32,
+                ..Default::default()
+            },
+        };
+        let (n, p) = (spec.params.frame_symbols, spec.params.pilot_symbols);
+        let mut engine = FrameEngine::new(traj, spec.seed, n, p, spec.params.monitor, 2);
+        engine.generate(&qam);
+        let pilots: Vec<C32> = engine.tx_symbols()[..p]
+            .iter()
+            .map(|&u| qam.point(u))
+            .collect();
+        let mut eq = AdaptiveEqualizer::new(qam.clone(), EqualizerConfig::default());
+        let block = engine.block_mut();
+        eq.train(&mut block[..p], &pilots);
+        eq.equalize(&mut block[p..]);
+        let mut llrs = vec![0.0f32; n * 2];
+        MaxLogMap::new(qam.clone(), sigma).demap_block(engine.block(), &mut llrs);
+        let want = engine.count_errors(&llrs);
+
+        let mut link = OnlineLink::equalized(
+            spec,
+            qam.clone(),
+            Box::new(MaxLogMap::new(qam, sigma)),
+            EqualizerConfig::default(),
+        );
+        let rec = link.step().clone();
+        assert_eq!(
+            (rec.pilot_bit_errors, rec.payload_bit_errors),
+            (want.pilot, want.payload)
+        );
+        assert!(
+            want.pilot + want.payload > 0,
+            "the echo leaves errors to compare"
+        );
+        assert_eq!(link.equalizer_mode_trace(), [eq.mode()]);
+    }
+
+    #[test]
     fn phase_offset_does_not_masquerade_as_noise_in_snr_estimate() {
         // Regression: the estimator once accumulated raw Σ|y−x|², so a
         // noiseless π/4-rotated link measured |e^{jπ/4}−1|²·Es of fake
@@ -2198,9 +2272,7 @@ mod tests {
             ChannelState::clean(f64::INFINITY).with_phase(std::f32::consts::FRAC_PI_4),
             30,
         );
-        let policy = switch_policy();
-        let ceiling = policy.es_ceil_db;
-        let mut link = OnlineLink::switching(OnlineLinkSpec::new(traj, 33), reg, policy);
+        let mut link = OnlineLink::switching(OnlineLinkSpec::new(traj, 33), reg, switch_policy());
         assert_eq!(link.active_backend(), Some(precise));
         link.run();
         let down = link
@@ -2210,7 +2282,7 @@ mod tests {
             .expect("noiseless rotated link must earn the cheap backend");
         assert_eq!((down.from, down.to), (precise, cheap));
         assert_eq!(
-            down.est_es_n0_db, ceiling,
+            down.est_es_n0_db, ES_CEIL_DB,
             "noiseless link must estimate at the policy ceiling, not a \
              rotation-inflated floor"
         );
@@ -2274,6 +2346,30 @@ mod tests {
         let mut spec = OnlineLinkSpec::new(up_down_trajectory(), 0);
         spec.params.pilot_symbols = 0;
         let _ = OnlineLink::switching(spec, fake_registry(), switch_policy());
+    }
+
+    #[test]
+    #[should_panic(expected = "must preserve the transmit constellation")]
+    fn switching_rejects_mixed_constellations() {
+        // A switch may only change the demapper: an entry whose points
+        // differ from the transmitted ones would demap symbols the
+        // transmitter never sent.
+        let qam = Constellation::qam_gray(16);
+        let mut reg = BackendRegistry::new();
+        reg.register(Arc::new(FakeBackend {
+            name: "precise",
+            tx: qam.clone(),
+            cycles: 16.0,
+            ok_above_db: f64::NEG_INFINITY,
+        }));
+        reg.register(Arc::new(FakeBackend {
+            name: "rotated",
+            tx: qam.rotated(0.3),
+            cycles: 2.0,
+            ok_above_db: 15.0,
+        }));
+        let spec = OnlineLinkSpec::new(up_down_trajectory(), 0);
+        let _ = OnlineLink::switching(spec, Arc::new(reg), switch_policy());
     }
 
     #[test]

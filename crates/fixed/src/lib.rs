@@ -19,6 +19,7 @@
 //! lets integration tests assert that the simulated FPGA datapath
 //! matches the f32 reference model within an analytic error bound.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fx;

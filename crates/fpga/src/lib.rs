@@ -31,6 +31,7 @@
 //!    soft demapper) from trained models, and [`report`] renders
 //!    Table-2-style comparisons.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -15,22 +15,20 @@
 //!   region as polygons;
 //! - [`polygon`] — areas, vertex centroids, point-in-polygon and
 //!   Sutherland–Hodgman clipping;
-//! - [`hull`] — Andrew monotone-chain convex hulls;
 //! - [`voronoi`] — exact Voronoi cells of a point set inside a bounding
 //!   box via half-plane clipping, used to validate that extracted
 //!   regions behave like a Voronoi partition.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod components;
 pub mod grid;
-pub mod hull;
 pub mod marching;
 pub mod polygon;
 pub mod voronoi;
 
 pub use components::label_components;
 pub use grid::LabelGrid;
-pub use hull::convex_hull;
 pub use polygon::Polygon;
 pub use voronoi::voronoi_cells;

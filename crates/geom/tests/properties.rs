@@ -2,7 +2,6 @@
 
 use hybridem_geom::components::label_components;
 use hybridem_geom::grid::{LabelGrid, Window};
-use hybridem_geom::hull::{convex_contains, convex_hull};
 use hybridem_geom::marching::{boundary_centroid, region_boundaries};
 use hybridem_geom::polygon::Polygon;
 use hybridem_geom::voronoi::{nearest_site, voronoi_cells};
@@ -14,35 +13,33 @@ fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec2>> {
         .prop_map(|v| v.into_iter().map(|(x, y)| Vec2::new(x, y)).collect())
 }
 
+/// Convex polygons: vertices at sorted random angles on a circle,
+/// counter-clockwise.
+fn convex(n: std::ops::Range<usize>) -> impl Strategy<Value = Polygon> {
+    (
+        proptest::collection::vec(0.0f64..std::f64::consts::TAU, n),
+        -5.0f64..5.0,
+        -5.0f64..5.0,
+        0.5f64..10.0,
+    )
+        .prop_map(|(mut angles, cx, cy, r)| {
+            angles.sort_by(f64::total_cmp);
+            Polygon::new(
+                angles
+                    .into_iter()
+                    .map(|a| Vec2::new(cx + r * a.cos(), cy + r * a.sin()))
+                    .collect(),
+            )
+        })
+}
+
 proptest! {
     #[test]
-    fn hull_contains_all_inputs(pts in points(3..40)) {
-        let hull = convex_hull(&pts);
-        if hull.len() >= 3 {
-            for &p in &pts {
-                prop_assert!(convex_contains(&hull, p, 1e-7), "{p:?} outside");
-            }
-            // CCW orientation: positive signed area.
-            let poly = Polygon::new(hull.clone());
-            prop_assert!(poly.signed_area() > -1e-12);
-        }
-    }
-
-    #[test]
-    fn hull_is_idempotent(pts in points(3..30)) {
-        let h1 = convex_hull(&pts);
-        let h2 = convex_hull(&h1);
-        prop_assert_eq!(h1.len(), h2.len());
-    }
-
-    #[test]
     fn polygon_area_invariant_under_translation(
-        pts in points(3..12), dx in -5.0f64..5.0, dy in -5.0f64..5.0
+        p1 in convex(3..12), dx in -5.0f64..5.0, dy in -5.0f64..5.0
     ) {
-        let hull = convex_hull(&pts);
-        prop_assume!(hull.len() >= 3);
-        let p1 = Polygon::new(hull.clone());
-        let shifted: Vec<Vec2> = hull.iter().map(|&v| v + Vec2::new(dx, dy)).collect();
+        prop_assert!(p1.signed_area() > -1e-12, "counter-clockwise");
+        let shifted: Vec<Vec2> = p1.vertices().iter().map(|&v| v + Vec2::new(dx, dy)).collect();
         let p2 = Polygon::new(shifted);
         prop_assert!((p1.area() - p2.area()).abs() < 1e-6 * p1.area().max(1.0));
         // Centroid translates with the polygon.
@@ -52,19 +49,13 @@ proptest! {
     }
 
     #[test]
-    fn polygon_centroid_inside_convex_hull(pts in points(3..20)) {
-        let hull = convex_hull(&pts);
-        prop_assume!(hull.len() >= 3);
-        let poly = Polygon::new(hull.clone());
+    fn polygon_centroid_inside_convex_hull(poly in convex(3..20)) {
         prop_assume!(poly.area() > 1e-6);
-        prop_assert!(convex_contains(&hull, poly.centroid(), 1e-7));
+        prop_assert!(poly.contains(poly.centroid()));
     }
 
     #[test]
-    fn clipping_never_grows_area(pts in points(3..15), c in -8.0f64..8.0) {
-        let hull = convex_hull(&pts);
-        prop_assume!(hull.len() >= 3);
-        let poly = Polygon::new(hull);
+    fn clipping_never_grows_area(poly in convex(3..15), c in -8.0f64..8.0) {
         if let Some(clipped) = poly.clip_half_plane(Vec2::new(1.0, 0.0), c) {
             prop_assert!(clipped.area() <= poly.area() + 1e-9);
             // Every vertex satisfies the half-plane.

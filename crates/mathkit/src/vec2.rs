@@ -1,7 +1,7 @@
 //! 2-D points/vectors (double precision) for the geometry substrate.
 //!
 //! Decision-region extraction interprets the demapper's I/Q input plane
-//! geometrically; [`Vec2`] is the coordinate type used by hulls,
+//! geometrically; [`Vec2`] is the coordinate type used by label grids,
 //! polygons and Voronoi cells in `hybridem-geom`.
 
 use crate::complex::C64;

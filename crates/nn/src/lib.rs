@@ -26,6 +26,7 @@
 //! Everything is deterministic given a seed, and fast enough that full
 //! E2E training runs inside unit tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod grad_check;

@@ -13,7 +13,7 @@
 //! - [`nn`] — from-scratch neural-network library with manual backprop;
 //! - [`comm`] — communication substrate (constellations, channels,
 //!   demappers, metrics, ECC, link simulation);
-//! - [`geom`] — computational geometry (hulls, polygons, Voronoi);
+//! - [`geom`] — computational geometry (label grids, polygons, Voronoi);
 //! - [`fpga`] — FPGA substrate simulator (MVAU pipelines, resource /
 //!   latency / power models for the Xilinx ZU3EG);
 //! - [`core`] — the paper's contribution: E2E autoencoder training,
@@ -37,6 +37,8 @@
 //! let report = pipe.extract_centroids();
 //! assert_eq!(report.centroids.len(), 16);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use hybridem_comm as comm;
 pub use hybridem_core as core;

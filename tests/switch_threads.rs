@@ -44,7 +44,6 @@ fn spec() -> SwitchCampaignSpec {
             window_frames: 4,
             min_dwell_frames: 4,
             initial_es_n0_db: 12.7,
-            ..SwitchPolicy::default()
         },
         seed: 77,
     }
