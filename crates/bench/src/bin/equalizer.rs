@@ -225,27 +225,5 @@ fn main() {
         println!("| {k} | {v:.1} |");
     }
 
-    let mut failed = false;
-    match perf::append_trajectory("equalizer", &results) {
-        Ok(update) => {
-            println!("\nwrote {}", update.path.display());
-            for msg in &update.regressions {
-                if perf::smoke_mode() {
-                    println!("  smoke-budget regression (ignored): {msg}");
-                } else {
-                    eprintln!("  REGRESSION: {msg}");
-                    failed = true;
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("trajectory equalizer: {e}");
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("\nperf gate FAILED (>15% below the last committed entry)");
-        std::process::exit(1);
-    }
-    println!("\nperf gate OK");
+    perf::gate("perf", "Melem/s", &[("equalizer", &results)]);
 }

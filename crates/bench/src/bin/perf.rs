@@ -20,7 +20,8 @@
 //! Exit is non-zero when any case regresses more than 15% against the
 //! last committed entry, unless `HYBRIDEM_BENCH_MS` selects the smoke
 //! budget (schema + append validation only; artefacts go to the
-//! results dir).
+//! results dir). A failing run leaves the committed trajectories as
+//! they were and writes its updated ones to the results dir.
 
 use hybridem_bench::perf;
 use hybridem_comm::constellation::Constellation;
@@ -162,29 +163,9 @@ fn main() {
         );
     }
 
-    let mut failed = false;
-    for (bench, results) in [("mvau", &mvau_results), ("demap", &demap_results)] {
-        match perf::append_trajectory(bench, results) {
-            Ok(update) => {
-                println!("\nwrote {}", update.path.display());
-                for msg in &update.regressions {
-                    if perf::smoke_mode() {
-                        println!("  smoke-budget regression (ignored): {msg}");
-                    } else {
-                        eprintln!("  REGRESSION: {msg}");
-                        failed = true;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("trajectory {bench}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!("\nperf gate FAILED (>15% below the last committed entry)");
-        std::process::exit(1);
-    }
-    println!("\nperf gate OK");
+    perf::gate(
+        "perf",
+        "Melem/s",
+        &[("mvau", &mvau_results), ("demap", &demap_results)],
+    );
 }

@@ -10,7 +10,9 @@
 //! width, thread count) and the git revision, so the repo carries its
 //! own performance history and a run **fails** when any case regresses
 //! more than [`REGRESSION_TOLERANCE`] against the last committed
-//! entry.
+//! entry. A failing run leaves the committed file as it was and writes
+//! its updated trajectory to the results dir, so a re-run still
+//! compares against the last good entry.
 //!
 //! Budgets come from `HYBRIDEM_BENCH_MS` (milliseconds of sampling per
 //! case). Setting it also switches to *smoke mode*: the schema and the
@@ -21,7 +23,7 @@
 
 use hybridem_mathkit::json::{Json, JsonError};
 use hybridem_mathkit::simd::LaneWidth;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Schema tag every trajectory file must carry.
@@ -155,12 +157,14 @@ pub fn validate_trajectory(doc: &Json, bench: &str) -> Result<(), JsonError> {
 
 /// Compares new medians against the previous entry's: one message per
 /// case whose throughput dropped by more than `tolerance`
-/// (fraction). Cases absent from either side are skipped — adding or
-/// retiring a case is not a regression.
+/// (fraction), quoting both medians in `unit`. Cases absent from
+/// either side are skipped — adding or retiring a case is not a
+/// regression.
 pub fn regressions(
     prev_results: &Json,
     new_results: &[(String, f64)],
     tolerance: f64,
+    unit: &str,
 ) -> Vec<String> {
     let mut msgs = Vec::new();
     for (case, new) in new_results {
@@ -169,7 +173,7 @@ pub fn regressions(
         };
         if *new < old * (1.0 - tolerance) {
             msgs.push(format!(
-                "{case}: {new:.1} Melem/s vs committed {old:.1} \
+                "{case}: {new:.1} {unit} vs committed {old:.1} \
                  ({:+.1}% exceeds the {:.0}% tolerance)",
                 (new / old - 1.0) * 100.0,
                 tolerance * 100.0
@@ -191,30 +195,35 @@ pub fn trajectory_path(bench: &str) -> PathBuf {
 }
 
 /// Outcome of one [`append_trajectory`] run.
-pub struct TrajectoryUpdate {
-    /// Where the updated trajectory was written (repo root on full
-    /// runs, results dir in smoke mode).
-    pub path: PathBuf,
+struct TrajectoryUpdate {
+    /// Where the updated trajectory was written.
+    path: PathBuf,
     /// Regression messages vs the last committed entry (empty when
     /// clean or when there was no prior entry).
-    pub regressions: Vec<String>,
+    regressions: Vec<String>,
 }
 
-/// Loads + validates the committed trajectory for `bench`, checks the
-/// new medians against its last entry, appends the new entry and
-/// writes the result — to the repo root on full runs, to the results
-/// dir in smoke mode (CI must not dirty the tree).
+/// Loads + validates the committed trajectory at `committed`, checks
+/// the new medians against its last entry and appends the new entry.
+/// A clean full-budget run writes the result back to `committed`; a
+/// smoke run, or a run where any case regressed, writes it into the
+/// directory `spill_dir` returns instead — CI must not dirty the tree,
+/// and a failing gate must not commit its own regression as the next
+/// baseline.
 ///
 /// # Errors
 /// Returns a message when the committed file exists but fails
 /// validation — a corrupt trajectory must fail loudly, not be
 /// silently replaced.
-pub fn append_trajectory(
+fn append_trajectory(
+    committed: &Path,
+    spill_dir: impl FnOnce() -> PathBuf,
+    smoke: bool,
     bench: &str,
     results: &[(String, f64)],
+    unit: &str,
 ) -> Result<TrajectoryUpdate, String> {
-    let committed = trajectory_path(bench);
-    let mut doc = match std::fs::read_to_string(&committed) {
+    let mut doc = match std::fs::read_to_string(committed) {
         Ok(text) => {
             let doc = Json::parse(&text).map_err(|e| format!("{}: {e:?}", committed.display()))?;
             validate_trajectory(&doc, bench)
@@ -234,7 +243,7 @@ pub fn append_trajectory(
         .and_then(|e| e.as_arr().ok())
         .and_then(|entries| entries.last())
         .and_then(|last| last.get("results"))
-        .map(|prev| self::regressions(prev, results, REGRESSION_TOLERANCE))
+        .map(|prev| self::regressions(prev, results, REGRESSION_TOLERANCE, unit))
         .unwrap_or_default();
 
     let entry = Json::object([
@@ -263,14 +272,57 @@ pub fn append_trajectory(
     }
     validate_trajectory(&doc, bench).map_err(|e| format!("new entry invalid: {e:?}"))?;
 
-    let path = if smoke_mode() {
-        crate::results_dir().join(format!("BENCH_{bench}.json"))
+    let path = if smoke || !regressions.is_empty() {
+        spill_dir().join(format!("BENCH_{bench}.json"))
     } else {
-        committed
+        committed.to_path_buf()
     };
     std::fs::write(&path, doc.to_string_pretty())
         .map_err(|e| format!("write {}: {e}", path.display()))?;
     Ok(TrajectoryUpdate { path, regressions })
+}
+
+/// The regression gate of a kernel bench bin: appends each
+/// `(bench, results)` pair to its `BENCH_<bench>.json` trajectory,
+/// prints every regression (medians in `unit`), and exits 1 when a
+/// full-budget run regressed or a trajectory failed to load. Only a
+/// clean full-budget run updates the committed file; smoke and
+/// regressing runs write the updated trajectory to the results dir.
+/// `gate` names the gate in the closing line (`"<gate> gate OK"`).
+pub fn gate(gate: &str, unit: &str, benches: &[(&str, &[(String, f64)])]) {
+    let mut failed = false;
+    for &(bench, results) in benches {
+        let update = append_trajectory(
+            &trajectory_path(bench),
+            crate::results_dir,
+            smoke_mode(),
+            bench,
+            results,
+            unit,
+        );
+        match update {
+            Ok(update) => {
+                println!("\nwrote {}", update.path.display());
+                for msg in &update.regressions {
+                    if smoke_mode() {
+                        println!("  smoke-budget regression (ignored): {msg}");
+                    } else {
+                        eprintln!("  REGRESSION: {msg}");
+                        failed = true;
+                    }
+                }
+            }
+            Err(e) => {
+                eprintln!("trajectory {bench}: {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        eprintln!("\n{gate} gate FAILED (>15% below the last committed entry)");
+        std::process::exit(1);
+    }
+    println!("\n{gate} gate OK");
 }
 
 #[cfg(test)]
@@ -332,9 +384,47 @@ mod tests {
             ("b".to_string(), 80.0), // −20%: regression
             ("d".to_string(), 1.0),  // new case: skipped
         ];
-        let msgs = regressions(&prev, &new, REGRESSION_TOLERANCE);
+        let msgs = regressions(&prev, &new, REGRESSION_TOLERANCE, "Melem/s");
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].starts_with("b:"), "{msgs:?}");
+    }
+
+    #[test]
+    fn only_a_clean_full_run_appends_to_the_committed_trajectory() {
+        let dir = std::env::temp_dir().join(format!("hybridem-perf-gate-{}", std::process::id()));
+        let spill = dir.join("results");
+        std::fs::create_dir_all(&spill).unwrap();
+        let committed = dir.join("BENCH_mvau.json");
+        let before = doc("mvau", vec![entry(vec![("a", 100.0)])]).to_string_pretty();
+        std::fs::write(&committed, &before).unwrap();
+        let run = |median: f64| {
+            let results = [("a".to_string(), median)];
+            append_trajectory(&committed, || spill.clone(), false, "mvau", &results, "x/s").unwrap()
+        };
+        let entries = |path: &Path| {
+            let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            doc.field("entries").unwrap().as_arr().unwrap().len()
+        };
+
+        // −50%: the regressing trajectory goes to the results dir and
+        // the committed bytes stay as they were.
+        let update = run(50.0);
+        assert_eq!(update.regressions.len(), 1);
+        assert!(
+            update.regressions[0].contains("50.0 x/s"),
+            "{:?}",
+            update.regressions
+        );
+        assert_eq!(update.path, spill.join("BENCH_mvau.json"));
+        assert_eq!(entries(&update.path), 2);
+        assert_eq!(std::fs::read_to_string(&committed).unwrap(), before);
+
+        // A clean run appends exactly one entry in place.
+        let update = run(100.0);
+        assert!(update.regressions.is_empty());
+        assert_eq!(update.path, committed);
+        assert_eq!(entries(&committed), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! demapping (DESIGN.md §12); [`viz`] renders decision regions
 //! (Fig. 3) as ASCII/PGM.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapt;

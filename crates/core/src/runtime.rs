@@ -317,17 +317,6 @@ pub struct SwitchPolicy {
     pub initial_es_n0_db: f64,
 }
 
-impl Default for SwitchPolicy {
-    fn default() -> Self {
-        Self {
-            ber_target: 2e-2,
-            window_frames: 8,
-            min_dwell_frames: 8,
-            initial_es_n0_db: 12.0,
-        }
-    }
-}
-
 /// SNR-estimate clamp floor in dB (an all-error window maps here).
 const ES_FLOOR_DB: f64 = -10.0;
 

@@ -11,11 +11,11 @@
 //! generation-checked slab, admits frame work through bounded queues
 //! with explicit backpressure ([`Admit::Shed`]), and serves rounds on
 //! a [`StealPool`] so hot links spread across workers instead of
-//! pinning a static partition. The hot path gathers ready symbols
-//! across sessions of the same backend into contiguous buffers, issues
-//! **one** [`Demapper::demap_block`] call per batch of up to
-//! [`ServerCfg::batch_links`] links, and scatters the LLR spans back
-//! into per-session monitor state.
+//! pinning a static partition. The hot path cuts the sessions of each
+//! backend into chunks of up to [`ServerCfg::batch_links`] links; each
+//! chunk gathers its sessions' fresh frames into its own batch, issues
+//! **one** [`Demapper::demap_block`] call over it, and hands each
+//! session its LLR span. A one-link chunk takes the same steps.
 //!
 //! What is and is not deterministic: scheduling is not — tasks run on
 //! arbitrary workers in arbitrary order. The *report* is: every
@@ -32,11 +32,11 @@
 //! an online link with the same seed, trajectory and frame geometry
 //! transmit and count the same frames.
 //!
-//! Steady state allocates nothing (extends the PR 4 counting-allocator
-//! contract to the gather/scatter path): session buffers, the plan
-//! scratch, the gather buffers and the pool's deques all reuse their
-//! capacity after a warmup round. The one documented exception is ECC
-//! monitoring — [`ConvCode::encode`](hybridem_comm::ecc::ConvCode::encode)
+//! Steady state allocates nothing: session buffers, the plan scratch,
+//! the per-chunk batches (which only grow) and the pool's deques all
+//! reuse their capacity after a warmup round. The one documented
+//! exception is ECC monitoring —
+//! [`ConvCode::encode`](hybridem_comm::ecc::ConvCode::encode)
 //! / [`Viterbi::decode_soft`](hybridem_comm::ecc::Viterbi::decode_soft)
 //! allocate internally, so the no-alloc contract is stated (and
 //! tested) for pilot-monitored sessions.
@@ -49,7 +49,6 @@ use hybridem_comm::trajectory::Trajectory;
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::stats::error_rate;
 use hybridem_parallel::{num_threads, StealPool};
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -62,8 +61,8 @@ pub struct ServerCfg {
     /// exceed it is shed whole (never partially enqueued).
     pub queue_cap: u32,
     /// Maximum links gathered into one `demap_block` call. `1`
-    /// degenerates to per-link demap calls — the honest unbatched
-    /// baseline the saturation bench compares against.
+    /// gathers a single frame per call — the per-link baseline the
+    /// saturation bench compares against.
     pub batch_links: usize,
 }
 
@@ -294,23 +293,20 @@ struct Backend {
 }
 
 /// One serving session: a frame engine (private RNG stream, scripted
-/// channel, reused frame buffers), integer counters and an LLR buffer.
-/// Lives behind a slot `Mutex` so the parallel phases can lock exactly
-/// the sessions of their chunk (chunks never share a session, so the
-/// locks are uncontended).
+/// channel, reused frame buffers) and integer counters. Lives behind a
+/// slot `Mutex` so the parallel phases can lock exactly the sessions
+/// of their chunk (chunks never share a session, so the locks are
+/// uncontended).
 struct Session {
     backend: u32,
     engine: FrameEngine,
     pending: u32,
     stats: SessionStats,
-    // Reused LLR scratch of the unbatched path.
-    llrs: Vec<f32>,
 }
 
 impl Session {
-    /// Consumes one frame's LLRs (wherever they were demapped to):
-    /// error counts from the LLR signs, monitor counters, queue
-    /// decrement.
+    /// Consumes one frame's LLR span of its chunk's batch: error
+    /// counts from the LLR signs, monitor counters, queue decrement.
     fn finish_frame(&mut self, llrs: &[f32]) {
         let errors = self.engine.count_errors(llrs);
         self.stats.ecc_corrected += self.engine.ecc_corrected(llrs);
@@ -321,63 +317,11 @@ impl Session {
         self.stats.pilot_bit_errors += errors.pilot;
         self.pending -= 1;
     }
-
-    /// The unbatched (batch of one) path: demap straight from the
-    /// session's own buffers — no gather copy, so the per-link
-    /// baseline the saturation bench measures is honest.
-    fn serve_unbatched(&mut self, constellation: &Constellation, demapper: &dyn Demapper) {
-        self.engine.generate(constellation);
-        let mut llrs = std::mem::take(&mut self.llrs);
-        demapper.demap_block(self.engine.block(), &mut llrs);
-        self.finish_frame(&llrs);
-        self.llrs = llrs;
-    }
 }
 
 struct Slot {
     generation: u32,
     session: Option<Mutex<Session>>,
-}
-
-/// A buffer the parallel phases write disjoint ranges of. The usual
-/// split-at-mut discipline doesn't fit here because the disjoint
-/// ranges are computed per task at plan time, so the elements live in
-/// [`UnsafeCell`]s and the splits are hand-checked instead.
-struct SharedBuf<T>(Vec<UnsafeCell<T>>);
-
-// SAFETY: interior access is only through `slice_mut` under its
-// documented disjointness contract; `T: Send` values may be written
-// from any thread.
-unsafe impl<T: Send> Sync for SharedBuf<T> {}
-
-impl<T: Copy + Default> SharedBuf<T> {
-    fn new() -> Self {
-        Self(Vec::new())
-    }
-
-    /// Grows to at least `len` elements (plan stage only — requires
-    /// exclusive access). A no-op once the high-water mark is reached,
-    /// keeping the steady state allocation-free.
-    fn ensure_len(&mut self, len: usize) {
-        if self.0.len() < len {
-            self.0.resize_with(len, || UnsafeCell::new(T::default()));
-        }
-    }
-
-    /// Mutable view of `start..start + len`.
-    ///
-    /// # Safety
-    /// Concurrent calls must use disjoint ranges, and no call may
-    /// overlap an `ensure_len`. The serving round guarantees both:
-    /// every range is derived from the plan's prefix sums, each
-    /// session belongs to exactly one chunk, and `ensure_len` runs
-    /// before the pool round starts.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        let cells = &self.0[start..start + len];
-        // `UnsafeCell<T>` is `repr(transparent)` over `T`.
-        std::slice::from_raw_parts_mut(cells.as_ptr() as *mut T, cells.len())
-    }
 }
 
 /// A contiguous run of up to `batch_links` same-backend sessions,
@@ -388,9 +332,15 @@ struct Chunk {
     /// Range into the round's `order` list.
     start: usize,
     end: usize,
-    /// This chunk's base offsets into the gather/LLR buffers.
-    sym_base: usize,
-    bit_base: usize,
+}
+
+/// One chunk's gather batch, kept across rounds: its sessions' received
+/// symbols back to back, and the LLRs the chunk's `demap_block` call
+/// writes for them. `llrs` only grows, so no round zero-fills it.
+#[derive(Default)]
+struct Batch {
+    symbols: Vec<C32>,
+    llrs: Vec<f32>,
 }
 
 /// The many-link serving fabric. See the module docs for the
@@ -405,13 +355,12 @@ pub struct LinkServer {
     rounds: u64,
     pool: StealPool,
     // Round-plan scratch, reused across rounds (no steady-state
-    // allocation): active slots grouped by backend, their prefix-sum
-    // buffer offsets, the chunk descriptors, and the gather buffers.
+    // allocation): active slots grouped by backend, the chunk
+    // descriptors, and one batch per chunk (its lock is uncontended:
+    // each chunk runs exactly once per round).
     order: Vec<u32>,
-    offsets: Vec<(usize, usize)>,
     chunks: Vec<Chunk>,
-    gather: SharedBuf<C32>,
-    gathered_llrs: SharedBuf<f32>,
+    batches: Vec<Mutex<Batch>>,
 }
 
 impl LinkServer {
@@ -434,10 +383,8 @@ impl LinkServer {
             rounds: 0,
             pool: StealPool::new(cfg.workers),
             order: Vec::new(),
-            offsets: Vec::new(),
             chunks: Vec::new(),
-            gather: SharedBuf::new(),
-            gathered_llrs: SharedBuf::new(),
+            batches: Vec::new(),
         }
     }
 
@@ -496,7 +443,6 @@ impl LinkServer {
             ),
             pending: 0,
             stats: SessionStats::default(),
-            llrs: vec![0.0; n * m],
         };
         let index = match self.free.pop() {
             Some(i) => {
@@ -637,13 +583,12 @@ impl LinkServer {
     /// number of frames served.
     ///
     /// A round is: **plan** (sequential — group active sessions by
-    /// backend, prefix-sum their buffer offsets, chop into chunks of
-    /// ≤ `batch_links` links), then one pool round over the chunks.
-    /// Each chunk task generates its sessions' frames, gathers their
-    /// symbols into this chunk's contiguous range of the shared
-    /// buffer, issues one `demap_block` for the whole chunk, and
-    /// scatters each session's LLR span back into its monitor state.
-    /// Single-link chunks skip the gather and demap in place.
+    /// backend in slab order, chop into chunks of ≤ `batch_links`
+    /// links), then one pool round over the chunks. Every chunk, one
+    /// link or many, takes the same steps: generate each session's
+    /// frame and append it to the chunk's batch, issue one
+    /// `demap_block` over the batch, and hand each session its LLR
+    /// span.
     pub fn serve_round(&mut self) -> u64 {
         let Self {
             cfg,
@@ -651,19 +596,15 @@ impl LinkServer {
             slots,
             pool,
             order,
-            offsets,
             chunks,
-            gather,
-            gathered_llrs,
+            batches,
             rounds,
             ..
         } = self;
 
         // ---- plan (sequential, reused scratch) -----------------------
         order.clear();
-        offsets.clear();
         chunks.clear();
-        let (mut sym, mut bits) = (0usize, 0usize);
         for b in 0..backends.len() as u32 {
             let seg_start = order.len();
             for (i, slot) in slots.iter_mut().enumerate() {
@@ -671,78 +612,70 @@ impl LinkServer {
                     continue;
                 };
                 let s = cell.get_mut().unwrap();
-                if s.backend != b || s.pending == 0 {
-                    continue;
+                if s.backend == b && s.pending > 0 {
+                    order.push(i as u32);
                 }
-                order.push(i as u32);
-                offsets.push((sym, bits));
-                sym += s.engine.frame_symbols();
-                bits += s.llrs.len();
             }
-            let mut c = seg_start;
-            while c < order.len() {
-                let end = (c + cfg.batch_links).min(order.len());
+            for start in (seg_start..order.len()).step_by(cfg.batch_links) {
+                let end = (start + cfg.batch_links).min(order.len());
                 chunks.push(Chunk {
                     backend: b,
-                    start: c,
+                    start,
                     end,
-                    sym_base: offsets[c].0,
-                    bit_base: offsets[c].1,
                 });
-                c = end;
             }
         }
         if order.is_empty() {
             return 0;
         }
-        gather.ensure_len(sym);
-        gathered_llrs.ensure_len(bits);
-        let (total_sym, total_bits) = (sym, bits);
+        if batches.len() < chunks.len() {
+            batches.resize_with(chunks.len(), Default::default);
+        }
 
         // ---- execute (work-stealing over chunks) ---------------------
         let slots: &[Slot] = slots;
         let order: &[u32] = order;
-        let offsets: &[(usize, usize)] = offsets;
-        let gather: &SharedBuf<C32> = gather;
-        let gathered_llrs: &SharedBuf<f32> = gathered_llrs;
-        let lock = |k: usize| {
-            slots[order[k] as usize]
+        let batches: &[Mutex<Batch>] = batches;
+        let lock = |i: u32| {
+            slots[i as usize]
                 .session
                 .as_ref()
                 .expect("planned slots stay occupied for the round")
                 .lock()
-                .unwrap()
+                .expect("a round panicked holding the session")
         };
         pool.run(chunks.len(), |ci| {
             let c = chunks[ci];
             let backend = &backends[c.backend as usize];
-            if c.end - c.start == 1 {
-                lock(c.start).serve_unbatched(&backend.constellation, backend.demapper.as_ref());
-                return;
-            }
-            // Gather: each session's fresh frame lands in its planned
-            // range of the shared buffer (ranges are disjoint — one
-            // chunk per session, prefix-sum offsets).
-            for (k, off) in offsets.iter().enumerate().take(c.end).skip(c.start) {
-                let mut s = lock(k);
+            let m = backend.constellation.bits_per_symbol();
+            let sessions = &order[c.start..c.end];
+            let mut batch = batches[ci]
+                .lock()
+                .expect("a round panicked holding the batch");
+            let Batch { symbols, llrs } = &mut *batch;
+            // Gather: each session's fresh frame is appended to the batch.
+            symbols.clear();
+            for &i in sessions {
+                let mut s = lock(i);
                 s.engine.generate(&backend.constellation);
-                let dst = unsafe { gather.slice_mut(off.0, s.engine.frame_symbols()) };
-                dst.copy_from_slice(s.engine.block());
+                symbols.extend_from_slice(s.engine.block());
             }
-            let sym_end = offsets.get(c.end).map_or(total_sym, |o| o.0);
-            let bit_end = offsets.get(c.end).map_or(total_bits, |o| o.1);
             // One demap call for the whole chunk — this is the batching
             // the saturation bench measures. `demap_block` is bit-exact
             // against the per-symbol path, so LLRs are independent of
             // batch composition.
-            let ys = unsafe { gather.slice_mut(c.sym_base, sym_end - c.sym_base) };
-            let out = unsafe { gathered_llrs.slice_mut(c.bit_base, bit_end - c.bit_base) };
-            backend.demapper.demap_block(ys, out);
-            // Scatter: each session consumes its LLR span.
-            for (k, off) in offsets.iter().enumerate().take(c.end).skip(c.start) {
-                let mut s = lock(k);
-                let span = unsafe { gathered_llrs.slice_mut(off.1, s.llrs.len()) };
-                s.finish_frame(span);
+            let bits = symbols.len() * m;
+            if llrs.len() < bits {
+                llrs.resize(bits, 0.0);
+            }
+            backend.demapper.demap_block(symbols, &mut llrs[..bits]);
+            // Scatter: each session consumes its span, in gather order.
+            let mut at = 0;
+            for &i in sessions {
+                let mut s = lock(i);
+                let span = s.engine.frame_symbols() * m;
+                s.finish_frame(&llrs[at..at + span]);
+                at += span;
             }
         });
         *rounds += 1;

@@ -8,8 +8,8 @@
 //! - [`vec2::Vec2`] — 2-D points used by the geometry crate;
 //! - [`matrix::Matrix`] — dense row-major matrices backing the neural
 //!   network library;
-//! - [`stats`] — streaming statistics, binomial confidence intervals for
-//!   Monte-Carlo bit-error-rate estimation, histograms;
+//! - [`stats`] — streaming statistics and binomial confidence intervals
+//!   for Monte-Carlo bit-error-rate estimation;
 //! - [`special`] — `erf`/`erfc`/Gaussian Q function (closed-form BER
 //!   baselines), numerically stable sigmoid/softplus/log-sum-exp;
 //! - [`rng`] — deterministic, splittable random number generation

@@ -184,66 +184,6 @@ impl ErrorCounter {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)`; out-of-range samples are clamped
-/// into the edge bins so mass is never silently dropped.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Histogram with `nbins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `nbins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0 && hi > lo, "invalid histogram range");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            count: 0,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        let n = self.bins.len();
-        let t = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((t * n as f64) as isize).clamp(0, n as isize - 1) as usize;
-        self.bins[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Empirical probability mass of bin `i`.
-    pub fn mass(&self, i: usize) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.bins[i] as f64 / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,23 +285,5 @@ mod tests {
         let mut c = ErrorCounter::new();
         c.record(17, 4321);
         assert_eq!(c.wilson_interval(2.5), wilson_interval(17, 4321, 2.5));
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for &x in &[0.1, 0.3, 0.6, 0.9, -5.0, 5.0] {
-            h.push(x);
-        }
-        assert_eq!(h.bins(), &[2, 1, 1, 2]);
-        assert_eq!(h.count(), 6);
-        assert!((h.bin_center(0) - 0.125).abs() < 1e-12);
-        assert!((h.mass(0) - 2.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid histogram range")]
-    fn histogram_rejects_bad_range() {
-        let _ = Histogram::new(1.0, 0.0, 4);
     }
 }

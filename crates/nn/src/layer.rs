@@ -50,20 +50,20 @@ pub trait Layer: Send + Sync {
     /// Forward pass. Must cache anything `backward` needs.
     fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32>;
 
-    /// Pure inference pass: identical arithmetic to `forward` but
-    /// without mutating caches, so trained models can be shared across
-    /// threads behind `&self` (the link simulator's demapper path).
-    fn infer(&self, input: &Matrix<f32>) -> Matrix<f32>;
+    /// Pure inference writing into a caller-provided buffer: identical
+    /// arithmetic to `forward` but without mutating caches, so trained
+    /// models can be shared across threads behind `&self` (the link
+    /// simulator's demapper path). `out` is reshaped via
+    /// [`Matrix::resize_to`], so a warm buffer is reused without
+    /// allocating — the primitive behind the block demapper's
+    /// allocation-free batch path.
+    fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>);
 
-    /// Pure inference writing into a caller-provided buffer. `out` is
-    /// reshaped via [`Matrix::resize_to`], so a warm buffer is reused
-    /// without allocating — the primitive behind the block demapper's
-    /// allocation-free batch path. The default delegates to
-    /// [`Layer::infer`] (and therefore allocates); the built-in layers
-    /// override it with in-place kernels that are bit-identical to
-    /// their `infer`.
-    fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
-        *out = self.infer(input);
+    /// [`Layer::infer_into`] on a fresh output matrix.
+    fn infer(&self, input: &Matrix<f32>) -> Matrix<f32> {
+        let mut out = Matrix::zeros(0, 0);
+        self.infer_into(input, &mut out);
+        out
     }
 
     /// Backward pass for the most recent `forward`: receives ∂L/∂output,

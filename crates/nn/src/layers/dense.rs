@@ -69,12 +69,6 @@ impl Layer for Dense {
         out
     }
 
-    fn infer(&self, input: &Matrix<f32>) -> Matrix<f32> {
-        let mut out = Matrix::zeros(input.rows(), self.out_dim());
-        self.infer_into(input, &mut out);
-        out
-    }
-
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
         assert_eq!(input.cols(), self.in_dim(), "dense input width");
         input.matmul_transpose_b_into(&self.weight.value, out);

@@ -65,10 +65,6 @@ impl Layer for FakeQuant {
         self.infer(input)
     }
 
-    fn infer(&self, input: &Matrix<f32>) -> Matrix<f32> {
-        input.map(|x| self.fake_quantize(x))
-    }
-
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
         out.resize_to(input.rows(), input.cols());
         for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {

@@ -27,10 +27,6 @@ impl Layer for Tanh {
         out
     }
 
-    fn infer(&self, input: &Matrix<f32>) -> Matrix<f32> {
-        input.map(|x| x.tanh())
-    }
-
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
         out.resize_to(input.rows(), input.cols());
         for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
