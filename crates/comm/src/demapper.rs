@@ -3,16 +3,17 @@
 //! Convention (workspace-wide): `LLR_k = ln P(b_k=0|y) − ln P(b_k=1|y)`,
 //! so **positive LLR ⇒ bit 0** and the hard decision is `b = (LLR<0)`.
 //!
-//! The primary entry point is [`Demapper::demap_block`]: a whole block
-//! of received samples in, one contiguous symbol-major LLR buffer out
-//! (`[sym0_bit0 … sym0_bit(m−1), sym1_bit0 …]` — see DESIGN.md §7).
-//! Every implementor provides a genuinely batched kernel that iterates
-//! the constellation points in the *outer* loop over the whole block,
-//! so the point set streams through cache once per block instead of
-//! once per symbol. [`Demapper::llrs`] remains as the one-symbol
-//! convenience and as the reference the property tests hold the block
-//! kernels to: `demap_block` is bit-exact with a per-symbol `llrs`
-//! loop.
+//! The one required entry point is [`Demapper::demap_block`]: a whole
+//! block of received samples in, one contiguous symbol-major LLR buffer
+//! out (`[sym0_bit0 … sym0_bit(m−1), sym1_bit0 …]` — see DESIGN.md §7).
+//! The kernels here iterate the constellation points in the *outer*
+//! loop over a whole tile, so the point set streams through cache once
+//! per tile instead of once per symbol, and a block of any length —
+//! one symbol included — runs the same tile kernel. [`Demapper::llrs`]
+//! is the one-symbol block; only the three kernels of this module
+//! override it, with the scalar loops the property tests hold their
+//! tile kernels to: `demap_block` is bit-exact with a per-symbol
+//! `llrs` loop.
 //!
 //! Two soft algorithms:
 //!
@@ -62,36 +63,24 @@ pub trait Demapper: Send + Sync {
     /// Bits per symbol produced.
     fn bits_per_symbol(&self) -> usize;
 
-    /// Writes `bits_per_symbol` LLRs for received sample `y` — the
-    /// one-symbol convenience path. Hot loops should use
-    /// [`Demapper::demap_block`].
-    fn llrs(&self, y: C32, out: &mut [f32]);
-
     /// Demaps a whole block: writes `ys.len() * bits_per_symbol` LLRs
     /// to `out` in symbol-major order
     /// (`[sym0_bit0 … sym0_bit(m−1), sym1_bit0 …]`).
     ///
-    /// This is the primary receiver entry point: implementors override
-    /// it with batched kernels (single N×2 ANN inference, point-outer
-    /// distance loops) and the default loops [`Demapper::llrs`] so
-    /// external implementations keep working unchanged. Overrides must
-    /// stay bit-exact with the per-symbol loop.
+    /// The one receiver datapath every implementor supplies (a single
+    /// N×2 ANN inference, point-outer distance tiles, the integer MVAU
+    /// chain). A symbol's LLRs must not depend on the block it arrives
+    /// in, so any split of a block demaps bit-identically.
     ///
     /// # Panics
     /// Panics unless `out.len() == ys.len() * bits_per_symbol()`.
-    fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
+    fn demap_block(&self, ys: &[C32], out: &mut [f32]);
+
+    /// Writes `bits_per_symbol` LLRs for received sample `y` into
+    /// `out[..bits_per_symbol]`: a one-symbol [`Demapper::demap_block`].
+    fn llrs(&self, y: C32, out: &mut [f32]) {
         let m = self.bits_per_symbol();
-        assert_eq!(
-            out.len(),
-            ys.len() * m,
-            "demap_block output buffer must hold exactly {} LLRs ({} symbols × {} bits)",
-            ys.len() * m,
-            ys.len(),
-            m
-        );
-        for (y, chunk) in ys.iter().zip(out.chunks_exact_mut(m)) {
-            self.llrs(*y, chunk);
-        }
+        self.demap_block(std::slice::from_ref(&y), &mut out[..m]);
     }
 
     /// Hard decisions derived from LLR signs (negative ⇒ bit 1).
@@ -281,14 +270,6 @@ impl Demapper for ExactLogMap {
             "demap_block output buffer must hold exactly {} LLRs",
             ys.len() * m
         );
-        if ys.len() <= 1 {
-            // The stack-buffer path is cheaper than heap planes for a
-            // lone symbol (and bit-exact by definition).
-            if let Some(&y) = ys.first() {
-                self.llrs(y, out);
-            }
-            return;
-        }
         for (ys_t, out_t) in ys.chunks(BLOCK_TILE).zip(out.chunks_mut(BLOCK_TILE * m)) {
             self.demap_tile(ys_t, out_t);
         }
@@ -429,28 +410,13 @@ impl Demapper for MaxLogMap {
     }
 
     fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
-        let m = self.bits_per_symbol();
-        assert_eq!(
-            out.len(),
-            ys.len() * m,
-            "demap_block output buffer must hold exactly {} LLRs",
-            ys.len() * m
-        );
-        if ys.len() <= 1 {
-            if let Some(&y) = ys.first() {
-                self.llrs(y, out);
-            }
-            return;
-        }
-        for (ys_t, out_t) in ys.chunks(BLOCK_TILE).zip(out.chunks_mut(BLOCK_TILE * m)) {
-            self.demap_tile(ys_t, out_t);
-        }
+        self.demap_block_at(LaneWidth::detect(), ys, out);
     }
 }
 
 /// Reusable working planes of the vectorized max-log tile kernel
 /// (split-component samples plus the bit-major running-min planes).
-/// Thread-local so `demap_tile` allocates only on each thread's first
+/// Thread-local so `demap_tile_at` allocates only on each thread's first
 /// tile: per-tile `vec!` allocations were what dragged the block path
 /// below the per-symbol loop on long cold streams (n ≳ 4096).
 struct MaxLogScratch {
@@ -545,12 +511,8 @@ impl SimdKernel for MaxLogTile<'_> {
 }
 
 impl MaxLogMap {
-    /// Point-outer kernel over one cache-resident tile, dispatched at
-    /// the host's probed lane width.
-    fn demap_tile(&self, ys: &[C32], out: &mut [f32]) {
-        self.demap_tile_at(LaneWidth::detect(), ys, out);
-    }
-
+    /// Point-outer kernel over one cache-resident tile at lane width
+    /// `width`.
     fn demap_tile_at(&self, width: LaneWidth, ys: &[C32], out: &mut [f32]) {
         MAXLOG_SCRATCH.with(|sc| {
             simd::dispatch_at(
@@ -628,12 +590,6 @@ impl Demapper for HardNearest {
             "demap_block output buffer must hold exactly {} LLRs",
             ys.len() * m
         );
-        if ys.len() <= 1 {
-            if let Some(&y) = ys.first() {
-                self.llrs(y, out);
-            }
-            return;
-        }
         for (ys_t, out_t) in ys.chunks(BLOCK_TILE).zip(out.chunks_mut(BLOCK_TILE * m)) {
             self.demap_tile(ys_t, out_t);
         }

@@ -14,7 +14,7 @@
 //!   DESIGN.md §7): exact log-MAP and the suboptimal **max-log**
 //!   demapper of Robertson et al. 1995 that the paper runs on
 //!   extracted centroids, plus hard decision;
-//! - [`metrics`] — BER/SER counting, bitwise mutual information, EVM;
+//! - [`metrics`] — bitwise mutual information from LLRs;
 //! - [`equalizer`] — linear FIR equalization for ISI channels: CMA
 //!   acquisition, decision-directed LMS tracking and supervised
 //!   LS/pilot bootstrap; a stateful per-link stage that runs ahead of

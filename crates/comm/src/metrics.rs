@@ -1,25 +1,6 @@
-//! Receiver-side quality metrics.
-//!
-//! - [`count_bit_errors`] / [`count_symbol_errors`] — the raw material
-//!   of BER/SER curves;
-//! - [`BitwiseMiEstimator`] — the bitwise mutual information the paper's
-//!   E2E training maximises, estimated from LLRs;
-//! - [`evm_rms`] — error-vector magnitude, a training-free channel
-//!   quality indicator used by the adaptation controller.
-
-use hybridem_mathkit::complex::C32;
-
-/// Counts differing bits between two equal-length bit slices.
-pub fn count_bit_errors(a: &[u8], b: &[u8]) -> u64 {
-    assert_eq!(a.len(), b.len(), "bit slice length mismatch");
-    a.iter().zip(b).filter(|(x, y)| x != y).count() as u64
-}
-
-/// Counts differing symbols between two equal-length index slices.
-pub fn count_symbol_errors(a: &[usize], b: &[usize]) -> u64 {
-    assert_eq!(a.len(), b.len(), "symbol slice length mismatch");
-    a.iter().zip(b).filter(|(x, y)| x != y).count() as u64
-}
+//! Receiver-side quality metrics: [`BitwiseMiEstimator`], the bitwise
+//! mutual information the paper's E2E training maximises, estimated
+//! from LLRs.
 
 /// Streaming estimator of the **bitwise mutual information** (in bits
 /// per channel bit) from LLR observations, assuming equiprobable bits:
@@ -87,36 +68,9 @@ impl BitwiseMiEstimator {
     }
 }
 
-/// RMS error-vector magnitude between received samples and their
-/// references, normalised by reference RMS power.
-pub fn evm_rms(received: &[C32], reference: &[C32]) -> f64 {
-    assert_eq!(received.len(), reference.len(), "EVM length mismatch");
-    if received.is_empty() {
-        return 0.0;
-    }
-    let mut err = 0.0f64;
-    let mut sig = 0.0f64;
-    for (&y, &x) in received.iter().zip(reference) {
-        err += y.dist_sqr(x) as f64;
-        sig += x.norm_sqr() as f64;
-    }
-    if sig == 0.0 {
-        f64::NAN
-    } else {
-        (err / sig).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bit_error_counting() {
-        assert_eq!(count_bit_errors(&[0, 1, 1, 0], &[0, 1, 0, 1]), 2);
-        assert_eq!(count_bit_errors(&[], &[]), 0);
-        assert_eq!(count_symbol_errors(&[3, 5, 7], &[3, 4, 7]), 1);
-    }
 
     #[test]
     fn mi_perfect_channel_approaches_one() {
@@ -176,15 +130,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mi() - whole.mi()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn evm_known_values() {
-        let x = [C32::new(1.0, 0.0), C32::new(0.0, 1.0)];
-        assert_eq!(evm_rms(&x, &x), 0.0);
-        let y = [C32::new(1.1, 0.0), C32::new(0.0, 0.9)];
-        let e = evm_rms(&y, &x);
-        assert!((e - (0.02f64 / 2.0).sqrt()).abs() < 1e-7);
-        assert!(evm_rms(&[], &[]) == 0.0);
     }
 }

@@ -288,9 +288,10 @@ impl Trajectory {
     /// Appends a constant segment.
     ///
     /// # Panics
-    /// Panics if `frames == 0`.
+    /// Panics if `frames == 0` or `state.es_n0_db` is NaN or −∞.
     pub fn hold(mut self, frames: u64, state: ChannelState) -> Self {
         assert!(frames > 0, "segment must last at least one frame");
+        check_es_n0(state.es_n0_db);
         self.segments.push(Segment {
             frames,
             start: state,
@@ -303,10 +304,11 @@ impl Trajectory {
     /// `to`.
     ///
     /// # Panics
-    /// Panics if `frames == 0` or the trajectory has no segment yet
-    /// (a ramp needs a starting state).
+    /// Panics if `frames == 0`, `to.es_n0_db` is NaN or −∞, or the
+    /// trajectory has no segment yet (a ramp needs a starting state).
     pub fn ramp(mut self, frames: u64, to: ChannelState) -> Self {
         assert!(frames > 0, "segment must last at least one frame");
+        check_es_n0(to.es_n0_db);
         let from = self
             .segments
             .last()
@@ -403,7 +405,16 @@ fn phase_stage(theta: f32) -> Option<PhaseOffset> {
 }
 
 fn awgn_stage(es_n0_db: f64) -> Option<Awgn> {
-    es_n0_db.is_finite().then(|| Awgn::from_es_n0_db(es_n0_db))
+    (es_n0_db != f64::INFINITY).then(|| Awgn::from_es_n0_db(es_n0_db))
+}
+
+/// A segment's Es/N0 is finite or `f64::INFINITY`, the one noiseless
+/// value (the only one [`awgn_stage`] lowers to no AWGN stage).
+fn check_es_n0(es_n0_db: f64) {
+    assert!(
+        es_n0_db.is_finite() || es_n0_db == f64::INFINITY,
+        "segment Es/N0 must be finite or +inf (noiseless), got {es_n0_db}"
+    );
 }
 
 /// A [`Trajectory`] played back as a stateful [`Channel`].
@@ -884,6 +895,20 @@ mod tests {
     #[should_panic(expected = "at least one frame")]
     fn zero_length_segments_rejected() {
         let _ = Trajectory::new("bad").hold(0, ChannelState::clean(10.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite or +inf")]
+    fn negative_infinite_es_n0_rejected() {
+        let _ = Trajectory::new("bad").hold(10, ChannelState::clean(f64::NEG_INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite or +inf")]
+    fn nan_es_n0_ramp_rejected() {
+        let _ = Trajectory::new("bad")
+            .hold(1, ChannelState::clean(10.0))
+            .ramp(4, ChannelState::clean(f64::NAN));
     }
 
     #[test]

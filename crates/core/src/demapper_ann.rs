@@ -117,14 +117,6 @@ impl Demapper for NeuralDemapper {
         self.model.output_dim()
     }
 
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        let z = self.logits(&Matrix::from_vec(1, 2, vec![y.re, y.im]));
-        let m = self.bits_per_symbol();
-        for k in 0..m {
-            out[k] = -z[(0, k)];
-        }
-    }
-
     fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
         let m = self.bits_per_symbol();
         assert_eq!(
@@ -138,8 +130,9 @@ impl Demapper for NeuralDemapper {
         }
         // One N×2 batched inference for the whole block. Dense rows are
         // independent dot products, so row r of the batch is
-        // bit-identical to a 1×2 inference of sample r — the property
-        // the block≡per-symbol tests pin down.
+        // bit-identical to a 1×2 inference of sample r (and so to
+        // `llrs`, the one-row block) — the property the split-invariance
+        // tests pin down.
         BLOCK_SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
             s.input.resize_to(ys.len(), 2);

@@ -54,18 +54,10 @@ impl Demapper for HybridDemapper {
         self.maxlog.bits_per_symbol()
     }
 
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        self.maxlog.llrs(y, out);
-    }
-
     fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
         // Forward to the inner block kernel: the hybrid demapper adds
         // no per-symbol work of its own.
         self.maxlog.demap_block(ys, out);
-    }
-
-    fn hard_decide_block(&self, ys: &[C32], out: &mut [u8]) {
-        self.maxlog.hard_decide_block(ys, out);
     }
 }
 

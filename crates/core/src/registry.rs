@@ -375,13 +375,6 @@ impl Demapper for SpikingDemapper {
         self.inner.bits_per_symbol()
     }
 
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        self.inner.llrs(y, out);
-        for l in out.iter_mut() {
-            *l = self.quantize(*l);
-        }
-    }
-
     fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
         self.inner.demap_block(ys, out);
         for l in out.iter_mut() {

@@ -22,8 +22,9 @@ use hybridem_fixed::{QFormat, Rounding};
 use hybridem_mathkit::complex::C32;
 use std::cell::RefCell;
 
-/// Most bits a centroid set can encode (bounds the per-symbol stack
-/// buffers that keep the legacy entry points allocation-free).
+/// Most bits a centroid set can encode (bounds the stack planes that
+/// keep the per-symbol [`SoftDemapperAccel::process_into`]
+/// allocation-free).
 const MAX_BITS: usize = 16;
 
 /// Reusable block-kernel buffers. One set per thread: the link
@@ -187,17 +188,6 @@ impl SoftDemapperAccel {
         }
     }
 
-    /// LLRs as f32 (dequantised) — the receiver-facing view.
-    /// Allocation-free: stages raw LLRs on the stack.
-    pub fn llrs_f32(&self, y: C32, out: &mut [f32]) {
-        let m = self.bits_per_symbol;
-        let mut raws = [0i64; MAX_BITS];
-        self.process_into(y, &mut raws[..m]);
-        for (o, &r) in out.iter_mut().zip(&raws[..m]) {
-            *o = self.cfg.llr_format.f64_from_raw(r) as f32;
-        }
-    }
-
     /// Scales a min-difference to the raw LLR format (the DSP stage).
     #[inline]
     fn scale_raw_llr(&self, diff: i64, dist_frac: u32) -> i64 {
@@ -227,12 +217,6 @@ impl SoftDemapperAccel {
             "process_block output buffer must hold exactly {} LLRs",
             ys.len() * m
         );
-        if ys.len() <= 1 {
-            if let Some(&y) = ys.first() {
-                self.process_into(y, out);
-            }
-            return;
-        }
         // Tile so the running-min planes stay cache-resident (see
         // `hybridem_comm::demapper::BLOCK_TILE`); symbols are
         // independent, so tiling cannot change results.
@@ -288,26 +272,6 @@ impl SoftDemapperAccel {
                 for (k, o) in chunk.iter_mut().enumerate() {
                     *o = self.scale_raw_llr(s.min1[k * n + sym] - s.min0[k * n + sym], dist_frac);
                 }
-            }
-        });
-    }
-
-    /// Dequantised block demap (symbol-major f32 LLRs) — the
-    /// receiver-facing block view backing the [`Demapper`] impl.
-    pub fn llrs_f32_block(&self, ys: &[C32], out: &mut [f32]) {
-        let m = self.bits_per_symbol;
-        assert_eq!(
-            out.len(),
-            ys.len() * m,
-            "llrs_f32_block output buffer must hold exactly {} LLRs",
-            ys.len() * m
-        );
-        RAW_SCRATCH.with(|cell| {
-            let raws = &mut *cell.borrow_mut();
-            raws.resize(ys.len() * m, 0);
-            self.process_block(ys, raws);
-            for (o, &r) in out.iter_mut().zip(raws.iter()) {
-                *o = self.cfg.llr_format.f64_from_raw(r) as f32;
             }
         });
     }
@@ -398,17 +362,22 @@ impl SoftDemapperAccel {
 /// The accelerator is a drop-in receiver demapper: the bit-exact
 /// quantised datapath slots straight into the link simulator and the
 /// frame receiver through the workspace [`Demapper`] trait.
+/// `demap_block` is [`SoftDemapperAccel::process_block`] with every raw
+/// LLR dequantised to f32, symbol-major.
 impl Demapper for SoftDemapperAccel {
     fn bits_per_symbol(&self) -> usize {
         self.bits_per_symbol
     }
 
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        self.llrs_f32(y, &mut out[..self.bits_per_symbol]);
-    }
-
     fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
-        self.llrs_f32_block(ys, out);
+        RAW_SCRATCH.with(|cell| {
+            let raws = &mut *cell.borrow_mut();
+            raws.resize(out.len(), 0);
+            self.process_block(ys, raws);
+            for (o, &r) in out.iter_mut().zip(raws.iter()) {
+                *o = self.cfg.llr_format.f64_from_raw(r) as f32;
+            }
+        });
     }
 }
 
@@ -437,7 +406,7 @@ mod tests {
         let total = 2000usize;
         for _ in 0..total {
             let y = C32::new(rng.normal_f32() * 0.7, rng.normal_f32() * 0.7);
-            hw.llrs_f32(y, &mut llr_hw);
+            hw.llrs(y, &mut llr_hw);
             reference.llrs(y, &mut llr_ref);
             for k in 0..4 {
                 // Decisions must agree except for near-zero LLRs where
@@ -464,7 +433,7 @@ mod tests {
         let mut llr_hw = [0f32; 4];
         let mut llr_ref = [0f32; 4];
         let y = C32::new(0.31, -0.62);
-        hw.llrs_f32(y, &mut llr_hw);
+        hw.llrs(y, &mut llr_hw);
         reference.llrs(y, &mut llr_ref);
         for k in 0..4 {
             let err = (llr_hw[k] - llr_ref[k]).abs();

@@ -337,24 +337,6 @@ impl QuantizedGraph {
         }
     }
 
-    /// f32 LLR block view backing the [`Demapper`] impl: symbol-major,
-    /// `LLR > 0 ⇒ bit 0`.
-    pub fn llrs_block(&self, ys: &[C32], out: &mut [f32], scratch: &mut GraphScratch) {
-        let m = self.output_dim();
-        assert_eq!(
-            out.len(),
-            ys.len() * m,
-            "llrs_block output buffer must hold exactly {} LLRs",
-            ys.len() * m
-        );
-        let mut raw = std::mem::take(&mut scratch.raw);
-        self.process_block_raw(ys, &mut raw, scratch);
-        for (o, &r) in out.iter_mut().zip(raw.iter()) {
-            *o = self.llr_from_raw(r);
-        }
-        scratch.raw = raw;
-    }
-
     /// One raw output to one LLR, per the graph's output semantic.
     #[inline]
     fn llr_from_raw(&self, raw: i64) -> f32 {
@@ -391,22 +373,31 @@ impl QuantizedGraph {
 /// The compiled graph is a drop-in receiver demapper: the integer
 /// datapath slots into the link simulator and the campaign engine
 /// through the workspace [`Demapper`] trait, with per-thread scratch
-/// keeping the Monte-Carlo hot loop allocation-free.
+/// keeping the Monte-Carlo hot loop allocation-free. `demap_block`
+/// runs [`QuantizedGraph::process_block_raw`] and maps each raw output
+/// to a symbol-major f32 LLR (`LLR > 0 ⇒ bit 0`); `llrs` is its
+/// one-symbol block.
 impl Demapper for QuantizedGraph {
     fn bits_per_symbol(&self) -> usize {
         self.output_dim()
     }
 
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        let m = self.output_dim();
-        GRAPH_SCRATCH.with(|cell| {
-            self.llrs_block(&[y], &mut out[..m], &mut cell.borrow_mut());
-        });
-    }
-
     fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
+        let m = self.output_dim();
+        assert_eq!(
+            out.len(),
+            ys.len() * m,
+            "demap_block output buffer must hold exactly {} LLRs",
+            ys.len() * m
+        );
         GRAPH_SCRATCH.with(|cell| {
-            self.llrs_block(ys, out, &mut cell.borrow_mut());
+            let scratch = &mut *cell.borrow_mut();
+            let mut raw = std::mem::take(&mut scratch.raw);
+            self.process_block_raw(ys, &mut raw, scratch);
+            for (o, &r) in out.iter_mut().zip(&raw) {
+                *o = self.llr_from_raw(r);
+            }
+            scratch.raw = raw;
         });
     }
 }

@@ -248,37 +248,20 @@ fn ceil_log2(n: usize) -> u32 {
     (usize::BITS - (n - 1).leading_zeros()).max(1)
 }
 
-/// Reusable buffers for [`Mvau::process_block_into`], mirroring
-/// `hybridem_nn`'s `InferScratch`: after one warm-up block at a given
-/// tile size the buffers are at their high-water mark and the whole
-/// integer pipeline allocates nothing (asserted by the fpga crate's
-/// counting-allocator test).
+/// Reusable buffer for [`Mvau::process_block_into`], mirroring
+/// `hybridem_nn`'s `InferScratch`: the narrowed (`i32`) symbol-major
+/// inputs of one tile of the i32 kernel, whose accumulators and
+/// outputs live in SIMD registers. After one warm-up block it is at
+/// its high-water mark and the whole integer pipeline allocates
+/// nothing (asserted by the fpga crate's counting-allocator test).
 pub struct MvauScratch {
-    /// Feature-major transpose of one input tile (`in_dim` planes of
-    /// `tile` raw values each) — the layout that lets the MAC inner
-    /// loop stream unit-stride.
-    tr: Vec<i64>,
-    /// Per-symbol accumulators for one output neuron over a tile.
-    acc: Vec<i64>,
-    /// Neuron-major activated outputs of one tile, transposed to the
-    /// symbol-major output layout in one pass (unit-stride writes in
-    /// both stages).
-    outp: Vec<i64>,
-    /// Narrowed (`i32`) symbol-major inputs for the fast path —
-    /// accumulators and outputs live in SIMD registers there, so this
-    /// is the fast path's only buffer.
-    tr32: Vec<i32>,
+    xn: Vec<i32>,
 }
 
 impl MvauScratch {
-    /// Empty scratch; buffers grow on first use.
+    /// Empty scratch; the buffer grows on first use.
     pub fn new() -> Self {
-        Self {
-            tr: Vec::new(),
-            acc: Vec::new(),
-            outp: Vec::new(),
-            tr32: Vec::new(),
-        }
+        Self { xn: Vec::new() }
     }
 }
 
@@ -318,10 +301,11 @@ enum FastEpilogue {
 /// provably fits an `i32` (the accumulator format's guard bits plus
 /// one headroom bit stay under 31 bits), the output raw range fits an
 /// `i32`, and the activation reduces to [`FastEpilogue`] integer
-/// arithmetic. The block kernel then runs 32-bit SIMD MACs (twice the
-/// lanes of the 64-bit path, single-instruction vector multiplies)
-/// with results identical to the 64-bit `Fx` path: exact integer
-/// arithmetic is exact at any width that never overflows.
+/// arithmetic. The block kernel then runs 32-bit SIMD MACs
+/// (single-instruction vector multiplies) with results identical to
+/// the 64-bit `Fx` path of [`Mvau::process_into`]: exact integer
+/// arithmetic is exact at any width that never overflows. Layers
+/// without a plan run that per-symbol path instead.
 #[derive(Clone, Debug)]
 struct FastPlan {
     /// `i32` copy of the weights, `out_dim × in_dim` row-major (the
@@ -734,13 +718,13 @@ impl Mvau {
 
     /// Bit-exact block forward pass: `inputs` holds `n · in_dim` raw
     /// values symbol-major, `out` receives `n · out_dim` raw outputs
-    /// symbol-major. Results equal a [`Mvau::process`] loop exactly —
-    /// every `(symbol, neuron)` accumulation runs in the same fan-in
-    /// order, and integer addition is associative — but the kernel is
-    /// restructured for throughput: each input tile is transposed to
-    /// feature-major planes once, then every weight scalar streams
-    /// across a contiguous plane of symbols (unit-stride MACs), and
-    /// nothing allocates once `scratch` is warm.
+    /// symbol-major. Results equal a [`Mvau::process`] loop exactly:
+    /// a layer with the i32 fast path ([`Mvau::has_fast_path`]) runs
+    /// the output-stationary SIMD kernel tile by tile, in the same
+    /// per-`(symbol, neuron)` fan-in order; any other layer (sigmoid
+    /// LUTs, fraction-growing casts, accumulators over 30 bits) runs
+    /// [`Mvau::process_into`] per symbol. Nothing allocates once
+    /// `scratch` is warm.
     pub fn process_block_into(&self, inputs: &[i64], out: &mut [i64], scratch: &mut MvauScratch) {
         self.process_block_into_at(LaneWidth::detect(), inputs, out, scratch);
     }
@@ -766,65 +750,36 @@ impl Mvau {
         );
         let n = inputs.len() / in_dim;
         assert_eq!(out.len(), n * out_dim, "block output buffer size");
-        let acc_fmt = self.cfg.acc_format();
+        let Some(plan) = &self.fast else {
+            for (x, y) in inputs
+                .chunks_exact(in_dim)
+                .zip(out.chunks_exact_mut(out_dim))
+            {
+                self.process_into(x, y);
+            }
+            return;
+        };
         for (in_tile, out_tile) in inputs
             .chunks(TILE * in_dim)
             .zip(out.chunks_mut(TILE * out_dim))
         {
-            let nt = in_tile.len() / in_dim;
-            if let Some(plan) = &self.fast {
-                // Narrow fast path: 32-bit output-stationary SIMD MACs
-                // + integer epilogue, provably exact (see
-                // [`FastPlan`]), at the lane width probed by
-                // `mathkit::simd`. Inputs and outputs stay
-                // symbol-major; no transposes.
-                simd::dispatch_at(
-                    width,
-                    MacKernel32 {
-                        inputs: in_tile,
-                        xn: &mut scratch.tr32,
-                        out: out_tile,
-                        in_dim,
-                        out_dim,
-                        pe: self.cfg.pe(),
-                        simd: self.cfg.simd(),
-                        plan,
-                    },
-                );
-            } else {
-                // Wide path: 64-bit MACs over the transposed planes,
-                // with the Fx-based activation epilogue (sigmoid LUTs,
-                // fraction-growing casts, >30-bit accumulators).
-                scratch.tr.resize(in_dim * nt, 0);
-                for (s, sym) in in_tile.chunks_exact(in_dim).enumerate() {
-                    for (i, &x) in sym.iter().enumerate() {
-                        scratch.tr[i * nt + s] = x;
-                    }
-                }
-                scratch.outp.resize(out_dim * nt, 0);
-                scratch.acc.resize(nt, 0);
-                for o in 0..out_dim {
-                    let row = &self.weights[o * in_dim..(o + 1) * in_dim];
-                    scratch.acc.fill(self.biases[o]);
-                    for (i, &w) in row.iter().enumerate() {
-                        let plane = &scratch.tr[i * nt..(i + 1) * nt];
-                        for (a, &x) in scratch.acc.iter_mut().zip(plane) {
-                            *a += w * x;
-                        }
-                    }
-                    for a in scratch.acc.iter_mut() {
-                        *a = acc_fmt.saturate(*a).0;
-                    }
-                    let oplane = &mut scratch.outp[o * nt..(o + 1) * nt];
-                    self.apply_activation_plane(acc_fmt, &scratch.acc, oplane);
-                }
-                // Neuron-major → symbol-major in one pass.
-                for (s, sym) in out_tile.chunks_exact_mut(out_dim).enumerate() {
-                    for (o, slot) in sym.iter_mut().enumerate() {
-                        *slot = scratch.outp[o * nt + s];
-                    }
-                }
-            }
+            // 32-bit output-stationary SIMD MACs + integer epilogue,
+            // provably exact (see [`FastPlan`]), at the lane width
+            // probed by `mathkit::simd`. Inputs and outputs stay
+            // symbol-major; no transposes.
+            simd::dispatch_at(
+                width,
+                MacKernel32 {
+                    inputs: in_tile,
+                    xn: &mut scratch.xn,
+                    out: out_tile,
+                    in_dim,
+                    out_dim,
+                    pe: self.cfg.pe(),
+                    simd: self.cfg.simd(),
+                    plan,
+                },
+            );
         }
     }
 
@@ -840,36 +795,6 @@ impl Mvau {
                 .cast(self.cfg.out_format, Rounding::Nearest)
                 .raw(),
             HwActivation::Sigmoid(lut) => lut.lookup(acc_raw, acc_fmt),
-        }
-    }
-
-    /// The block kernels' epilogue: [`Mvau::apply_activation`] over a
-    /// whole saturated-accumulator plane, with the activation dispatch
-    /// hoisted out of the inner loop so the cast arithmetic (the same
-    /// `Fx` operations, branch for branch) runs in tight monomorphic
-    /// loops the compiler can vectorise.
-    fn apply_activation_plane(&self, acc_fmt: QFormat, accs: &[i64], out: &mut [i64]) {
-        match &self.activation {
-            HwActivation::Relu => {
-                for (op, &a) in out.iter_mut().zip(accs) {
-                    let clamped = a.max(0);
-                    *op = hybridem_fixed::Fx::from_raw(clamped, acc_fmt)
-                        .cast(self.cfg.out_format, Rounding::Truncate)
-                        .raw();
-                }
-            }
-            HwActivation::Linear => {
-                for (op, &a) in out.iter_mut().zip(accs) {
-                    *op = hybridem_fixed::Fx::from_raw(a, acc_fmt)
-                        .cast(self.cfg.out_format, Rounding::Nearest)
-                        .raw();
-                }
-            }
-            HwActivation::Sigmoid(lut) => {
-                for (op, &a) in out.iter_mut().zip(accs) {
-                    *op = lut.lookup(a, acc_fmt);
-                }
-            }
         }
     }
 
@@ -932,27 +857,6 @@ impl Mvau {
             ..Default::default()
         };
         r
-    }
-
-    /// Combinational critical path (ns) when the unit is *not*
-    /// pipelined: multiplier, full adder tree, activation step —
-    /// inflated by a routing/congestion factor.
-    pub fn critical_path_ns(&self) -> f64 {
-        use crate::resources::delay_ns::*;
-        let mult = if self
-            .cfg
-            .weight_format
-            .total_bits
-            .min(self.cfg.in_format.total_bits)
-            >= resources::DSP_MULT_THRESHOLD
-        {
-            DSP_MULT
-        } else {
-            LUT_MULT
-        };
-        let tree = ceil_log2(self.cfg.in_dim) as f64 * ADD_LEVEL;
-        let act = LUT_STEP;
-        mult + tree + act + REG_OVERHEAD
     }
 }
 
@@ -1145,19 +1049,6 @@ mod tests {
             "256 small weights fit LUTRAM when read-only"
         );
         assert_eq!(rw.bram36, 8.0, "16 PEs × half-BRAM when runtime-writable");
-    }
-
-    #[test]
-    fn critical_path_grows_with_fan_in() {
-        let small = make_mvau(4, 2, HwActivation::Linear);
-        let cfg = MvauConfig::full_parallel(64, 4, fmt8_6(), fmt8_6(), fmt8_6(), false);
-        let big = Mvau::from_dense(
-            cfg,
-            &Matrix::zeros(4, 64),
-            &Matrix::zeros(1, 4),
-            HwActivation::Linear,
-        );
-        assert!(big.critical_path_ns() > small.critical_path_ns());
     }
 
     #[test]

@@ -179,21 +179,6 @@ pub fn memory(total_bits: u64, width: u32) -> ResourceUsage {
     }
 }
 
-/// Gate-level delay model (nanoseconds) for critical-path estimates,
-/// matching mid-speed-grade UltraScale+ numbers with routing margin.
-pub mod delay_ns {
-    /// DSP48 multiply (combinational view, incl. routing).
-    pub const DSP_MULT: f64 = 4.0;
-    /// LUT-fabric multiply for small operands.
-    pub const LUT_MULT: f64 = 3.0;
-    /// One adder/comparator level (carry chain + routing).
-    pub const ADD_LEVEL: f64 = 1.6;
-    /// LUT lookup (activation tables, muxes).
-    pub const LUT_STEP: f64 = 1.0;
-    /// Clock-to-out + setup overhead per register stage.
-    pub const REG_OVERHEAD: f64 = 0.6;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

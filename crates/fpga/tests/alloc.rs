@@ -77,7 +77,6 @@ fn accel_block_and_per_symbol_paths_allocate_nothing_when_warm() {
     let mut single = [0f32; 4];
     let before = allocations();
     for &y in &ys {
-        accel.llrs_f32(y, &mut single);
         accel.llrs(y, &mut single);
     }
     assert_eq!(

@@ -62,7 +62,7 @@ proptest! {
         let mut f32_single = vec![0f32; m];
         for (s, &y) in ys.iter().enumerate() {
             prop_assert_eq!(&raw_block[s * m..(s + 1) * m], &accel.process(y)[..]);
-            accel.llrs_f32(y, &mut f32_single);
+            accel.llrs(y, &mut f32_single);
             for k in 0..m {
                 prop_assert_eq!(f32_block[s * m + k].to_bits(), f32_single[k].to_bits());
             }

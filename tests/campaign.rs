@@ -27,7 +27,7 @@ use hybridem::mathkit::complex::C32;
 use hybridem::mathkit::json::{FromJson, Json, ToJson};
 use hybridem::mathkit::stats::ErrorCounter;
 
-/// Forces the default per-symbol `llrs` loop for `demap_block`,
+/// Demaps a block as a loop of the inner demapper's per-symbol `llrs`,
 /// turning any campaign into a test of the per-symbol reference path.
 struct PerSymbol<D: Demapper>(D);
 
@@ -36,11 +36,13 @@ impl<D: Demapper> Demapper for PerSymbol<D> {
         self.0.bits_per_symbol()
     }
 
-    fn llrs(&self, y: C32, out: &mut [f32]) {
-        self.0.llrs(y, out);
+    fn demap_block(&self, ys: &[C32], out: &mut [f32]) {
+        let m = self.bits_per_symbol();
+        assert_eq!(out.len(), ys.len() * m);
+        for (&y, chunk) in ys.iter().zip(out.chunks_exact_mut(m)) {
+            self.0.llrs(y, chunk);
+        }
     }
-    // demap_block intentionally NOT overridden: the trait default
-    // loops `llrs` symbol by symbol.
 }
 
 /// Max-log family that demaps through the per-symbol path (grid SNR =

@@ -1,9 +1,10 @@
 //! Backend-registry acceptance (DESIGN.md §13): enumerating the
 //! campaign line-up from [`hybridem::core::registry::paper_registry`]
 //! is a pure refactor — every family the old hand-built list produced
-//! yields byte-identical campaign points — and the registry's
-//! selection rule is monotone in SNR: more SNR never buys a more
-//! expensive backend, and never loses feasibility.
+//! yields byte-identical campaign points — the registry's selection
+//! rule is monotone in SNR: more SNR never buys a more expensive
+//! backend, and never loses feasibility — and every backend demaps a
+//! block bit-identically however it is split, with finite LLRs.
 
 use hybridem::comm::campaign::{run_campaign, CampaignSpec, DemapperFamily, EarlyStop};
 use hybridem::comm::constellation::Constellation;
@@ -14,10 +15,12 @@ use hybridem::core::eval::{campaign_families, paper_scenarios};
 use hybridem::core::hybrid::HybridDemapper;
 use hybridem::core::pipeline::HybridPipeline;
 use hybridem::core::qat::{qat_quantized_demapper, QatConfig};
-use hybridem::core::registry::{switch_registry, BackendRegistry};
+use hybridem::core::registry::{paper_registry, switch_registry, BackendRegistry};
 use hybridem::fpga::demapper_accel::{SoftDemapperAccel, SoftDemapperConfig};
 use hybridem::fpga::graph::QuantizedGraph;
+use hybridem::mathkit::complex::C32;
 use hybridem::mathkit::json::ToJson;
+use hybridem::mathkit::rng::{Rng64, Xoshiro256pp};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -154,8 +157,76 @@ fn shared_registry() -> &'static BackendRegistry {
     REG.get_or_init(|| switch_registry(&trained_pipe(), &[]))
 }
 
+/// The full paper line-up with quick W4/W6/W8 QAT graphs, so every
+/// backend kind (max-log, float ANN, hybrid, accelerator, integer
+/// graphs, exact log-MAP, spiking) is covered — built once.
+fn paper_line_up() -> &'static BackendRegistry {
+    static REG: OnceLock<BackendRegistry> = OnceLock::new();
+    REG.get_or_init(|| {
+        let pipe = trained_pipe();
+        let graphs: Vec<QuantizedGraph> = [4u32, 6, 8]
+            .iter()
+            .map(|&bits| {
+                let mut qcfg = QatConfig::at_bits(bits);
+                qcfg.steps = 4;
+                qcfg.batch = 16;
+                qat_quantized_demapper(&pipe, &qcfg)
+            })
+            .collect();
+        paper_registry(&pipe, &SoftDemapperConfig::paper_default(), &graphs)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A backend's LLRs for a symbol do not depend on the block it
+    /// arrives in — the property the link server's byte-identical
+    /// output across batch sizes rests on, and the one `llrs` (a
+    /// one-symbol block) inherits — and finite input gives finite
+    /// LLRs from deep noise to 40 dB.
+    #[test]
+    fn every_backend_demaps_split_blocks_identically_with_finite_llrs(
+        len in 0usize..301,
+        cut in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let at = (cut % (len as u64 + 1)) as usize;
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        for (_, backend) in paper_line_up().iter() {
+            let points = backend.constellation().points();
+            for es_n0_db in [-10.0, 0.0, 14.0, 40.0] {
+                let sigma = noise_sigma(es_n0_db, 1.0) as f32;
+                let ys: Vec<C32> = (0..len)
+                    .map(|_| {
+                        let c = points[rng.below(points.len() as u32) as usize];
+                        C32::new(
+                            c.re + sigma * rng.normal_f32(),
+                            c.im + sigma * rng.normal_f32(),
+                        )
+                    })
+                    .collect();
+                let d = backend.demapper(es_n0_db);
+                let m = d.bits_per_symbol();
+                let mut whole = vec![0f32; len * m];
+                d.demap_block(&ys, &mut whole);
+                let mut split = vec![0f32; len * m];
+                let (head, tail) = split.split_at_mut(at * m);
+                d.demap_block(&ys[..at], head);
+                d.demap_block(&ys[at..], tail);
+                let name = backend.name();
+                prop_assert!(
+                    whole.iter().zip(&split).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{} at {} dB: splitting {} symbols at {} changed the LLRs",
+                    name, es_n0_db, len, at
+                );
+                prop_assert!(
+                    whole.iter().all(|l| l.is_finite()),
+                    "{} at {} dB: non-finite LLR", name, es_n0_db
+                );
+            }
+        }
+    }
 
     /// Selection is monotone in SNR: raising Es/N0 (a) never loses
     /// feasibility, and (b) never selects a backend that is strictly
