@@ -225,5 +225,5 @@ fn main() {
         println!("| {k} | {v:.1} |");
     }
 
-    perf::gate("perf", "Melem/s", &[("equalizer", &results)]);
+    perf::gate("equalizer perf", "Melem/s", &[("equalizer", &results)]);
 }

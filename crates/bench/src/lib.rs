@@ -1,9 +1,9 @@
 //! # hybridem-bench
 //!
 //! Experiment harness: one binary per paper artefact (Fig. 2, Fig. 3,
-//! Table 1, Table 2) plus ablation sweeps, and criterion benches for
-//! the hot paths. Binaries print Markdown tables to stdout and write
-//! JSON/PGM artefacts under `results/`.
+//! Table 1, Table 2) plus ablation sweeps, and the perf gates for the
+//! hot paths ([`perf`]). Binaries print Markdown tables to stdout and
+//! write JSON/PGM artefacts under `results/`.
 //!
 //! | Binary | Paper artefact |
 //! |---|---|
@@ -13,6 +13,7 @@
 //! | `table2_hardware` | Table 2 — FPGA implementation comparison |
 //! | `campaign` | Fig. 2 as a campaign: waterfall sweep, all receivers × impairments, early stopping |
 //! | `drift_runtime` | (ext.) §II-C online: time-varying links through the trigger→retrain→redeploy loop |
+//! | `backend_switch` | (ext.) per-link backend switching on an SNR ramp over the backend registry |
 //! | `ablation_dop` | (ext.) MVAU folding: DSP ↔ latency ↔ power |
 //! | `ablation_quant` | (ext.) bit-width vs BER |
 //! | `ablation_grid` | (ext.) extraction-grid resolution |

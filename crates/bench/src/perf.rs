@@ -319,7 +319,10 @@ pub fn gate(gate: &str, unit: &str, benches: &[(&str, &[(String, f64)])]) {
         }
     }
     if failed {
-        eprintln!("\n{gate} gate FAILED (>15% below the last committed entry)");
+        eprintln!(
+            "\n{gate} gate FAILED (>{:.0}% below the last committed entry)",
+            REGRESSION_TOLERANCE * 100.0
+        );
         std::process::exit(1);
     }
     println!("\n{gate} gate OK");
@@ -429,14 +432,16 @@ mod tests {
 
     #[test]
     fn committed_trajectories_validate() {
-        // The in-repo BENCH_*.json files must always satisfy their own
-        // schema — this is what lets the perf gate trust them.
+        // The in-repo BENCH_*.json files must exist and satisfy their
+        // own schema — this is what lets the perf gate trust them. A
+        // missing file would silently start a trajectory with no
+        // baseline.
         for bench in ["mvau", "demap", "linkserver", "equalizer"] {
             let p = trajectory_path(bench);
-            if let Ok(text) = std::fs::read_to_string(&p) {
-                let doc = Json::parse(&text).expect("committed trajectory parses");
-                validate_trajectory(&doc, bench).expect("committed trajectory validates");
-            }
+            let text = std::fs::read_to_string(&p)
+                .unwrap_or_else(|e| panic!("committed trajectory {}: {e}", p.display()));
+            let doc = Json::parse(&text).expect("committed trajectory parses");
+            validate_trajectory(&doc, bench).expect("committed trajectory validates");
         }
     }
 }

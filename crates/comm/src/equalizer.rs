@@ -12,11 +12,9 @@
 //!
 //! ## Adaptation paths
 //!
-//! - **Supervised bootstrap** ([`AdaptiveEqualizer::bootstrap_ls`]):
-//!   given pilot symbols, a regularised least-squares fit of the tap
-//!   vector (complex LS via re/im stacking on
-//!   `mathkit::linsolve::solve_least_squares`). One call lands the
-//!   equalizer at the MMSE-ish solution and resolves absolute phase.
+//! - **Supervised** ([`AdaptiveEqualizer::train`]): given pilot
+//!   symbols, per-symbol LMS against the known transmitted symbols,
+//!   which also resolves absolute phase.
 //! - **Unsupervised** ([`AdaptiveEqualizer::equalize`]): per-symbol
 //!   stochastic-gradient updates. In CMA mode the error is
 //!   `e = z·(|z|² − R₂)` with `R₂ = E|a|⁴ / E|a|²` over the
@@ -32,7 +30,7 @@
 //! constellation. The drift-suite ISI presets keep the channel's main
 //! tap positive-real and the equalizer starts from a unit spike on tap
 //! 0, so acquisition converges to the unrotated inverse; links with
-//! pilots should call `bootstrap_ls` and avoid the ambiguity entirely.
+//! pilots should call `train` and avoid the ambiguity entirely.
 //!
 //! ## Determinism contract
 //!
@@ -51,7 +49,6 @@
 
 use crate::constellation::Constellation;
 use hybridem_mathkit::complex::C32;
-use hybridem_mathkit::linsolve::solve_least_squares;
 
 /// Step sizes and mode-handoff thresholds for [`AdaptiveEqualizer`].
 #[derive(Clone, Copy, Debug)]
@@ -95,8 +92,8 @@ pub enum EqualizerMode {
     DecisionDirected,
 }
 
-/// Linear FIR equalizer with CMA acquisition, DD-LMS tracking and an
-/// optional supervised LS bootstrap. See the module docs for the
+/// Linear FIR equalizer with CMA acquisition, DD-LMS tracking and
+/// optional supervised LMS on pilots. See the module docs for the
 /// algorithm and the determinism contract.
 #[derive(Clone, Debug)]
 pub struct AdaptiveEqualizer {
@@ -252,55 +249,6 @@ impl AdaptiveEqualizer {
             self.mode = EqualizerMode::DecisionDirected;
         }
     }
-
-    /// Supervised least-squares bootstrap: replaces the tap vector with
-    /// the regularised LS fit of `Σ_k w_k·rx[n−k] ≈ tx[n]` over the
-    /// pilot block (complex LS via re/im stacking, ridge `lambda`).
-    /// Seeds the delay line with the trailing pilots and switches to
-    /// DD mode. Returns `false` (taps untouched) when the system is
-    /// singular or the pilot block is shorter than the equalizer.
-    ///
-    /// # Panics
-    /// Panics unless `rx.len() == tx.len()`.
-    pub fn bootstrap_ls(&mut self, rx: &[C32], tx: &[C32], lambda: f64) -> bool {
-        assert_eq!(rx.len(), tx.len(), "pilot rx/tx length mismatch");
-        let l = self.taps.len();
-        if rx.len() < l {
-            return false;
-        }
-        // Unknowns [Re w₀, Im w₀, …]; each sample contributes the real
-        // and imaginary rows of Σ_k w_k·y[n−k] = x[n].
-        let mut rows = Vec::with_capacity(2 * (rx.len() - l + 1));
-        let mut rhs = Vec::with_capacity(rows.capacity());
-        for n in (l - 1)..rx.len() {
-            let mut re_row = vec![0.0f64; 2 * l];
-            let mut im_row = vec![0.0f64; 2 * l];
-            for k in 0..l {
-                let y = rx[n - k];
-                let (yr, yi) = (f64::from(y.re), f64::from(y.im));
-                re_row[2 * k] = yr;
-                re_row[2 * k + 1] = -yi;
-                im_row[2 * k] = yi;
-                im_row[2 * k + 1] = yr;
-            }
-            rows.push(re_row);
-            rhs.push(f64::from(tx[n].re));
-            rows.push(im_row);
-            rhs.push(f64::from(tx[n].im));
-        }
-        let Some(w) = solve_least_squares(&rows, &rhs, 2 * l, lambda) else {
-            return false;
-        };
-        for k in 0..l {
-            self.taps[k] = C32::new(w[2 * k] as f32, w[2 * k + 1] as f32);
-        }
-        for &y in &rx[rx.len() - l..] {
-            self.push(y);
-        }
-        self.mode = EqualizerMode::DecisionDirected;
-        self.dd_mse = 0.0;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -363,22 +311,6 @@ mod tests {
         let (zb, tb) = run();
         assert_eq!(za, zb, "equalized streams differ between identical runs");
         assert_eq!(ta, tb, "tap trajectories differ between identical runs");
-    }
-
-    #[test]
-    fn ls_bootstrap_inverts_channel_from_pilots() {
-        let (tx, rx) = two_ray_stream(256, 3, 0.4, 0.3);
-        let mut eq = AdaptiveEqualizer::new(qpsk(), EqualizerConfig::default());
-        assert!(eq.bootstrap_ls(&rx, &tx, 1e-6));
-        assert_eq!(eq.mode(), EqualizerMode::DecisionDirected);
-        // Equalizing fresh data with the bootstrapped taps must be
-        // near-perfect (noiseless channel, 8-tap inverse of a 0.4 echo
-        // truncates at 0.4⁸ ≈ 6.5e-4 amplitude).
-        let (_, rx2) = two_ray_stream(600, 5, 0.4, 0.3);
-        let mut zs = rx2;
-        eq.equalize(&mut zs);
-        let mse = tail_mse(&qpsk(), &zs, 500);
-        assert!(mse < 1e-3, "LS-bootstrapped equalizer left MSE {mse}");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   extracted centroids, plus hard decision;
 //! - [`metrics`] — bitwise mutual information from LLRs;
 //! - [`equalizer`] — linear FIR equalization for ISI channels: CMA
-//!   acquisition, decision-directed LMS tracking and supervised
-//!   LS/pilot bootstrap; a stateful per-link stage that runs ahead of
-//!   a stateless demapper (DESIGN.md §14);
+//!   acquisition, decision-directed LMS tracking and supervised LMS on
+//!   pilots; a stateful per-link stage that runs ahead of a stateless
+//!   demapper (DESIGN.md §14);
 //! - [`ecc`] — the outer code used for retrain triggering: a rate-1/2
 //!   convolutional code with hard/soft Viterbi;
 //! - [`frame`] — the paper's §II-C monitoring frame: the

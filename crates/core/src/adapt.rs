@@ -53,7 +53,10 @@ pub enum Recommendation {
     Retrain,
 }
 
-/// Sliding-window monitor over pilot errors and ECC corrections.
+/// Monitor over pilot errors and ECC corrections, cumulative since the
+/// last retrain: the counters only grow until
+/// [`reset_after_retrain`](Self::reset_after_retrain) clears them, so
+/// a long clean run delays the trigger on a later drift.
 #[derive(Clone, Debug)]
 pub struct AdaptationController {
     thresholds: AdaptThresholds,
