@@ -5,9 +5,7 @@
 //! Cases (elements = symbols):
 //!
 //! - `BENCH_mvau.json` — the MVAU block datapath, 16×16 W8 Q(8,6)
-//!   ReLU: fully parallel at n=256 (the tracked headline number) and
-//!   n=4096, plus a folded `pe=4, simd=4` variant at n=256 (the
-//!   folding knob must cost what the loop structure says it costs).
+//!   ReLU, at n=256 (the tracked headline number) and n=4096.
 //! - `BENCH_demap.json` — the max-log point-outer kernel (QAM-16,
 //!   σ=0.2) at n=256 and n=4096 against its per-symbol reference, and
 //!   the compiled paper-demapper `QuantizedGraph` block demap at
@@ -28,7 +26,7 @@ use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::{Demapper, MaxLogMap};
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::graph::compile;
-use hybridem_fpga::mvau::{Folding, HwActivation, Mvau, MvauConfig, MvauScratch};
+use hybridem_fpga::mvau::{HwActivation, Mvau, MvauConfig, MvauScratch};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::Xoshiro256pp;
@@ -38,10 +36,9 @@ use std::hint::black_box;
 
 /// The pinned MVAU shape: 16×16 dense, W8 weights/activations (Q8.6),
 /// ReLU — the headline kernel of the issue's 17.6 Melem/s baseline.
-fn pinned_mvau(folding: Folding) -> Mvau {
+fn pinned_mvau() -> Mvau {
     let fmt = QFormat::signed(8, 6);
-    let mut cfg = MvauConfig::full_parallel(16, 16, fmt, fmt, fmt, false);
-    cfg.folding = folding;
+    let cfg = MvauConfig::full_parallel(16, 16, fmt, fmt, fmt, false);
     let mut rng = Xoshiro256pp::seed_from_u64(7);
     let mut w = Matrix::zeros(16, 16);
     for v in w.as_mut_slice() {
@@ -81,19 +78,14 @@ fn main() {
     );
 
     // ---- MVAU block datapath -------------------------------------
-    let full = pinned_mvau(Folding::full(16, 16));
+    let mvau = pinned_mvau();
     assert!(
-        full.has_fast_path(),
+        mvau.has_fast_path(),
         "pinned shape must take the i32 fast path"
     );
-    let folded = pinned_mvau(Folding::new(4, 4));
     let mvau_results = vec![
-        ("mvau_block_n256_w8".to_string(), mvau_case(&full, 256)),
-        ("mvau_block_n4096_w8".to_string(), mvau_case(&full, 4096)),
-        (
-            "mvau_block_n256_w8_pe4_simd4".to_string(),
-            mvau_case(&folded, 256),
-        ),
+        ("mvau_block_n256_w8".to_string(), mvau_case(&mvau, 256)),
+        ("mvau_block_n4096_w8".to_string(), mvau_case(&mvau, 4096)),
     ];
 
     // ---- max-log demapper + compiled graph -----------------------

@@ -40,6 +40,10 @@ impl Clone for Box<dyn Channel> {
     }
 }
 
+/// Noise pairs [`Awgn`] draws per [`Xoshiro256pp::fill_normal_pairs`]
+/// call, staged on the stack (1 KiB).
+const NOISE_CHUNK: usize = 64;
+
 /// Additive white Gaussian noise with per-dimension standard deviation σ.
 #[derive(Clone, Debug)]
 pub struct Awgn {
@@ -64,10 +68,14 @@ impl Channel for Awgn {
         if self.sigma == 0.0 {
             return;
         }
-        for y in block {
-            let (n_re, n_im) = rng.normal_pair_f64();
-            y.re += self.sigma * n_re as f32;
-            y.im += self.sigma * n_im as f32;
+        let mut pairs = [[0.0; 2]; NOISE_CHUNK];
+        for ys in block.chunks_mut(NOISE_CHUNK) {
+            let pairs = &mut pairs[..ys.len()];
+            rng.fill_normal_pairs(pairs);
+            for (y, &[n_re, n_im]) in ys.iter_mut().zip(pairs.iter()) {
+                y.re += self.sigma * n_re as f32;
+                y.im += self.sigma * n_im as f32;
+            }
         }
     }
 

@@ -148,11 +148,13 @@ impl FrameEngine {
     pub fn count_errors(&self, llrs: &[f32]) -> FrameErrors {
         debug_assert_eq!(llrs.len(), self.tx_bits.len());
         let split = self.pilot_bits();
+        // A branch-free `u32` sum, so the comparison vectorizes at the
+        // width of the LLRs (a frame's bit buffer is far below 2^32).
         let count = |tx: &[u8], llrs: &[f32]| {
             tx.iter()
                 .zip(llrs)
-                .filter(|&(&b, &l)| u8::from(l < 0.0) != b)
-                .count() as u64
+                .map(|(&b, &l)| u32::from(u8::from(l < 0.0) != b))
+                .sum::<u32>() as u64
         };
         FrameErrors {
             pilot: count(&self.tx_bits[..split], &llrs[..split]),
@@ -256,6 +258,10 @@ mod tests {
         }
         let errors = e.count_errors(&llrs);
         assert_eq!((errors.pilot, errors.payload), (2, 3));
+        // An exact-zero LLR decides bit 0.
+        llrs[5] = 0.0;
+        let sent = u64::from(e.tx_bits()[5]);
+        assert_eq!(e.count_errors(&llrs).pilot, 2 + sent);
     }
 
     #[test]

@@ -504,8 +504,9 @@ fn snn_backend(tx: Constellation, points: Constellation) -> ModelBackend {
 /// narrower datapath affords more parallel MAC lanes in the same
 /// fabric budget, so W4 runs fully parallel (II 1) while W8 folds to
 /// II 8. Cycle count and resources both come from the refolded
-/// graph's own MVAU model; outputs are bit-identical to the source
-/// graph at any folding.
+/// graph's own MVAU model. The folding prices the backend only: the
+/// software kernels ignore it, so the served graph demaps exactly as
+/// the source graph does, bit for bit and at the same speed.
 fn graph_backend(tx: Constellation, graph: &QuantizedGraph) -> ModelBackend {
     let bits = graph.weight_bits();
     let folding = match bits {

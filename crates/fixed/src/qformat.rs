@@ -94,7 +94,10 @@ impl QFormat {
     }
 
     /// Converts a real value to the nearest raw integer, saturating at
-    /// the format bounds.
+    /// the format bounds. `#[inline]`, so a block quantiser inside a
+    /// dispatched kernel hoists the `2^frac_bits` scale out of its loop
+    /// and rounds with the kernel's ISA.
+    #[inline]
     pub fn raw_from_f64(&self, v: f64, rounding: Rounding) -> i64 {
         let scaled = v * (self.frac_bits as f64).exp2();
         let raw = match rounding {

@@ -13,11 +13,12 @@
 //! warm-up, and slots straight into the link simulator as a
 //! [`Demapper`].
 
-use crate::mvau::{Folding, HwActivation, Mvau, MvauConfig, MvauScratch};
+use crate::mvau::{fill_plane, widen_plane, Folding, HwActivation, Mvau, MvauConfig, TILE};
 use crate::sigmoid_lut::SigmoidLut;
 use hybridem_comm::demapper::Demapper;
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_mathkit::complex::C32;
+use hybridem_mathkit::simd::{self, SimdKernel};
 use hybridem_nn::Sequential;
 use std::cell::RefCell;
 
@@ -52,7 +53,8 @@ pub struct GraphSpec {
     /// Requested folding applied to every layer (fitted per layer via
     /// [`Folding::fit_to`], since one uniform request must match
     /// different shapes). `None` compiles fully parallel — the paper's
-    /// inference design.
+    /// inference design. It sets the hardware cost model only; the
+    /// compiled graph executes identically at any folding.
     pub folding: Option<Folding>,
 }
 
@@ -85,16 +87,17 @@ pub struct QuantizedGraph {
     weight_bits: u32,
 }
 
-/// Reusable executor buffers: the input quantisation plane, the
-/// ping-pong activation planes between ops, the raw output staging for
-/// the f32 views, and the per-op [`MvauScratch`]. One warm scratch
-/// makes the whole integer pipeline allocation-free (asserted by the
-/// fpga crate's counting-allocator test).
+/// Reusable executor buffers: the ping-pong feature-major `i32`
+/// activation planes of one tile (the quantised I/Q input is the first
+/// plane), the column staging of layers without a fast path, and the
+/// raw output staging for the f32 views. One warm scratch makes the
+/// whole integer pipeline allocation-free (asserted by the fpga
+/// crate's counting-allocator test).
 pub struct GraphScratch {
-    ping: Vec<i64>,
-    pong: Vec<i64>,
+    ping: Vec<i32>,
+    pong: Vec<i32>,
+    col: Vec<i64>,
     raw: Vec<i64>,
-    mvau: MvauScratch,
 }
 
 impl GraphScratch {
@@ -103,8 +106,8 @@ impl GraphScratch {
         Self {
             ping: Vec::new(),
             pong: Vec::new(),
+            col: Vec::new(),
             raw: Vec::new(),
-            mvau: MvauScratch::new(),
         }
     }
 }
@@ -158,6 +161,12 @@ pub fn compile_qat(model: &Sequential, weight_bits: u32) -> QuantizedGraph {
 }
 
 /// Lowers a float model with a fully explicit [`GraphSpec`].
+///
+/// # Panics
+/// Panics unless every boundary format fits the executor's `i32`
+/// activation planes (≤ 31 bits), and unless the spec lists one
+/// boundary per dense layer plus the input and one weight width and
+/// one sigmoid range per dense layer.
 pub fn compile_spec(model: &Sequential, spec: &GraphSpec) -> QuantizedGraph {
     struct Unit {
         weight: hybridem_mathkit::matrix::Matrix<f32>,
@@ -202,6 +211,13 @@ pub fn compile_spec(model: &Sequential, spec: &GraphSpec) -> QuantizedGraph {
         units.len(),
         "sigmoid range per layer"
     );
+    for b in &spec.boundaries {
+        assert!(
+            b.format.total_bits <= 31,
+            "boundary format {} exceeds the 31 bits of the i32 activation planes",
+            b.format
+        );
+    }
 
     let mut mvaus = Vec::with_capacity(units.len());
     for (i, unit) in units.iter().enumerate() {
@@ -251,10 +267,10 @@ pub fn compile_spec(model: &Sequential, spec: &GraphSpec) -> QuantizedGraph {
 
 impl QuantizedGraph {
     /// The same compiled graph under a uniform folding request, fitted
-    /// per layer ([`Folding::fit_to`]). Outputs are bit-identical —
-    /// folding only reshapes each layer's schedule — while the
-    /// resource/latency model and the software kernels follow the new
-    /// factors.
+    /// per layer ([`Folding::fit_to`]). Only the hardware cost model
+    /// follows the new factors (each layer's `ii_cycles` and
+    /// `resources`); the software kernels ignore folding, so outputs
+    /// and execution are unchanged.
     pub fn with_folding(&self, folding: Folding) -> QuantizedGraph {
         let mvaus = self
             .mvaus
@@ -308,33 +324,23 @@ impl QuantizedGraph {
         self.mvaus.last().unwrap().config().out_dim
     }
 
-    /// Integer block execution: quantises `ys` once, streams the whole
-    /// block through every op via [`Mvau::process_block_into`], and
-    /// leaves the raw outputs symbol-major in `out` (resized to
-    /// `ys.len() · output_dim`). Bit-exact versus a per-symbol
-    /// [`QuantizedGraph::process_iq`] loop — integer arithmetic end to
-    /// end — and allocation-free once `scratch` is warm.
+    /// Integer block execution, one dispatched kernel per block: per
+    /// [`BLOCK_TILE`](hybridem_comm::demapper::BLOCK_TILE) tile it
+    /// quantises the samples once into a zero-padded feature-major
+    /// `i32` I/Q plane, runs every op plane to plane in `i32`, and
+    /// widens the final plane once into the symbol-major raw `out`
+    /// (resized to `ys.len() · output_dim`). Bit-exact versus a
+    /// per-symbol [`QuantizedGraph::process_iq`] loop — integer
+    /// arithmetic end to end — and allocation-free once `scratch` is
+    /// warm.
     pub fn process_block_raw(&self, ys: &[C32], out: &mut Vec<i64>, scratch: &mut GraphScratch) {
-        let f = self.input_format;
-        scratch.ping.clear();
-        for y in ys {
-            scratch
-                .ping
-                .push(f.raw_from_f64(y.re as f64, Rounding::Nearest));
-            scratch
-                .ping
-                .push(f.raw_from_f64(y.im as f64, Rounding::Nearest));
-        }
-        let n = ys.len();
-        let last = self.mvaus.len() - 1;
-        for (i, m) in self.mvaus.iter().enumerate() {
-            let dst: &mut Vec<i64> = if i == last { out } else { &mut scratch.pong };
-            dst.resize(n * m.config().out_dim, 0);
-            m.process_block_into(&scratch.ping, dst, &mut scratch.mvau);
-            if i != last {
-                std::mem::swap(&mut scratch.ping, &mut scratch.pong);
-            }
-        }
+        out.resize(ys.len() * self.output_dim(), 0);
+        simd::dispatch(GraphKernel {
+            graph: self,
+            ys,
+            out,
+            scratch,
+        });
     }
 
     /// One raw output to one LLR, per the graph's output semantic.
@@ -367,6 +373,43 @@ impl QuantizedGraph {
             scratch.raw = raw;
             out
         })
+    }
+}
+
+/// [`QuantizedGraph::process_block_raw`]'s width-generic body, so the
+/// input rounding, every plane layer and the transposes all run under
+/// the dispatch trampoline's ISA.
+struct GraphKernel<'a> {
+    graph: &'a QuantizedGraph,
+    ys: &'a [C32],
+    /// Symbol-major raw outputs, `ys.len() × output_dim`.
+    out: &'a mut [i64],
+    scratch: &'a mut GraphScratch,
+}
+
+impl SimdKernel for GraphKernel<'_> {
+    type Output = ();
+
+    fn run<const N: usize>(self) {
+        let GraphKernel {
+            graph,
+            ys,
+            out,
+            scratch,
+        } = self;
+        let f = graph.input_format;
+        let dim = graph.output_dim();
+        for (ys, out) in ys.chunks(TILE).zip(out.chunks_mut(TILE * dim)) {
+            let stride = fill_plane(&mut scratch.ping, 2, ys.len(), |s, i| {
+                let v = if i == 0 { ys[s].re } else { ys[s].im };
+                f.raw_from_f64(v as f64, Rounding::Nearest) as i32
+            });
+            for m in &graph.mvaus {
+                m.process_plane::<N>(&scratch.ping, &mut scratch.pong, stride, &mut scratch.col);
+                std::mem::swap(&mut scratch.ping, &mut scratch.pong);
+            }
+            widen_plane(&scratch.ping, stride, out, dim);
+        }
     }
 }
 

@@ -16,7 +16,9 @@
 //! exact (the accumulator format carries ⌈log₂ fan-in⌉ guard bits), and
 //! only the final activation cast narrows. Because integer addition is
 //! associative, the result is independent of the folding — asserted by
-//! tests, and the reason `process` can compute in natural order.
+//! tests, and the reason the software paths ignore it: `process`
+//! computes in natural order, and the block kernel puts its lanes
+//! across symbols.
 
 use crate::resources::{self, ResourceUsage};
 use crate::sigmoid_lut::SigmoidLut;
@@ -74,19 +76,16 @@ impl std::fmt::Display for FoldingError {
 
 impl std::error::Error for FoldingError {}
 
-/// FINN-style folding factors — the one knob shared by the hardware
-/// cost model and the software block kernel (DESIGN.md §11).
+/// FINN-style folding factors — a parameter of the hardware cost
+/// model (DESIGN.md §11.3).
 ///
 /// In hardware, `pe` output neurons and `simd` input features are
 /// processed per cycle, so one input occupies the unit for
 /// `(in_dim/simd)·(out_dim/pe)` cycles and the resource model
-/// replicates multipliers `pe·simd` times. In software, the block
-/// kernel iterates the *same schedule*: outputs in groups of `pe`
-/// sharing one streamed input tile, inputs in beats of `simd` — so a
-/// folding sweep predicts hardware cost and measures software
-/// throughput from the same parameter. Results are folding-invariant
-/// (integer addition is associative; the accumulation order per
-/// `(symbol, neuron)` never changes), asserted by tests.
+/// replicates multipliers `pe·simd` times. The software kernels do not
+/// read it: results are folding-invariant (integer addition is
+/// associative), asserted by tests, so the block kernel is free to put
+/// its lanes across symbols whatever the fabric schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Folding {
     /// Output-side parallelism (processing elements); must divide the
@@ -166,8 +165,8 @@ pub struct MvauConfig {
     pub in_dim: usize,
     /// Output neuron count.
     pub out_dim: usize,
-    /// Folding factors (PE × SIMD parallelism) — consumed by both the
-    /// resource/latency model and the software block kernel.
+    /// Folding factors (PE × SIMD parallelism) — consumed by the
+    /// resource/latency model only; the software kernels ignore it.
     pub folding: Folding,
     /// Weight quantisation format.
     pub weight_format: QFormat,
@@ -248,20 +247,27 @@ fn ceil_log2(n: usize) -> u32 {
     (usize::BITS - (n - 1).leading_zeros()).max(1)
 }
 
-/// Reusable buffer for [`Mvau::process_block_into`], mirroring
-/// `hybridem_nn`'s `InferScratch`: the narrowed (`i32`) symbol-major
-/// inputs of one tile of the i32 kernel, whose accumulators and
-/// outputs live in SIMD registers. After one warm-up block it is at
-/// its high-water mark and the whole integer pipeline allocates
+/// Reusable buffers for [`Mvau::process_block_into`], mirroring
+/// `hybridem_nn`'s `InferScratch`: one tile's inputs narrowed and
+/// transposed into a feature-major `i32` plane, the output plane the
+/// layer writes before it is widened back, and the column staging of
+/// a layer without a fast path. After one warm-up block all three are
+/// at their high-water mark and the whole integer pipeline allocates
 /// nothing (asserted by the fpga crate's counting-allocator test).
 pub struct MvauScratch {
-    xn: Vec<i32>,
+    x: Vec<i32>,
+    y: Vec<i32>,
+    col: Vec<i64>,
 }
 
 impl MvauScratch {
-    /// Empty scratch; the buffer grows on first use.
+    /// Empty scratch; the buffers grow on first use.
     pub fn new() -> Self {
-        Self { xn: Vec::new() }
+        Self {
+            x: Vec::new(),
+            y: Vec::new(),
+            col: Vec::new(),
+        }
     }
 }
 
@@ -274,7 +280,49 @@ impl Default for MvauScratch {
 /// Symbols per cache-resident block tile (the comm-side demapper
 /// tiling constant, so both halves of the receiver stream in the same
 /// granularity).
-const TILE: usize = hybridem_comm::demapper::BLOCK_TILE;
+pub(crate) const TILE: usize = hybridem_comm::demapper::BLOCK_TILE;
+
+/// Output neurons the block kernel keeps in flight, each in its own
+/// accumulator. [`FastPlan`] pads its weight rows to a whole number of
+/// groups, so no layer shape needs a neuron remainder.
+const OUT_GROUP: usize = 4;
+
+/// Builds a zero-padded feature-major `i32` plane of `rows` features
+/// for `symbols` symbols in `plane`, with `value(s, i)` at row `i`,
+/// lane `s`, and returns its stride: the symbols rounded up to whole
+/// [`simd::MAX_LANES`] chunks. The padded lanes are computed and never
+/// read, so no block length needs a symbol remainder at any dispatch
+/// width. The one transpose into the plane world.
+#[inline(always)]
+pub(crate) fn fill_plane(
+    plane: &mut Vec<i32>,
+    rows: usize,
+    symbols: usize,
+    mut value: impl FnMut(usize, usize) -> i32,
+) -> usize {
+    debug_assert!(symbols > 0, "a plane holds at least one symbol");
+    let stride = symbols.next_multiple_of(simd::MAX_LANES);
+    plane.clear();
+    plane.resize(rows * stride, 0);
+    for (i, row) in plane.chunks_exact_mut(stride).enumerate() {
+        for (s, slot) in row[..symbols].iter_mut().enumerate() {
+            *slot = value(s, i);
+        }
+    }
+    stride
+}
+
+/// Widens the first `out.len() / dim` lanes of a feature-major plane
+/// (`dim` rows of `stride` lanes) into symbol-major raw values — the
+/// one transpose out of the plane world.
+#[inline(always)]
+pub(crate) fn widen_plane(plane: &[i32], stride: usize, out: &mut [i64], dim: usize) {
+    for (s, sym) in out.chunks_exact_mut(dim).enumerate() {
+        for (o, slot) in sym.iter_mut().enumerate() {
+            *slot = plane[o * stride + s] as i64;
+        }
+    }
+}
 
 /// The activation + cast of the 32-bit fast path, reduced to pure
 /// integer shift/clamp lane arithmetic. Bit-identical to the `Fx`
@@ -306,17 +354,17 @@ enum FastEpilogue {
 /// the 64-bit `Fx` path of [`Mvau::process_into`]: exact integer
 /// arithmetic is exact at any width that never overflows. Layers
 /// without a plan run that per-symbol path instead.
+///
+/// The plan describes the layer's arithmetic only; the hardware
+/// folding ([`MvauConfig::folding`]) never reaches it.
 #[derive(Clone, Debug)]
 struct FastPlan {
-    /// `i32` copy of the weights, `out_dim × in_dim` row-major (the
-    /// scalar-remainder layout).
+    /// `i32` copy of the weights, row-major, `out_dim` rows of
+    /// `in_dim` padded with zero rows to a whole number of
+    /// [`OUT_GROUP`]s.
     weights32: Vec<i32>,
-    /// `i32` weights transposed to `in_dim × out_dim` (column-major in
-    /// the row-major world): at feature `i`, the weights of `N`
-    /// consecutive neurons are one contiguous vector load — the layout
-    /// the output-stationary kernel streams.
-    wcolmaj: Vec<i32>,
-    /// `i32` copy of the biases (accumulator-format raw values).
+    /// `i32` copy of the biases (accumulator-format raw values),
+    /// zero-padded like the weight rows.
     bias32: Vec<i32>,
     epilogue: FastEpilogue,
     /// Accumulator saturation bounds (`acc_format` range).
@@ -365,13 +413,6 @@ impl Epilogue {
         };
         a.clamp(self.out_lo, self.out_hi)
     }
-
-    /// Scalar twin of [`Epilogue::apply_lanes`] for remainder lanes —
-    /// same operations, same order, bit-identical.
-    #[inline(always)]
-    fn apply_scalar(self, acc: i32) -> i32 {
-        self.apply_lanes(Simd::<i32, 1>([acc])).0[0]
-    }
 }
 
 impl FastPlan {
@@ -384,6 +425,48 @@ impl FastPlan {
             acc_hi: self.acc_hi,
             out_lo: self.out_lo,
             out_hi: self.out_hi,
+        }
+    }
+
+    /// The 32-bit MAC + epilogue kernel over one feature-major plane
+    /// tile: `x` holds `in_dim` rows of `stride` symbols, `y` receives
+    /// one row per padded weight row. Lanes run across symbols: each
+    /// weight broadcasts against a chunk of `N` symbols of its input
+    /// row, and [`OUT_GROUP`] neurons accumulate in flight, each in
+    /// its own register, before the epilogue and a full-width store.
+    /// `stride` is a multiple of every `N` ([`fill_plane`]), so no
+    /// symbol or neuron remainder exists.
+    ///
+    /// The accumulation order per `(symbol, neuron)` is bias, then
+    /// ascending feature index, at every width — bit-identical to the
+    /// scalar reference.
+    #[inline(always)]
+    fn mac_planes<const N: usize>(&self, in_dim: usize, x: &[i32], y: &mut [i32], stride: usize) {
+        let ep = self.epilogue();
+        let groups = self
+            .weights32
+            .chunks_exact(OUT_GROUP * in_dim)
+            .zip(self.bias32.chunks_exact(OUT_GROUP))
+            .zip(y.chunks_exact_mut(OUT_GROUP * stride));
+        for ((w, bias), yg) in groups {
+            // Exact-length weight rows: `rows[j][i]` with `i < in_dim`
+            // is provably in bounds, so the inner loop keeps only the
+            // input-row check.
+            let rows: [&[i32]; OUT_GROUP] =
+                std::array::from_fn(|j| &w[j * in_dim..(j + 1) * in_dim]);
+            for s in (0..stride).step_by(N) {
+                let mut acc: [Simd<i32, N>; OUT_GROUP] =
+                    std::array::from_fn(|j| Simd::<i32, N>::splat(bias[j]));
+                for i in 0..in_dim {
+                    let xv = Simd::<i32, N>::load(&x[i * stride + s..]);
+                    for (a, row) in acc.iter_mut().zip(&rows) {
+                        *a = a.mul_add(Simd::<i32, N>::splat(row[i]), xv);
+                    }
+                }
+                for (j, a) in acc.into_iter().enumerate() {
+                    ep.apply_lanes(a).store(&mut yg[j * stride + s..]);
+                }
+            }
         }
     }
 }
@@ -401,175 +484,39 @@ pub struct Mvau {
     fast: Option<FastPlan>,
 }
 
-/// The 32-bit MAC + epilogue kernel over one symbol-major tile,
-/// width-generic and dispatched at the probed [`simd::LaneWidth`].
-///
-/// Output-stationary, neuron-lane layout: each vector lane holds one
-/// output neuron's accumulator, so a chunk of `N` neurons streams the
-/// column-major weight plane (`FastPlan::wcolmaj`) with one contiguous
-/// load per feature while the symbol's input value broadcasts — no
-/// input or output transpose exists anywhere, and the activated lanes
-/// widen straight into the symbol-major output slice. `SYM_BLOCK`
-/// symbols run concurrently to hide the MAC latency chain (their
-/// accumulators are independent).
-///
-/// Loop structure follows the MVAU folding schedule: outputs in
-/// groups of `pe` (one pass over the inputs per group), inputs in
-/// beats of `simd` inside that pass — the software mirror of the
-/// hardware's `(in/simd)·(out/pe)` beat count. The accumulation order
-/// per `(symbol, neuron)` is ascending feature index at every folding,
-/// width and symbol block, so results are bit-identical to the scalar
-/// reference.
-struct MacKernel32<'a> {
-    /// Symbol-major raw inputs, `nt × in_dim` (64-bit; narrowed into
-    /// `xn` inside the kernel so the conversion also runs under the
-    /// dispatch trampoline's ISA).
+/// [`Mvau::process_block_into_at`]'s width-generic body: per tile, a
+/// narrowing transpose into the feature-major input plane,
+/// [`Mvau::process_plane`] (the path the graph executor runs), and a
+/// widening transpose back to symbol-major raw outputs.
+struct LayerKernel<'a> {
+    mvau: &'a Mvau,
+    /// Symbol-major raw inputs, `n × in_dim`.
     inputs: &'a [i64],
-    /// Narrowed-input scratch, resized to `nt · in_dim` by the kernel.
-    xn: &'a mut Vec<i32>,
-    /// Symbol-major raw outputs, `nt × out_dim`.
+    /// Symbol-major raw outputs, `n × out_dim`.
     out: &'a mut [i64],
-    in_dim: usize,
-    out_dim: usize,
-    pe: usize,
-    simd: usize,
-    plan: &'a FastPlan,
+    scratch: &'a mut MvauScratch,
 }
 
-/// Symbols processed concurrently per vector micro-block (independent
-/// accumulator registers that hide the integer MAC latency chain).
-const SYM_BLOCK: usize = 4;
-
-impl MacKernel32<'_> {
-    /// One block of `S` symbols × `N` neurons (`ov..ov + N`): MACs over
-    /// features `ib..ib + ibn`, then (on the last beat) epilogue and
-    /// widening store. `#[inline(always)]` so each (S, N)
-    /// instantiation gets constant trip counts and register-resident
-    /// accumulators.
-    ///
-    /// (The slice indexing stays bounds-checked on purpose: the checks
-    /// are cheap next to the vector MACs, and their branches keep
-    /// LLVM's unroller from reassociating the accumulator chain into
-    /// spilled partial sums — measured ~10× faster than the
-    /// `get_unchecked` variant on AVX-512.)
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path register-resident
-    fn micro_block<const N: usize, const S: usize>(
-        ep: Epilogue,
-        wcolmaj: &[i32],
-        xn: &[i32],
-        out: &mut [i64],
-        in_dim: usize,
-        out_dim: usize,
-        ov: usize,
-        s: usize,
-        acc: &mut [Simd<i32, N>; S],
-        ib: usize,
-        ibn: usize,
-    ) {
-        // Exact-length row slices: the `xr[j][k]` bound (`k < ibn`)
-        // is provable, so the inner loop keeps only the weight-column
-        // check.
-        let xr: [&[i32]; S] =
-            std::array::from_fn(|j| &xn[(s + j) * in_dim + ib..(s + j) * in_dim + ib + ibn]);
-        for (k, i) in (ib..ib + ibn).enumerate() {
-            let col = Simd::<i32, N>::load(&wcolmaj[i * out_dim + ov..]);
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a = a.mul_add(col, Simd::<i32, N>::splat(xr[j][k]));
-            }
-        }
-        // Last beat of the input pass for this symbol block: activate
-        // and widen straight into the symbol-major output.
-        if ib + ibn == in_dim {
-            for (j, a) in acc.iter().enumerate() {
-                ep.apply_lanes(*a)
-                    .store_widened(&mut out[(s + j) * out_dim + ov..]);
-            }
-        }
-    }
-}
-
-impl SimdKernel for MacKernel32<'_> {
+impl SimdKernel for LayerKernel<'_> {
     type Output = ();
 
     fn run<const N: usize>(self) {
-        let MacKernel32 {
+        let LayerKernel {
+            mvau,
             inputs,
-            xn,
             out,
-            in_dim,
-            out_dim,
-            pe,
-            simd,
-            plan,
+            scratch,
         } = self;
-        let nt = inputs.len() / in_dim;
-        xn.resize(nt * in_dim, 0);
-        for (slot, &x) in xn.iter_mut().zip(inputs) {
-            *slot = x as i32;
-        }
-        let ep = plan.epilogue();
-        let s_full = nt - nt % SYM_BLOCK;
-        for og in (0..out_dim).step_by(pe) {
-            let ope = pe.min(out_dim - og);
-            let v_end = og + ope - ope % N;
-            for ov in (og..v_end).step_by(N) {
-                let bias = Simd::<i32, N>::load(&plan.bias32[ov..]);
-                let mut s = 0;
-                while s < s_full {
-                    let mut acc = [bias; SYM_BLOCK];
-                    for ib in (0..in_dim).step_by(simd) {
-                        let ibn = simd.min(in_dim - ib);
-                        Self::micro_block::<N, SYM_BLOCK>(
-                            ep,
-                            &plan.wcolmaj,
-                            xn,
-                            out,
-                            in_dim,
-                            out_dim,
-                            ov,
-                            s,
-                            &mut acc,
-                            ib,
-                            ibn,
-                        );
-                    }
-                    s += SYM_BLOCK;
-                }
-                // Remainder symbols, one at a time: same beats, same
-                // per-(symbol, neuron) accumulation order.
-                for s in s_full..nt {
-                    let mut acc = [bias; 1];
-                    for ib in (0..in_dim).step_by(simd) {
-                        let ibn = simd.min(in_dim - ib);
-                        Self::micro_block::<N, 1>(
-                            ep,
-                            &plan.wcolmaj,
-                            xn,
-                            out,
-                            in_dim,
-                            out_dim,
-                            ov,
-                            s,
-                            &mut acc,
-                            ib,
-                            ibn,
-                        );
-                    }
-                }
-            }
-            // Neuron remainder (`ope % N` tail of the PE group):
-            // scalar row-major MACs, identical fan-in order.
-            for o in v_end..og + ope {
-                let row = &plan.weights32[o * in_dim..(o + 1) * in_dim];
-                for s in 0..nt {
-                    let mut a = plan.bias32[o];
-                    for (i, &w) in row.iter().enumerate() {
-                        a += w * xn[s * in_dim + i];
-                    }
-                    out[s * out_dim + o] = ep.apply_scalar(a) as i64;
-                }
-            }
+        let (in_dim, out_dim) = (mvau.cfg.in_dim, mvau.cfg.out_dim);
+        for (xt, yt) in inputs
+            .chunks(TILE * in_dim)
+            .zip(out.chunks_mut(TILE * out_dim))
+        {
+            let stride = fill_plane(&mut scratch.x, in_dim, xt.len() / in_dim, |s, i| {
+                xt[s * in_dim + i] as i32
+            });
+            mvau.process_plane::<N>(&scratch.x, &mut scratch.y, stride, &mut scratch.col);
+            widen_plane(&scratch.y, stride, yt, out_dim);
         }
     }
 }
@@ -623,16 +570,14 @@ impl Mvau {
         };
         let fast = match epilogue {
             Some(epilogue) if acc.total_bits < 31 && cfg.out_format.total_bits < 31 => {
-                let mut wcolmaj = vec![0i32; cfg.in_dim * cfg.out_dim];
-                for o in 0..cfg.out_dim {
-                    for i in 0..cfg.in_dim {
-                        wcolmaj[i * cfg.out_dim + o] = weights[o * cfg.in_dim + i] as i32;
-                    }
-                }
+                let rows = cfg.out_dim.next_multiple_of(OUT_GROUP);
+                let mut weights32: Vec<i32> = weights.iter().map(|&w| w as i32).collect();
+                weights32.resize(rows * cfg.in_dim, 0);
+                let mut bias32: Vec<i32> = biases.iter().map(|&b| b as i32).collect();
+                bias32.resize(rows, 0);
                 Some(FastPlan {
-                    weights32: weights.iter().map(|&w| w as i32).collect(),
-                    wcolmaj,
-                    bias32: biases.iter().map(|&b| b as i32).collect(),
+                    weights32,
+                    bias32,
                     epilogue,
                     acc_lo: acc.raw_min() as i32,
                     acc_hi: acc.raw_max() as i32,
@@ -662,10 +607,10 @@ impl Mvau {
         self.fast.is_some()
     }
 
-    /// The same quantised layer under a different folding. Results are
-    /// bit-identical (folding only reshapes the schedule); the
-    /// resource/latency model and the software kernel's loop structure
-    /// change together.
+    /// The same quantised layer under a different folding. Only the
+    /// hardware cost model reads the factors (`ii_cycles`,
+    /// `resources`); the software kernels and their results do not
+    /// change.
     pub fn refold(&self, folding: Folding) -> Result<Mvau, FoldingError> {
         folding.validate_for(self.cfg.in_dim, self.cfg.out_dim)?;
         let mut m = self.clone();
@@ -718,13 +663,20 @@ impl Mvau {
 
     /// Bit-exact block forward pass: `inputs` holds `n · in_dim` raw
     /// values symbol-major, `out` receives `n · out_dim` raw outputs
-    /// symbol-major. Results equal a [`Mvau::process`] loop exactly:
-    /// a layer with the i32 fast path ([`Mvau::has_fast_path`]) runs
-    /// the output-stationary SIMD kernel tile by tile, in the same
-    /// per-`(symbol, neuron)` fan-in order; any other layer (sigmoid
-    /// LUTs, fraction-growing casts, accumulators over 30 bits) runs
-    /// [`Mvau::process_into`] per symbol. Nothing allocates once
-    /// `scratch` is warm.
+    /// symbol-major. Results equal a [`Mvau::process`] loop exactly.
+    /// Tile by tile, the inputs are narrowed and transposed into a
+    /// feature-major `i32` plane, the layer runs plane to plane as in
+    /// the graph executor (the symbol-lane kernel in the same
+    /// per-`(symbol, neuron)` fan-in order when the layer has the i32
+    /// fast path, [`Mvau::has_fast_path`]; [`Mvau::process_into`] per
+    /// plane column otherwise: sigmoid LUTs, fraction-growing casts,
+    /// accumulators over 30 bits), and the output plane is widened
+    /// back. Nothing allocates once `scratch` is warm.
+    ///
+    /// # Panics
+    /// Panics if the input or output format is wider than the 31 bits
+    /// an `i32` plane holds, if `inputs` is not a whole number of
+    /// symbols, or if `out` does not hold exactly `n · out_dim` values.
     pub fn process_block_into(&self, inputs: &[i64], out: &mut [i64], scratch: &mut MvauScratch) {
         self.process_block_into_at(LaneWidth::detect(), inputs, out, scratch);
     }
@@ -735,6 +687,9 @@ impl Mvau {
     /// never depend on `width`; hot paths should use
     /// [`Mvau::process_block_into`], which dispatches at the probed
     /// width.
+    ///
+    /// # Panics
+    /// As [`Mvau::process_block_into`].
     pub fn process_block_into_at(
         &self,
         width: LaneWidth,
@@ -745,41 +700,66 @@ impl Mvau {
         let in_dim = self.cfg.in_dim;
         let out_dim = self.cfg.out_dim;
         assert!(
+            self.cfg.in_format.total_bits <= 31 && self.cfg.out_format.total_bits <= 31,
+            "block formats {} → {} exceed the 31 bits of the i32 planes",
+            self.cfg.in_format,
+            self.cfg.out_format
+        );
+        assert!(
             inputs.len().is_multiple_of(in_dim),
             "block input length must be a multiple of in_dim"
         );
         let n = inputs.len() / in_dim;
         assert_eq!(out.len(), n * out_dim, "block output buffer size");
-        let Some(plan) = &self.fast else {
-            for (x, y) in inputs
-                .chunks_exact(in_dim)
-                .zip(out.chunks_exact_mut(out_dim))
-            {
-                self.process_into(x, y);
-            }
+        simd::dispatch_at(
+            width,
+            LayerKernel {
+                mvau: self,
+                inputs,
+                out,
+                scratch,
+            },
+        );
+    }
+
+    /// Runs the layer plane to plane inside a dispatched kernel: `x`
+    /// holds `in_dim` feature-major rows of `stride` symbols (built by
+    /// [`fill_plane`]); `y` is resized to `out_dim` rows padded to
+    /// whole [`OUT_GROUP`]s, the rows the symbol-lane kernel writes,
+    /// and rows past `out_dim` are never read. A layer with a
+    /// [`FastPlan`] runs that kernel; any other layer runs
+    /// [`Mvau::process_into`] on each plane column through the `col`
+    /// staging buffer, padded lanes included, so every lane a later
+    /// layer reads holds an in-range value.
+    ///
+    /// Exact only while the input and output formats fit the `i32`
+    /// planes (≤ 31 bits), which `graph::compile_spec` asserts.
+    #[inline(always)]
+    pub(crate) fn process_plane<const N: usize>(
+        &self,
+        x: &[i32],
+        y: &mut Vec<i32>,
+        stride: usize,
+        col: &mut Vec<i64>,
+    ) {
+        let in_dim = self.cfg.in_dim;
+        let out_dim = self.cfg.out_dim;
+        debug_assert!(x.len() >= in_dim * stride, "input plane too short");
+        y.resize(out_dim.next_multiple_of(OUT_GROUP) * stride, 0);
+        if let Some(plan) = &self.fast {
+            plan.mac_planes::<N>(in_dim, x, y, stride);
             return;
-        };
-        for (in_tile, out_tile) in inputs
-            .chunks(TILE * in_dim)
-            .zip(out.chunks_mut(TILE * out_dim))
-        {
-            // 32-bit output-stationary SIMD MACs + integer epilogue,
-            // provably exact (see [`FastPlan`]), at the lane width
-            // probed by `mathkit::simd`. Inputs and outputs stay
-            // symbol-major; no transposes.
-            simd::dispatch_at(
-                width,
-                MacKernel32 {
-                    inputs: in_tile,
-                    xn: &mut scratch.xn,
-                    out: out_tile,
-                    in_dim,
-                    out_dim,
-                    pe: self.cfg.pe(),
-                    simd: self.cfg.simd(),
-                    plan,
-                },
-            );
+        }
+        col.resize(in_dim + out_dim, 0);
+        let (xi, yo) = col.split_at_mut(in_dim);
+        for s in 0..stride {
+            for (i, v) in xi.iter_mut().enumerate() {
+                *v = x[i * stride + s] as i64;
+            }
+            self.process_into(xi, yo);
+            for (o, &v) in yo.iter().enumerate() {
+                y[o * stride + s] = v as i32;
+            }
         }
     }
 
@@ -941,6 +921,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 31 bits of the i32 planes")]
+    fn block_path_rejects_formats_wider_than_its_planes() {
+        let wide = QFormat::signed(40, 20);
+        let cfg = MvauConfig::full_parallel(2, 2, fmt8_6(), wide, wide, false);
+        let m = Mvau::from_dense(
+            cfg,
+            &Matrix::zeros(2, 2),
+            &Matrix::zeros(1, 2),
+            HwActivation::Linear,
+        );
+        m.process_block_into(&[0; 2], &mut [0; 2], &mut MvauScratch::new());
     }
 
     #[test]

@@ -73,7 +73,8 @@ fn accel_block_and_per_symbol_paths_allocate_nothing_when_warm() {
         "warm accel demap_block must not allocate"
     );
 
-    // The legacy per-symbol view stages LLRs on the stack.
+    // The per-symbol view is a one-symbol `demap_block`, so it stages
+    // through the same warm thread-local block scratch.
     let mut single = [0f32; 4];
     let before = allocations();
     for &y in &ys {

@@ -1,7 +1,8 @@
 //! Folding-model consistency: the `Folding { pe, simd }` knob must
-//! mean the same thing to the resource/latency model, the software
-//! block kernel and the graph compiler (DESIGN.md §11.3), and invalid
-//! factors must be rejected with errors that say what is wrong.
+//! mean the same thing to the resource/latency model and the graph
+//! compiler (DESIGN.md §11.3), it must never change a result, and
+//! invalid factors must be rejected with errors that say what is
+//! wrong.
 
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::graph::{compile, compile_spec, GraphSpec};
@@ -90,8 +91,8 @@ fn resource_op_counts_scale_with_folding() {
     // One knob, two readings: multiplier count tracks pe·simd exactly
     // (the replicated MAC lanes), the initiation interval tracks the
     // fold counts exactly, and their product — work per input — is
-    // invariant. The software kernel iterates the same schedule, so
-    // this is the whole hardware/software contract of the knob.
+    // invariant. The software kernels ignore the knob, so this is its
+    // whole contract.
     let macs = 16u64 * 16;
     let mut last_dsp = 0;
     for &simd in &divisors(16) {

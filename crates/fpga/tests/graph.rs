@@ -53,22 +53,57 @@ fn reference_raw(g: &QuantizedGraph, y: C32) -> Vec<i64> {
     raw
 }
 
+/// The sigmoid-head paper demapper with a UQ0.8 probability output —
+/// the model of `perf`'s `graph_demap_block_n256`. Its head has no
+/// fast path, so the plane executor runs it per symbol.
+fn sigmoid_graph() -> QuantizedGraph {
+    let model = MlpSpec::paper_demapper().build(&mut Xoshiro256pp::seed_from_u64(3));
+    let q = |fmt: QFormat| QuantSpec {
+        format: fmt,
+        rounding: Rounding::Nearest,
+    };
+    compile(
+        &model,
+        &[
+            q(QFormat::signed(8, 5)),
+            q(QFormat::signed(8, 4)),
+            q(QFormat::signed(8, 4)),
+            q(QFormat::unsigned(8, 8)),
+        ],
+    )
+}
+
 #[test]
 fn block_bit_exact_with_per_symbol_all_widths_and_lengths() {
-    for bits in [4u32, 6, 8] {
-        let model = float_model(bits as u64);
-        let g = compile(&model, &boundaries(bits));
+    // (label, sample seed, graph)
+    let mut graphs: Vec<(String, u64, QuantizedGraph)> = [4u32, 6, 8]
+        .iter()
+        .map(|&bits| {
+            let g = compile(&float_model(bits as u64), &boundaries(bits));
+            (format!("W{bits}"), 1000 + bits as u64, g)
+        })
+        .collect();
+    let sigmoid = sigmoid_graph();
+    assert!(
+        !sigmoid.mvaus()[2].has_fast_path(),
+        "the sigmoid head must exercise the per-symbol layer"
+    );
+    graphs.push(("sigmoid".to_string(), 1003, sigmoid));
+    for (label, seed, g) in &graphs {
         let mut scratch = GraphScratch::new();
         let mut raw_block = Vec::new();
-        for len in [0usize, 1, 256, 4096] {
-            let ys = samples(len, 1000 + bits as u64);
+        // Whole lane chunks and tiles, and their edges: pure
+        // remainders, one past a chunk, one short of and one past a
+        // tile, and a multi-tile stream with a trailing remainder.
+        for len in [0usize, 1, 7, 17, 255, 256, 257, 4096, 4097] {
+            let ys = samples(len, *seed);
             g.process_block_raw(&ys, &mut raw_block, &mut scratch);
-            assert_eq!(raw_block.len(), len * 4, "W{bits} n={len}");
+            assert_eq!(raw_block.len(), len * 4, "{label} n={len}");
             for (s, &y) in ys.iter().enumerate() {
                 assert_eq!(
                     &raw_block[s * 4..(s + 1) * 4],
-                    &reference_raw(&g, y)[..],
-                    "W{bits} n={len} symbol {s}: block and per-symbol integer \
+                    &reference_raw(g, y)[..],
+                    "{label} n={len} symbol {s}: block and per-symbol integer \
                      outputs must be identical"
                 );
             }

@@ -222,13 +222,20 @@ proptest! {
     #[test]
     fn mvau_block_bit_exact_at_every_lane_width_and_weight_width(seed in any::<u64>()) {
         // The SIMD MAC kernel's contract (DESIGN.md §11): the i32
-        // fast path — output-stationary MACs plus the branchless
-        // activation epilogue — is bit-identical to the per-symbol
-        // scalar pass at every supported lane width, for W4/W6/W8
-        // formats, ReLU and linear (rounding-cast) epilogues, and
-        // block lengths covering empty input, pure remainders (1, 7),
-        // one full tile (256) and a multi-tile stream with a trailing
-        // remainder (4097, W8 only to bound debug-build time).
+        // fast path — symbol-lane MACs plus the branchless activation
+        // epilogue — is bit-identical to the per-symbol scalar pass at
+        // every supported lane width, for W4/W6/W8 formats, ReLU and
+        // linear (rounding-cast) epilogues, and every layer shape the
+        // kernel vectorises: the paper's 2→16 input, 16→16 hidden and
+        // 16→4 head layers, plus 16→6, whose output count is a
+        // multiple of no lane width. A sigmoid-LUT layer has no fast
+        // path and runs the per-column path of the same plane
+        // executor, so it is swept too. Each layer runs fully parallel
+        // and under the served PE 4 × SIMD 8 folding. Block lengths
+        // cover empty input, pure remainders (1, 7), one lane chunk
+        // and its edges (15, 16, 17), one full tile (256) and a
+        // multi-tile stream with a trailing remainder (4097, W8 only
+        // to bound debug-build time).
         use hybridem_fpga::mvau::MvauScratch;
         use hybridem_mathkit::simd::LaneWidth;
         let combos = [
@@ -236,29 +243,47 @@ proptest! {
             (QFormat::signed(6, 4), HwActivation::Linear),
             (QFormat::signed(8, 6), HwActivation::Relu),
             (QFormat::signed(8, 6), HwActivation::Linear),
+            (
+                QFormat::signed(8, 6),
+                HwActivation::Sigmoid(SigmoidLut::new(8, 8.0, QFormat::signed(8, 6))),
+            ),
         ];
+        let shapes = [(16usize, 16usize), (2, 16), (16, 4), (16, 6)];
         for (fmt, act) in combos {
-            let (w, b) = random_dense(16, 16, seed ^ u64::from(fmt.total_bits));
-            let cfg = MvauConfig::full_parallel(16, 16, fmt, fmt, fmt, false);
-            let m = Mvau::from_dense(cfg, &w, &b, act);
-            prop_assert!(m.has_fast_path(), "pinned shapes must stay on the fast path");
-            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 99);
-            let full_len = if fmt.total_bits == 8 { 4097 } else { 256 };
-            let inputs: Vec<i64> = (0..full_len * 16)
-                .map(|_| fmt.raw_from_f64(rng.normal_f64() * 0.5, Rounding::Nearest))
-                .collect();
-            let mut scratch = MvauScratch::new();
-            for &n in &[0usize, 1, 7, 256, full_len] {
-                let tile = &inputs[..n * 16];
-                let mut reference = vec![0i64; n * 16];
-                for (sym, slot) in tile.chunks_exact(16).zip(reference.chunks_exact_mut(16)) {
+            for (in_dim, out_dim) in shapes {
+                let (w, b) = random_dense(out_dim, in_dim, seed ^ u64::from(fmt.total_bits));
+                let cfg = MvauConfig::full_parallel(in_dim, out_dim, fmt, fmt, fmt, false);
+                let m = Mvau::from_dense(cfg, &w, &b, act.clone());
+                let lut = matches!(act, HwActivation::Sigmoid(_));
+                prop_assert_eq!(m.has_fast_path(), !lut, "only the sigmoid layer lacks the fast path");
+                let folded = m
+                    .refold(Folding::new(4, 8).fit_to(in_dim, out_dim))
+                    .expect("fitted folding divides the shape");
+                let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 99);
+                let full_len = if fmt.total_bits == 8 && !lut { 4097 } else { 256 };
+                let inputs: Vec<i64> = (0..full_len * in_dim)
+                    .map(|_| fmt.raw_from_f64(rng.normal_f64() * 0.5, Rounding::Nearest))
+                    .collect();
+                let mut reference = vec![0i64; full_len * out_dim];
+                for (sym, slot) in inputs
+                    .chunks_exact(in_dim)
+                    .zip(reference.chunks_exact_mut(out_dim))
+                {
                     m.process_into(sym, slot);
                 }
-                for width in LaneWidth::supported() {
-                    let mut got = vec![0i64; n * 16];
-                    m.process_block_into_at(width, tile, &mut got, &mut scratch);
-                    prop_assert_eq!(&got, &reference,
-                        "n {} width {:?} fmt W{}", n, width, fmt.total_bits);
+                let mut scratch = MvauScratch::new();
+                for &n in &[0usize, 1, 7, 15, 16, 17, 256, full_len] {
+                    let tile = &inputs[..n * in_dim];
+                    let reference = &reference[..n * out_dim];
+                    for unit in [&m, &folded] {
+                        for width in LaneWidth::supported() {
+                            let mut got = vec![0i64; n * out_dim];
+                            unit.process_block_into_at(width, tile, &mut got, &mut scratch);
+                            prop_assert_eq!(&got[..], reference,
+                                "{}→{} {:?} n {} width {:?} fmt W{}", in_dim, out_dim,
+                                unit.config().folding, n, width, fmt.total_bits);
+                        }
+                    }
                 }
             }
         }

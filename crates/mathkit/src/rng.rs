@@ -12,8 +12,10 @@
 //!   general-purpose stream generator.
 //!
 //! Gaussian variates come from the Marsaglia polar method, which is
-//! branch-heavy but exact (no tail truncation) — AWGN tail behaviour is
-//! precisely what drives high-SNR BER.
+//! exact (no tail truncation) — AWGN tail behaviour is precisely what
+//! drives high-SNR BER. Its rejection loop is branch-heavy one variate
+//! at a time; [`Xoshiro256pp::fill_normal_pairs`] draws a block of the
+//! same variates without data-dependent branches.
 
 /// Convenience trait implemented by all RNGs in this module.
 pub trait Rng64 {
@@ -124,16 +126,10 @@ impl Xoshiro256pp {
         Self::seed_from_u64(SplitMix64::derive(seed, index))
     }
 
-    /// Standard-normal variate via the Marsaglia polar method.
+    /// Standard-normal variate via the Marsaglia polar method: the
+    /// first value of a [`Xoshiro256pp::normal_pair_f64`] pair.
     pub fn normal_f64(&mut self) -> f64 {
-        loop {
-            let u = 2.0 * self.next_f64() - 1.0;
-            let v = 2.0 * self.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
+        self.normal_pair_f64().0
     }
 
     /// Standard-normal `f32` variate.
@@ -144,14 +140,34 @@ impl Xoshiro256pp {
 
     /// A pair of independent standard normals (both polar outputs).
     pub fn normal_pair_f64(&mut self) -> (f64, f64) {
-        loop {
+        let mut p = [[0.0; 2]];
+        self.fill_normal_pairs(&mut p);
+        (p[0][0], p[0][1])
+    }
+
+    /// Fills `out` with independent standard-normal pairs: bit for bit
+    /// the values, and the stream position, of one
+    /// [`Xoshiro256pp::normal_pair_f64`] call per entry in order. The
+    /// polar accept test runs over the whole slice first and the
+    /// `sqrt(−2 ln s / s)` scaling follows in a second pass, neither
+    /// with a data-dependent branch, so no mispredicted rejection
+    /// stalls the `ln`/division/`sqrt` chains of neighbouring pairs.
+    pub fn fill_normal_pairs(&mut self, out: &mut [[f64; 2]]) {
+        // Every candidate is written to the next free slot, which only
+        // an accepted one advances.
+        let mut n = 0;
+        while n < out.len() {
             let u = 2.0 * self.next_f64() - 1.0;
             let v = 2.0 * self.next_f64() - 1.0;
             let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let k = (-2.0 * s.ln() / s).sqrt();
-                return (u * k, v * k);
-            }
+            out[n] = [u, v];
+            n += usize::from((s > 0.0) & (s < 1.0));
+        }
+        for p in out.iter_mut() {
+            let [u, v] = *p;
+            let s = u * u + v * v;
+            let k = (-2.0 * s.ln() / s).sqrt();
+            *p = [u * k, v * k];
         }
     }
 }
@@ -190,6 +206,38 @@ mod tests {
         ];
         for e in expected {
             assert_eq!(g.next_u64(), e);
+        }
+    }
+
+    #[test]
+    fn filled_normal_pairs_replay_the_one_pair_polar_loop() {
+        // The textbook one-pair-at-a-time polar loop, accept test and
+        // scaling interleaved.
+        fn reference(g: &mut Xoshiro256pp) -> [f64; 2] {
+            loop {
+                let u = 2.0 * g.next_f64() - 1.0;
+                let v = 2.0 * g.next_f64() - 1.0;
+                let s = u * u + v * v;
+                if s > 0.0 && s < 1.0 {
+                    let k = (-2.0 * s.ln() / s).sqrt();
+                    return [u * k, v * k];
+                }
+            }
+        }
+        for n in [0, 1, 7, 300] {
+            let (mut a, mut b) = (Xoshiro256pp::stream(9, n), Xoshiro256pp::stream(9, n));
+            let mut pairs = vec![[0.0; 2]; n as usize];
+            a.fill_normal_pairs(&mut pairs);
+            for p in &pairs {
+                assert_eq!(p.map(f64::to_bits), reference(&mut b).map(f64::to_bits));
+            }
+            let (x, y) = a.normal_pair_f64();
+            assert_eq!(
+                [x.to_bits(), y.to_bits()],
+                reference(&mut b).map(f64::to_bits)
+            );
+            assert_eq!(a.normal_f64().to_bits(), reference(&mut b)[0].to_bits());
+            assert_eq!(a.next_u64(), b.next_u64(), "stream position");
         }
     }
 

@@ -347,20 +347,6 @@ impl<const N: usize> Simd<f32, N> {
     }
 }
 
-impl<const N: usize> Simd<i32, N> {
-    /// Widens each lane to `i64` and stores — the fast-path epilogue's
-    /// hand-off to the 64-bit raw-value world.
-    ///
-    /// # Panics
-    /// Panics if `d.len() < N`.
-    #[inline(always)]
-    pub fn store_widened(self, d: &mut [i64]) {
-        for (slot, a) in d[..N].iter_mut().zip(self.0) {
-            *slot = a as i64;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,8 +463,5 @@ mod tests {
         let mut dst = [0i32; 5];
         v.store(&mut dst);
         assert_eq!(dst, [1, 2, 3, 4, 0]);
-        let mut wide = [0i64; 4];
-        v.store_widened(&mut wide);
-        assert_eq!(wide, [1, 2, 3, 4]);
     }
 }

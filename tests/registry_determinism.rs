@@ -3,12 +3,13 @@
 //! is a pure refactor — every family the old hand-built list produced
 //! yields byte-identical campaign points — the registry's selection
 //! rule is monotone in SNR: more SNR never buys a more expensive
-//! backend, and never loses feasibility — and every backend demaps a
-//! block bit-identically however it is split, with finite LLRs.
+//! backend, and never loses feasibility — every backend demaps a
+//! block bit-identically however it is split, with finite LLRs — and
+//! the refolded graph backends demap exactly as their unfolded graphs.
 
 use hybridem::comm::campaign::{run_campaign, CampaignSpec, DemapperFamily, EarlyStop};
 use hybridem::comm::constellation::Constellation;
-use hybridem::comm::demapper::MaxLogMap;
+use hybridem::comm::demapper::{Demapper, MaxLogMap};
 use hybridem::comm::snr::{ebn0_to_esn0_db, noise_sigma};
 use hybridem::core::config::SystemConfig;
 use hybridem::core::eval::{campaign_families, paper_scenarios};
@@ -18,6 +19,7 @@ use hybridem::core::qat::{qat_quantized_demapper, QatConfig};
 use hybridem::core::registry::{paper_registry, switch_registry, BackendRegistry};
 use hybridem::fpga::demapper_accel::{SoftDemapperAccel, SoftDemapperConfig};
 use hybridem::fpga::graph::QuantizedGraph;
+use hybridem::fpga::mvau::Folding;
 use hybridem::mathkit::complex::C32;
 use hybridem::mathkit::json::ToJson;
 use hybridem::mathkit::rng::{Rng64, Xoshiro256pp};
@@ -157,12 +159,18 @@ fn shared_registry() -> &'static BackendRegistry {
     REG.get_or_init(|| switch_registry(&trained_pipe(), &[]))
 }
 
-/// The full paper line-up with quick W4/W6/W8 QAT graphs, so every
-/// backend kind (max-log, float ANN, hybrid, accelerator, integer
-/// graphs, exact log-MAP, spiking) is covered — built once.
-fn paper_line_up() -> &'static BackendRegistry {
-    static REG: OnceLock<BackendRegistry> = OnceLock::new();
-    REG.get_or_init(|| {
+/// Quick W4/W6/W8 QAT graphs and the two registries built over them.
+struct QuickLineUp {
+    graphs: Vec<QuantizedGraph>,
+    paper: BackendRegistry,
+    switch: BackendRegistry,
+}
+
+/// Quick QAT graphs and their registries — built once; the pipeline
+/// training dominates the cost.
+fn quick_line_up() -> &'static QuickLineUp {
+    static LINE_UP: OnceLock<QuickLineUp> = OnceLock::new();
+    LINE_UP.get_or_init(|| {
         let pipe = trained_pipe();
         let graphs: Vec<QuantizedGraph> = [4u32, 6, 8]
             .iter()
@@ -173,8 +181,72 @@ fn paper_line_up() -> &'static BackendRegistry {
                 qat_quantized_demapper(&pipe, &qcfg)
             })
             .collect();
-        paper_registry(&pipe, &SoftDemapperConfig::paper_default(), &graphs)
+        QuickLineUp {
+            paper: paper_registry(&pipe, &SoftDemapperConfig::paper_default(), &graphs),
+            switch: switch_registry(&pipe, &graphs),
+            graphs,
+        }
     })
+}
+
+/// The full paper line-up with the quick graphs, so every backend kind
+/// (max-log, float ANN, hybrid, accelerator, integer graphs, exact
+/// log-MAP, spiking) is covered.
+fn paper_line_up() -> &'static BackendRegistry {
+    &quick_line_up().paper
+}
+
+/// The registry serves each graph refolded to the fabric budget its
+/// weight width earns (PE×SIMD 4×8 at W8, 8×8 at W6, 16×16 at W4).
+/// Folding prices the backend and nothing else: its `demap_block`
+/// LLRs equal the unfolded graph's bit for bit at block lengths on
+/// both sides of the lane and tile edges.
+#[test]
+fn refolded_graph_backends_demap_bit_identically_to_their_graphs() {
+    let line_up = quick_line_up();
+    let reg = &line_up.switch;
+    let mut rng = Xoshiro256pp::seed_from_u64(0xF01D);
+    let ys: Vec<C32> = (0..4096)
+        .map(|_| C32::new(rng.normal_f32() * 0.7, rng.normal_f32() * 0.7))
+        .collect();
+    for graph in &line_up.graphs {
+        let bits = graph.weight_bits();
+        let name = format!("ann-qat-w{bits}");
+        let backend = reg.get(reg.find(&name).expect("graph backend registered"));
+        let folding = match bits {
+            8 => Folding::new(4, 8),
+            6 => Folding::new(8, 8),
+            _ => Folding::new(16, 16),
+        };
+        // The backend is costed at that folding, so it really serves
+        // the refolded graph.
+        let ii = graph
+            .with_folding(folding)
+            .mvaus()
+            .iter()
+            .map(|m| m.config().ii_cycles())
+            .max()
+            .unwrap();
+        assert_eq!(
+            backend.cost(10.0).cycles_per_symbol,
+            ii as f64,
+            "{name}: cost must come from the {folding:?} refold"
+        );
+        let served = backend.demapper(10.0);
+        let m = graph.bits_per_symbol();
+        for n in [1usize, 17, 257, 4096] {
+            let mut want = vec![0f32; n * m];
+            graph.demap_block(&ys[..n], &mut want);
+            let mut got = vec![0f32; n * m];
+            served.demap_block(&ys[..n], &mut got);
+            assert!(
+                want.iter()
+                    .zip(&got)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{name} n={n}: the refolded backend changed the LLRs"
+            );
+        }
+    }
 }
 
 proptest! {
