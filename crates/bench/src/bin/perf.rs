@@ -1,41 +1,62 @@
-//! Perf-regression gate: times the SIMD hot kernels at pinned shapes
-//! and appends to the committed `BENCH_*.json` trajectories
-//! (DESIGN.md §11.4).
+//! The one timing binary (DESIGN.md §11.4): the SIMD hot kernels, the
+//! many-link serving grid and the adaptive-FIR equalizer kernels at
+//! pinned shapes, run by [`hybridem_bench::perf::main`]. `perf` times
+//! every case and checks the invariants below; `perf --case <name>`
+//! times one case; `perf --against <rev>` pairs this build against
+//! `<rev>`'s, case by case.
 //!
-//! Cases (elements = symbols):
+//! Cases (elements are symbols, or frames for `serve_*`):
 //!
-//! - `BENCH_mvau.json` — the MVAU block datapath, 16×16 W8 Q(8,6)
-//!   ReLU, at n=256 (the tracked headline number) and n=4096.
-//! - `BENCH_demap.json` — the max-log point-outer kernel (QAM-16,
-//!   σ=0.2) at n=256 and n=4096 against its per-symbol reference, and
-//!   the compiled paper-demapper `QuantizedGraph` block demap at
-//!   n=256.
+//! - `mvau_block_n{256,4096}_w8`: the MVAU per-layer block entry
+//!   point, 16×16 W8 Q(8,6) ReLU.
+//! - `max_log_block_n{256,4096}`, `max_log_per_symbol_n4096`: the
+//!   max-log point-outer kernel (QAM-16, σ=0.2) and its per-symbol
+//!   reference; `graph_demap_block_n256`: the compiled paper-demapper
+//!   `QuantizedGraph` block demap.
+//! - `serve_{maxlog,graph}_l1024_t{T}_b{B}`: one submit→serve round of
+//!   a 1024-link `LinkServer` fleet per iteration, at worker counts
+//!   T ∈ {1, 2, 4, N} × `batch_links` B ∈ {1, 16, 256} on the max-log
+//!   backend, and at B ∈ {1, 256} on the graph backend. Frames are 8
+//!   noiseless QAM-16 symbols: one frame cannot fill the max-log tile's
+//!   SIMD lanes, which is the regime cross-link gathering exists for.
+//! - `eq_blind_block_n4096`, `eq_train_n256`, `eq_demap_block_n4096`:
+//!   the adaptive FIR on a two-ray QPSK stream (blind CMA/DD equalize,
+//!   supervised LMS train, and equalize followed by a max-log demap
+//!   block: the two stages an equalized link runs per frame).
 //!
-//! Invariant pinned here (not just recorded): block max-log demap
-//! must never lose to the per-symbol loop — the regression a per-tile
-//! allocation once caused on long cold streams.
+//! Invariants, checked after a full-budget plain run:
 //!
-//! Exit is non-zero when any case regresses more than 15% against the
-//! last committed entry, unless `HYBRIDEM_BENCH_MS` selects the smoke
-//! budget (schema + append validation only; artefacts go to the
-//! results dir). A failing run leaves the committed trajectories as
-//! they were and writes its updated ones to the results dir.
+//! - block max-log demap never loses to the per-symbol loop at
+//!   n=4096, the regression a per-tile allocation once caused on long
+//!   cold streams;
+//! - cross-link batching at `batch_links = 256` at least doubles
+//!   max-log frames/s over per-link calls at every worker count.
 
-use hybridem_bench::perf;
+use hybridem_bench::perf::{self, Case};
+use hybridem_comm::channel::{Channel, TappedDelayLine};
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::{Demapper, MaxLogMap};
+use hybridem_comm::equalizer::{AdaptiveEqualizer, EqualizerConfig};
+use hybridem_comm::snr::noise_sigma;
+use hybridem_comm::trajectory::{ChannelState, Trajectory};
+use hybridem_core::server::{LinkServer, ServerCfg, SessionCfg};
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
-use hybridem_fpga::graph::compile;
+use hybridem_fpga::graph::{compile, QuantizedGraph};
 use hybridem_fpga::mvau::{HwActivation, Mvau, MvauConfig, MvauScratch};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::matrix::Matrix;
-use hybridem_mathkit::rng::Xoshiro256pp;
-use hybridem_mathkit::simd::LaneWidth;
+use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 use hybridem_nn::model::MlpSpec;
 use std::hint::black_box;
+use std::sync::Arc;
+
+/// Fleet size of the serving cases.
+const LINKS: u64 = 1024;
+/// Symbols per served frame.
+const FRAME_SYMBOLS: usize = 8;
 
 /// The pinned MVAU shape: 16×16 dense, W8 weights/activations (Q8.6),
-/// ReLU — the headline kernel of the issue's 17.6 Melem/s baseline.
+/// ReLU.
 fn pinned_mvau() -> Mvau {
     let fmt = QFormat::signed(8, 6);
     let cfg = MvauConfig::full_parallel(16, 16, fmt, fmt, fmt, false);
@@ -51,7 +72,12 @@ fn pinned_mvau() -> Mvau {
     Mvau::from_dense(cfg, &w, &b, HwActivation::Relu)
 }
 
-fn mvau_case(mvau: &Mvau, n: usize) -> f64 {
+fn mvau_case(n: usize) -> f64 {
+    let mvau = pinned_mvau();
+    assert!(
+        mvau.has_fast_path(),
+        "pinned shape must take the i32 fast path"
+    );
     let fmt = QFormat::signed(8, 6);
     let mut rng = Xoshiro256pp::seed_from_u64(11);
     let inputs: Vec<i64> = (0..n * 16)
@@ -65,58 +91,18 @@ fn mvau_case(mvau: &Mvau, n: usize) -> f64 {
     })
 }
 
-fn main() {
-    hybridem_bench::banner(
-        "perf — SIMD kernel trajectories + regression gate",
-        "DESIGN.md §11.4 (infra; tracks the ISSUE 6 ≥3× MVAU target)",
-    );
-    println!(
-        "budget {} ms/case · lanes ×{} · rev {}\n",
-        perf::bench_budget_ms(),
-        LaneWidth::detect().lanes(),
-        perf::git_rev()
-    );
+fn qam16_maxlog() -> MaxLogMap {
+    MaxLogMap::new(Constellation::qam_gray(16), 0.2)
+}
 
-    // ---- MVAU block datapath -------------------------------------
-    let mvau = pinned_mvau();
-    assert!(
-        mvau.has_fast_path(),
-        "pinned shape must take the i32 fast path"
-    );
-    let mvau_results = vec![
-        ("mvau_block_n256_w8".to_string(), mvau_case(&mvau, 256)),
-        ("mvau_block_n4096_w8".to_string(), mvau_case(&mvau, 4096)),
-    ];
-
-    // ---- max-log demapper + compiled graph -----------------------
-    let maxlog = MaxLogMap::new(Constellation::qam_gray(16), 0.2);
-    let mut rng = Xoshiro256pp::seed_from_u64(23);
-    let ys: Vec<C32> = (0..4096)
-        .map(|_| C32::new(rng.normal_f32() * 0.7, rng.normal_f32() * 0.7))
-        .collect();
-    let mut llrs = vec![0f32; 4096 * 4];
-    let mut maxlog_block = |n: usize| {
-        let (ys, llrs) = (&ys[..n], &mut llrs[..n * 4]);
-        perf::measure_melems(n as u64, || {
-            maxlog.demap_block(black_box(ys), llrs);
-            black_box(&llrs);
-        })
-    };
-    let block_256 = maxlog_block(256);
-    let block_4096 = maxlog_block(4096);
-    let per_symbol_4096 = perf::measure_melems(4096, || {
-        for (y, chunk) in ys.iter().zip(llrs.chunks_exact_mut(4)) {
-            maxlog.llrs(black_box(*y), chunk);
-        }
-        black_box(&llrs);
-    });
-
+/// The compiled paper demapper (2→16→16→4, W8).
+fn paper_graph() -> QuantizedGraph {
     let model = MlpSpec::paper_demapper().build(&mut Xoshiro256pp::seed_from_u64(3));
     let q = |fmt: QFormat| QuantSpec {
         format: fmt,
         rounding: Rounding::Nearest,
     };
-    let graph = compile(
+    compile(
         &model,
         &[
             q(QFormat::signed(8, 5)),
@@ -124,40 +110,207 @@ fn main() {
             q(QFormat::signed(8, 4)),
             q(QFormat::unsigned(8, 8)),
         ],
-    );
-    let graph_256 = {
-        let (ys, llrs) = (&ys[..256], &mut llrs[..256 * 4]);
-        perf::measure_melems(256, || {
-            graph.demap_block(black_box(ys), llrs);
-            black_box(&llrs);
+    )
+}
+
+/// `n` received samples around the QAM-16 grid.
+fn demap_input(n: usize) -> Vec<C32> {
+    let mut rng = Xoshiro256pp::seed_from_u64(23);
+    (0..n)
+        .map(|_| C32::new(rng.normal_f32() * 0.7, rng.normal_f32() * 0.7))
+        .collect()
+}
+
+fn demap_block_case(demapper: &impl Demapper, n: usize) -> f64 {
+    let ys = demap_input(n);
+    let mut llrs = vec![0f32; n * demapper.bits_per_symbol()];
+    perf::measure_melems(n as u64, || {
+        demapper.demap_block(black_box(&ys), &mut llrs);
+        black_box(&llrs);
+    })
+}
+
+fn max_log_per_symbol_case(n: usize) -> f64 {
+    let maxlog = qam16_maxlog();
+    let ys = demap_input(n);
+    let mut llrs = vec![0f32; n * 4];
+    perf::measure_melems(n as u64, || {
+        for (y, chunk) in ys.iter().zip(llrs.chunks_exact_mut(4)) {
+            maxlog.llrs(black_box(*y), chunk);
+        }
+        black_box(&llrs);
+    })
+}
+
+fn serve_name(backend: &str, workers: usize, batch_links: usize) -> String {
+    format!("serve_{backend}_l{LINKS}_t{workers}_b{batch_links}")
+}
+
+/// Worker counts of the serving grid: 1, 2, 4 and every thread.
+fn thread_sweep() -> Vec<usize> {
+    let mut sweep = vec![1, 2, 4, hybridem_parallel::num_threads()];
+    sweep.sort_unstable();
+    sweep.dedup();
+    sweep
+}
+
+/// Times full submit-one-frame-per-link + serve-to-drain rounds, so
+/// the median is in M frames/s across the whole fleet.
+fn serve_case(demapper: Arc<dyn Demapper>, workers: usize, batch_links: usize) -> f64 {
+    let qam = Constellation::qam_gray(16);
+    let mut server = LinkServer::new(ServerCfg {
+        workers,
+        queue_cap: 4,
+        batch_links,
+    });
+    let be = server.register_backend(qam, demapper);
+    let ids: Vec<_> = (0..LINKS)
+        .map(|i| {
+            let mut cfg = SessionCfg::new(
+                be,
+                Trajectory::constant("clean", ChannelState::clean(f64::INFINITY), 1),
+                i,
+            );
+            cfg.frame_symbols = FRAME_SYMBOLS;
+            cfg.pilot_symbols = 2;
+            server.open_session(cfg)
         })
-    };
-    let demap_results = vec![
-        ("max_log_block_n256".to_string(), block_256),
-        ("max_log_block_n4096".to_string(), block_4096),
-        ("max_log_per_symbol_n4096".to_string(), per_symbol_4096),
-        ("graph_demap_block_n256".to_string(), graph_256),
+        .collect();
+    perf::measure_melems(LINKS, || {
+        for &id in &ids {
+            server.submit(id, 1).unwrap();
+        }
+        let served = server.serve();
+        assert_eq!(served, LINKS);
+    })
+}
+
+/// A deterministic two-ray QPSK stream of `n` symbols: (received,
+/// transmitted).
+fn two_ray_stream(n: usize) -> (Vec<C32>, Vec<C32>) {
+    let qam = Constellation::qam_gray(4);
+    let mut chan = TappedDelayLine::two_ray(0.4, 0.35, 1);
+    let mut rng = Xoshiro256pp::seed_from_u64(42);
+    let tx: Vec<C32> = (0..n)
+        .map(|_| qam.point((rng.next_u64() % qam.points().len() as u64) as usize))
+        .collect();
+    let mut rx = tx.clone();
+    chan.transmit(&mut rx, &mut rng);
+    (rx, tx)
+}
+
+fn equalizer() -> AdaptiveEqualizer {
+    AdaptiveEqualizer::new(Constellation::qam_gray(4), EqualizerConfig::default())
+}
+
+/// Blind CMA → DD equalization of a 4096-symbol block. State persists
+/// across iterations (as it does across frames in a link), so later
+/// samples time the converged DD fast path.
+fn eq_blind_case() -> f64 {
+    let (rx, _) = two_ray_stream(4096);
+    let mut block = rx.clone();
+    let mut eq = equalizer();
+    perf::measure_melems(4096, || {
+        block.copy_from_slice(&rx);
+        eq.equalize(black_box(&mut block));
+        black_box(&block);
+    })
+}
+
+/// Supervised LMS training on a 256-symbol pilot prefix.
+fn eq_train_case() -> f64 {
+    let (rx, tx) = two_ray_stream(256);
+    let mut block = rx.clone();
+    let mut eq = equalizer();
+    perf::measure_melems(256, || {
+        block.copy_from_slice(&rx);
+        eq.train(black_box(&mut block), &tx);
+        black_box(&block);
+    })
+}
+
+/// The equalized link's two datapath stages: blind equalize in place,
+/// then one max-log `demap_block` at the 12 dB QPSK operating point of
+/// the `equalizer` bin.
+fn eq_demap_case() -> f64 {
+    let (rx, _) = two_ray_stream(4096);
+    let mut block = rx.clone();
+    let mut eq = equalizer();
+    let maxlog = MaxLogMap::new(Constellation::qam_gray(4), noise_sigma(12.0, 1.0) as f32);
+    let mut llrs = vec![0f32; 4096 * maxlog.bits_per_symbol()];
+    perf::measure_melems(4096, || {
+        block.copy_from_slice(&rx);
+        eq.equalize(black_box(&mut block));
+        maxlog.demap_block(&block, &mut llrs);
+        black_box(&llrs);
+    })
+}
+
+fn cases() -> Vec<Case> {
+    let mut cases = vec![
+        Case::new("mvau_block_n256_w8", || mvau_case(256)),
+        Case::new("mvau_block_n4096_w8", || mvau_case(4096)),
+        Case::new("max_log_block_n256", || {
+            demap_block_case(&qam16_maxlog(), 256)
+        }),
+        Case::new("max_log_block_n4096", || {
+            demap_block_case(&qam16_maxlog(), 4096)
+        }),
+        Case::new("max_log_per_symbol_n4096", || max_log_per_symbol_case(4096)),
+        Case::new("graph_demap_block_n256", || {
+            demap_block_case(&paper_graph(), 256)
+        }),
     ];
-
-    println!("| case | median Melem/s |");
-    println!("|---|---|");
-    for (k, v) in mvau_results.iter().chain(&demap_results) {
-        println!("| {k} | {v:.1} |");
+    // The full worker × batch grid on the conventional kernel; the graph
+    // backend (the paper's deployment datapath) at the extreme batch
+    // sizes only, to bound the matrix.
+    let maxlog: fn() -> Arc<dyn Demapper> = || Arc::new(qam16_maxlog());
+    let graph: fn() -> Arc<dyn Demapper> = || Arc::new(paper_graph());
+    for (backend, batches, demapper) in [
+        ("maxlog", &[1, 16, 256][..], maxlog),
+        ("graph", &[1, 256][..], graph),
+    ] {
+        for t in thread_sweep() {
+            for &b in batches {
+                let run = move || serve_case(demapper(), t, b);
+                cases.push(Case::new(serve_name(backend, t, b), run));
+            }
+        }
     }
+    cases.push(Case::new("eq_blind_block_n4096", eq_blind_case));
+    cases.push(Case::new("eq_train_n256", eq_train_case));
+    cases.push(Case::new("eq_demap_block_n4096", eq_demap_case));
+    cases
+}
 
-    // Satellite invariant: the block path never loses to per-symbol,
-    // at any length. Smoke budgets are too noisy to judge it.
-    if !perf::smoke_mode() {
+/// The two invariants of the module docs, with their margins printed.
+fn invariants(median: &dyn Fn(&str) -> f64) {
+    let block = median("max_log_block_n4096");
+    let per_symbol = median("max_log_per_symbol_n4096");
+    println!(
+        "max-log block ÷ per-symbol at n=4096: {:.2}× (must be ≥ 1)",
+        block / per_symbol
+    );
+    assert!(
+        block >= per_symbol,
+        "max-log block demap ({block:.1} Melem/s) lost to the per-symbol \
+         loop ({per_symbol:.1} Melem/s) at n=4096"
+    );
+    for t in thread_sweep() {
+        let per_link = median(&serve_name("maxlog", t, 1));
+        let batched = median(&serve_name("maxlog", t, 256));
+        println!(
+            "max-log serving b256 ÷ b1 at t={t}: {:.2}× (must be ≥ 2)",
+            batched / per_link
+        );
         assert!(
-            block_4096 >= per_symbol_4096,
-            "max-log block demap ({block_4096:.1} Melem/s) lost to the \
-             per-symbol loop ({per_symbol_4096:.1} Melem/s) at n=4096"
+            batched >= 2.0 * per_link,
+            "cross-link batching must double max-log serving throughput at \
+             {LINKS} links, t={t}: batched {batched:.3} vs per-link {per_link:.3} M frames/s"
         );
     }
+}
 
-    perf::gate(
-        "perf",
-        "Melem/s",
-        &[("mvau", &mvau_results), ("demap", &demap_results)],
-    );
+fn main() {
+    perf::main(&cases(), invariants);
 }

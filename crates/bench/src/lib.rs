@@ -1,9 +1,9 @@
 //! # hybridem-bench
 //!
 //! Experiment harness: one binary per paper artefact (Fig. 2, Fig. 3,
-//! Table 1, Table 2) plus ablation sweeps, and the perf gates for the
-//! hot paths ([`perf`]). Binaries print Markdown tables to stdout and
-//! write JSON/PGM artefacts under `results/`.
+//! Table 1, Table 2) plus ablation sweeps, and the one timing harness
+//! with its paired A/B gate ([`perf`]). Binaries print Markdown tables
+//! to stdout and write JSON/PGM artefacts under `results/`.
 //!
 //! | Binary | Paper artefact |
 //! |---|---|
@@ -18,9 +18,8 @@
 //! | `ablation_quant` | (ext.) bit-width vs BER |
 //! | `ablation_grid` | (ext.) extraction-grid resolution |
 //! | `ablation_trigger` | (ext.) retrain-trigger detection latency |
-//! | `perf` | (infra) perf-regression gate over the SIMD kernels, trajectories in `BENCH_*.json` |
-//! | `linkserver` | (infra) many-link serving saturation curves (workers × batch), trajectory in `BENCH_linkserver.json` |
-//! | `equalizer` | (ext.) blind re-convergence on two-ray ISI + adaptive-FIR kernel trajectory in `BENCH_equalizer.json` |
+//! | `equalizer` | (ext.) blind re-convergence on two-ray ISI |
+//! | `perf` | (infra) every timing case: SIMD kernels, the many-link serving grid (workers × batch) and the adaptive FIR; `--against <rev>` gates a change against `<rev>` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,8 +11,17 @@ use hybridem_mathkit::json::Json;
 
 #[test]
 fn harness_honours_its_environment_overrides() {
-    // HYBRIDEM_BENCH_MS: a 1 ms budget still yields a positive median.
+    // HYBRIDEM_BENCH_MS: a malformed or zero value means the full
+    // budget everywhere, so it is no smoke run either.
+    for bad in ["0", "abc", ""] {
+        std::env::set_var("HYBRIDEM_BENCH_MS", bad);
+        assert_eq!(perf::bench_budget_ms(), 300, "{bad:?}");
+        assert!(!perf::smoke_mode(), "{bad:?}");
+    }
+    // A 1 ms budget is a smoke run and still yields a positive median.
     std::env::set_var("HYBRIDEM_BENCH_MS", "1");
+    assert_eq!(perf::bench_budget_ms(), 1);
+    assert!(perf::smoke_mode());
     let mut x = 0u64;
     let melems = perf::measure_melems(1000, || {
         x = x.wrapping_add(std::hint::black_box(1));
