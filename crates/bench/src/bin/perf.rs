@@ -23,6 +23,12 @@
 //!   the adaptive FIR on a two-ray QPSK stream (blind CMA/DD equalize,
 //!   supervised LMS train, and equalize followed by a max-log demap
 //!   block: the two stages an equalized link runs per frame).
+//! - `train_step_paper_b256`: one step of the retrainer's loop on the
+//!   float paper demapper (2→16→16→4, logit head): forward,
+//!   `bce_with_logits`, backward and an Adam update of a fixed batch of
+//!   256 noisy QAM-16 pilots. `ann_demap_block_n4096`: the float
+//!   demapper's `demap_block`, the inference path of the decision-region
+//!   extraction grid. Both run the `nn` dense lane kernels.
 //!
 //! Invariants, checked after a full-budget plain run:
 //!
@@ -39,6 +45,8 @@ use hybridem_comm::demapper::{Demapper, MaxLogMap};
 use hybridem_comm::equalizer::{AdaptiveEqualizer, EqualizerConfig};
 use hybridem_comm::snr::noise_sigma;
 use hybridem_comm::trajectory::{ChannelState, Trajectory};
+use hybridem_core::config::SystemConfig;
+use hybridem_core::demapper_ann::NeuralDemapper;
 use hybridem_core::server::{LinkServer, ServerCfg, SessionCfg};
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::graph::{compile, QuantizedGraph};
@@ -46,7 +54,9 @@ use hybridem_fpga::mvau::{HwActivation, Mvau, MvauConfig, MvauScratch};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
+use hybridem_nn::loss::bce_with_logits;
 use hybridem_nn::model::MlpSpec;
+use hybridem_nn::optim::{Adam, Optimizer};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -246,6 +256,44 @@ fn eq_demap_case() -> f64 {
     })
 }
 
+/// The float paper demapper with a logit head, freshly initialised.
+fn paper_ann() -> NeuralDemapper {
+    NeuralDemapper::new(MlpSpec::paper_demapper_logits().build(&mut Xoshiro256pp::seed_from_u64(3)))
+}
+
+/// One retrainer step (`core::retrain`) on a fixed batch of 256 QAM-16
+/// pilots at σ = 0.3 per dimension. The classes overlap, so the logits
+/// stay bounded however long the case trains and every iteration does
+/// the same work.
+fn train_step_case() -> f64 {
+    const BATCH: usize = 256;
+    let cfg = SystemConfig::paper_default();
+    let qam = Constellation::qam_gray(16);
+    let mut rng = Xoshiro256pp::seed_from_u64(29);
+    let mut x = Matrix::zeros(BATCH, 2);
+    let mut targets = Matrix::zeros(BATCH, 4);
+    for r in 0..BATCH {
+        let label = (rng.next_u64() % 16) as usize;
+        let p = qam.point(label);
+        x[(r, 0)] = p.re + 0.3 * rng.normal_f32();
+        x[(r, 1)] = p.im + 0.3 * rng.normal_f32();
+        for k in 0..4 {
+            targets[(r, k)] = f32::from(qam.bit(label, k));
+        }
+    }
+    let mut demapper = paper_ann();
+    let model = demapper.model_mut();
+    let mut opt = Adam::new(cfg.retrain_lr);
+    perf::measure_melems(BATCH as u64, || {
+        model.zero_grad();
+        let z = model.forward(black_box(&x));
+        let (loss, grad) = bce_with_logits(&z, &targets);
+        model.backward(&grad);
+        opt.step(&mut model.params_mut());
+        black_box(loss);
+    })
+}
+
 fn cases() -> Vec<Case> {
     let mut cases = vec![
         Case::new("mvau_block_n256_w8", || mvau_case(256)),
@@ -280,6 +328,10 @@ fn cases() -> Vec<Case> {
     cases.push(Case::new("eq_blind_block_n4096", eq_blind_case));
     cases.push(Case::new("eq_train_n256", eq_train_case));
     cases.push(Case::new("eq_demap_block_n4096", eq_demap_case));
+    cases.push(Case::new("train_step_paper_b256", train_step_case));
+    cases.push(Case::new("ann_demap_block_n4096", || {
+        demap_block_case(&paper_ann(), 4096)
+    }));
     cases
 }
 

@@ -52,10 +52,10 @@ pub const MAX_EXACT_POINTS: usize = 256;
 /// max-log tile kernel and its reusable thread-local scratch (the
 /// per-tile allocations that once dragged long cold streams below the
 /// per-symbol path are gone), block demap beats the per-symbol loop at
-/// every length — ~12× at n=4096 on an AVX-512 host (pinned by the
-/// `perf` gate's `max_log_block_n4096 ≥ max_log_per_symbol_n4096`
-/// assert and tracked in `BENCH_demap.json`). Tiling does not affect
-/// results: symbols are independent.
+/// every length — ~12× at n=4096 on an AVX-512 host. That is an
+/// invariant of `perf`: a full-budget run asserts
+/// `max_log_block_n4096 ≥ max_log_per_symbol_n4096`. Tiling does not
+/// affect results: symbols are independent.
 pub const BLOCK_TILE: usize = 256;
 
 /// A bit-level soft demapper.

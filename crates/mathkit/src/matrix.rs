@@ -3,9 +3,9 @@
 //! This is the storage type behind the neural-network library: a batch
 //! of activations is a `(batch × features)` matrix, a dense layer's
 //! weights are `(out × in)`. Only the operations the workspace actually
-//! needs are provided, implemented with cache-friendly loop orders (the
-//! `ikj` matmul) so that training the paper's autoencoder is fast enough
-//! to run inside unit tests.
+//! needs are provided. The dense layer's products are not among them:
+//! they run as the SIMD lane kernels of `hybridem_nn::kernels`, which
+//! read these row-major buffers in place.
 
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::real::Real;
@@ -213,16 +213,6 @@ impl<T: Real> Matrix<T> {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Self::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// Matrix product writing into a pre-allocated output (hot path of
-    /// the training loop — avoids reallocating every step).
-    pub fn matmul_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
-        assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape");
-        out.fill_zero();
         let n = other.cols;
         for i in 0..self.rows {
             let a_row = self.row(i);
@@ -235,69 +225,6 @@ impl<T: Real> Matrix<T> {
                 for (o, &b) in out_row.iter_mut().zip(b_row) {
                     *o += aik * b;
                 }
-            }
-        }
-    }
-
-    /// `self · otherᵀ` without materialising the transpose.
-    pub fn matmul_transpose_b(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(self.rows, other.rows);
-        self.matmul_transpose_b_into(other, &mut out);
-        out
-    }
-
-    /// `self · otherᵀ` writing into a pre-sized output (the inference
-    /// hot path — same accumulation order as
-    /// [`Matrix::matmul_transpose_b`], so results are bit-identical).
-    pub fn matmul_transpose_b_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_b dimension mismatch"
-        );
-        out.resize_to(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let mut acc = T::ZERO;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out[(i, j)] = acc;
-            }
-        }
-    }
-
-    /// `selfᵀ · other` without materialising the transpose (the weight
-    /// gradient `xᵀ·δ` of a dense layer).
-    pub fn transpose_a_matmul(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.rows, other.rows,
-            "transpose_a_matmul dimension mismatch"
-        );
-        let mut out = Self::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = other.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == T::ZERO {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Sum over rows, producing a length-`cols` vector (bias gradients).
-    pub fn col_sums(&self) -> Vec<T> {
-        let mut out = vec![T::ZERO; self.cols];
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row(r)) {
-                *o += v;
             }
         }
         out
@@ -407,14 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_transposed_products_match_explicit() {
-        let a = Matrix::<f64>::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let b = Matrix::<f64>::from_rows(&[&[1.0, 0.5], &[-1.0, 2.0], &[0.0, 1.0]]);
-        assert_eq!(a.matmul_transpose_b(&b), a.matmul(&b.transpose()));
-        assert_eq!(a.transpose_a_matmul(&b), a.transpose().matmul(&b));
-    }
-
-    #[test]
     fn axpy_and_scale() {
         let mut a = Matrix::<f64>::from_rows(&[&[1.0, 1.0]]);
         let b = Matrix::<f64>::from_rows(&[&[2.0, -2.0]]);
@@ -425,9 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn col_sums_and_norms() {
+    fn norms() {
         let a = Matrix::<f64>::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
-        assert_eq!(a.col_sums(), vec![4.0, 2.0]);
         assert!((a.frobenius_norm() - (1.0f64 + 4.0 + 9.0 + 16.0).sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
     }
@@ -441,14 +359,5 @@ mod tests {
             a.zip_map(&b, |x, y| x + y),
             Matrix::from_rows(&[&[4.0, -1.0]])
         );
-    }
-
-    #[test]
-    fn matmul_into_reuses_buffer() {
-        let a = Matrix::<f64>::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::<f64>::from_rows(&[&[3.0], &[4.0]]);
-        let mut out = Matrix::full(1, 1, 99.0);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out[(0, 0)], 11.0);
     }
 }

@@ -1,7 +1,8 @@
 //! Portable fixed-width SIMD lanes with runtime width dispatch.
 //!
 //! The workspace's hot integer/float kernels (the MVAU block datapath,
-//! the max-log point-outer demapper) are written once, generic over a
+//! the max-log point-outer demapper, the float dense layer's products)
+//! are written once, generic over a
 //! compile-time lane count `N`, against the chunked-lane type
 //! [`Simd<T, N>`] — a plain `[T; N]` whose `#[inline(always)]`
 //! elementwise ops the LLVM autovectorizer lowers to one vector

@@ -1,13 +1,16 @@
 //! Fully-connected layer `y = x·Wᵀ + b`.
 
 use crate::init::Init;
+use crate::kernels;
 use crate::layer::{Layer, Param};
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::Xoshiro256pp;
+use hybridem_mathkit::simd::LaneWidth;
 
 /// Dense layer with weights stored `out × in` (the row of `W` is the
 /// fan-in of one output neuron — also the layout a folded MVAU consumes
-/// row by row on the FPGA side).
+/// row by row on the FPGA side). Its products run as the lane
+/// [`kernels`] at the probed [`LaneWidth`].
 pub struct Dense {
     weight: Param,
     bias: Param,
@@ -70,14 +73,13 @@ impl Layer for Dense {
     }
 
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
-        assert_eq!(input.cols(), self.in_dim(), "dense input width");
-        input.matmul_transpose_b_into(&self.weight.value, out);
-        let bias = self.bias.value.row(0);
-        for r in 0..out.rows() {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
+        kernels::affine_into_at(
+            LaneWidth::detect(),
+            input,
+            &self.weight.value,
+            self.bias.value.as_slice(),
+            out,
+        );
     }
 
     fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
@@ -85,18 +87,12 @@ impl Layer for Dense {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        assert_eq!(grad_out.rows(), input.rows(), "batch mismatch");
-        assert_eq!(grad_out.cols(), self.out_dim(), "grad width");
-        // dW (out×in) = grad_outᵀ · input
-        let dw = grad_out.transpose_a_matmul(input);
-        self.weight.grad.axpy(1.0, &dw);
-        // db = column sums of grad_out
-        let db = grad_out.col_sums();
-        for (g, d) in self.bias.grad.as_mut_slice().iter_mut().zip(db) {
-            *g += d;
-        }
-        // dX (batch×in) = grad_out · W
-        grad_out.matmul(&self.weight.value)
+        let width = LaneWidth::detect();
+        kernels::add_weight_grad_at(width, grad_out, input, &mut self.weight.grad);
+        kernels::add_bias_grad_at(width, grad_out, self.bias.grad.as_mut_slice());
+        let mut dx = Matrix::zeros(0, 0);
+        kernels::input_grad_into_at(width, grad_out, &self.weight.value, &mut dx);
+        dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

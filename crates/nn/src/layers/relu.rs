@@ -3,7 +3,8 @@
 use crate::layer::Layer;
 use hybridem_mathkit::matrix::Matrix;
 
-/// Element-wise `max(0, x)`; caches the activation mask for backward.
+/// Element-wise `max(0, x)`; caches the activation mask for backward,
+/// in a buffer reused across forward passes.
 #[derive(Default)]
 pub struct Relu {
     mask: Option<Vec<bool>>,
@@ -23,11 +24,11 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32> {
-        let mask: Vec<bool> = input.as_slice().iter().map(|&x| x > 0.0).collect();
-        let out = self.infer(input);
-        self.mask = Some(mask);
+        let mask = self.mask.get_or_insert_with(Vec::new);
+        mask.clear();
+        mask.extend(input.as_slice().iter().map(|&x| x > 0.0));
         self.shape = input.shape();
-        out
+        self.infer(input)
     }
 
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
@@ -40,13 +41,15 @@ impl Layer for Relu {
     fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
         let mask = self.mask.as_ref().expect("backward before forward");
         assert_eq!(grad_out.shape(), self.shape, "relu grad shape");
-        let mut g = grad_out.clone();
-        for (v, &m) in g.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        g
+        // A bit mask rather than a branch: half the units of a trained
+        // layer are inactive, in no order a predictor could learn.
+        let g = grad_out
+            .as_slice()
+            .iter()
+            .zip(mask)
+            .map(|(&g, &m)| f32::from_bits(g.to_bits() & u32::from(m).wrapping_neg()))
+            .collect();
+        Matrix::from_vec(self.shape.0, self.shape.1, g)
     }
 
     fn output_dim(&self, input_dim: usize) -> usize {

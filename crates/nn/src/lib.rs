@@ -10,7 +10,8 @@
 //! framework, this crate implements exactly that machinery:
 //!
 //! - [`layer::Layer`] and the [`layers`] module — dense, ReLU, sigmoid,
-//!   tanh for batched `Matrix<f32>` activations, plus the two special
+//!   tanh for batched `Matrix<f32>` activations (the dense products run
+//!   as bit-exact SIMD lane [`kernels`]), plus the two special
 //!   transmitter-side layers: [`layers::Embedding`] (symbol index →
 //!   point) and [`layers::PowerNorm`] (average-power constraint over the
 //!   constellation table);
@@ -31,6 +32,7 @@
 
 pub mod grad_check;
 pub mod init;
+pub mod kernels;
 pub mod layer;
 pub mod layers;
 pub mod loss;

@@ -12,7 +12,6 @@
 //! a plain gradient step regardless of batch size.
 
 use hybridem_mathkit::matrix::Matrix;
-use hybridem_mathkit::special::sigmoid_f32;
 
 /// Binary cross-entropy on probabilities `p ∈ (0,1)` against targets
 /// in `{0,1}` (mean over all entries). Inputs are clamped away from
@@ -30,16 +29,25 @@ pub fn bce(p: &Matrix<f32>, target: &Matrix<f32>) -> (f32, Matrix<f32>) {
 }
 
 /// Fused sigmoid + BCE on logits `z`: `L = mean[softplus(z) − t·z]`,
-/// `∂L/∂z = (σ(z) − t)/N`. Never overflows.
+/// `∂L/∂z = (σ(z) − t)/N`. Never overflows. One `e^{−|z|}` serves
+/// both terms; σ is bit-identical to
+/// [`sigmoid_f32`](hybridem_mathkit::special::sigmoid_f32).
 pub fn bce_with_logits(z: &Matrix<f32>, target: &Matrix<f32>) -> (f32, Matrix<f32>) {
     assert_eq!(z.shape(), target.shape(), "bce_with_logits shape mismatch");
     let n = z.len() as f32;
     let mut loss = 0.0f64;
     let grad = z.zip_map(target, |z, t| {
         // softplus(z) − t·z in the standard overflow-free form
-        // max(z,0) − t·z + ln(1+e^{−|z|}).
-        loss += (z.max(0.0) - t * z + (1.0 + (-z.abs()).exp()).ln()) as f64;
-        (sigmoid_f32(z) - t) / n
+        // max(z,0) − t·z + ln(1+e^{−|z|}); `sigmoid_f32` evaluates the
+        // same exponential, e^{−z} for z ≥ 0 and e^{z} otherwise.
+        let e = (-z.abs()).exp();
+        loss += (z.max(0.0) - t * z + (1.0 + e).ln()) as f64;
+        let sigma = if z >= 0.0 {
+            1.0 / (1.0 + e)
+        } else {
+            e / (1.0 + e)
+        };
+        (sigma - t) / n
     });
     ((loss / n as f64) as f32, grad)
 }
@@ -83,6 +91,7 @@ pub fn cross_entropy_logits(z: &Matrix<f32>, labels: &[usize]) -> (f32, Matrix<f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybridem_mathkit::special::sigmoid_f32;
 
     #[test]
     fn bce_known_value() {

@@ -155,8 +155,11 @@ impl Sequential {
 
     /// Forward pass through all layers.
     pub fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32> {
-        let mut x = input.clone();
-        for l in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input);
+        for l in rest {
             x = l.forward(&x);
         }
         x
@@ -206,8 +209,11 @@ impl Sequential {
 
     /// Backward pass; returns ∂L/∂input.
     pub fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return grad_out.clone();
+        };
+        let mut g = last.backward(grad_out);
+        for l in rest.iter_mut().rev() {
             g = l.backward(&g);
         }
         g
@@ -273,8 +279,33 @@ impl Sequential {
     }
 
     /// Restores a model from JSON produced by [`Sequential::to_json`].
+    /// Every dense layer's shape is checked against the width the layer
+    /// before it produces (the snapshot's `input_dim` for the first), so
+    /// a corrupt snapshot is an error here rather than a panic on first
+    /// use.
     pub fn from_json(json: &str) -> Result<Self, JsonError> {
         let snap: ModelSnapshot = hybridem_mathkit::json::from_str(json)?;
+        let mut width = snap.input_dim;
+        for (i, layer) in snap.layers.iter().enumerate() {
+            if let LayerSnapshot::Dense { weight, bias } = layer {
+                if weight.cols() != width {
+                    return Err(JsonError::new(format!(
+                        "layer {i}: dense weight is {}x{} but its input is {width} wide",
+                        weight.rows(),
+                        weight.cols()
+                    )));
+                }
+                if bias.shape() != (1, weight.rows()) {
+                    return Err(JsonError::new(format!(
+                        "layer {i}: dense bias is {}x{}, not 1x{}",
+                        bias.rows(),
+                        bias.cols(),
+                        weight.rows()
+                    )));
+                }
+                width = weight.rows();
+            }
+        }
         Ok(Self::from_snapshot(snap))
     }
 

@@ -1,10 +1,14 @@
 //! Property-based tests of the neural-network library: gradient
-//! correctness over random topologies, optimiser behaviour, and
-//! serialisation stability.
+//! correctness over random topologies, optimiser behaviour,
+//! serialisation stability, and the dense lane kernels' bit-identity
+//! with their textbook loops at every SIMD width.
 
 use hybridem_mathkit::matrix::Matrix;
-use hybridem_mathkit::rng::Xoshiro256pp;
+use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
+use hybridem_mathkit::simd::LaneWidth;
+use hybridem_mathkit::special::sigmoid_f32;
 use hybridem_nn::grad_check::{check_input_grads, check_model_grads};
+use hybridem_nn::kernels;
 use hybridem_nn::loss::{bce, bce_with_logits, cross_entropy_logits, mse};
 use hybridem_nn::model::{Activation, MlpSpec};
 use hybridem_nn::Sequential;
@@ -156,5 +160,213 @@ proptest! {
         }
         let (last, _) = bce_with_logits(&model.forward(&x), &t);
         prop_assert!(last < first + 1e-6, "loss should not increase: {first} → {last}");
+    }
+}
+
+/// A `rows × cols` batch in which about a quarter of the values are +0
+/// (ReLU zeros), an eighth are −0 and the rest are normal draws.
+fn batch_with_zeros(rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Matrix<f32> {
+    let mut m = Matrix::zeros(rows, cols);
+    for v in m.as_mut_slice() {
+        *v = match rng.next_u64() % 8 {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            _ => rng.normal_f32(),
+        };
+    }
+    m
+}
+
+fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+    }
+}
+
+/// Checks each dense kernel against its textbook scalar loop, bit for
+/// bit, at every width this host runs: products from +0 in ascending
+/// inner index with the bias added last, gradients from +0 in ascending
+/// batch row, then added to the accumulated gradient.
+fn check_dense_kernels(in_dim: usize, out_dim: usize, rows: usize, rng: &mut Xoshiro256pp) {
+    let w = batch_with_zeros(out_dim, in_dim, rng);
+    let b = batch_with_zeros(1, out_dim, rng);
+    let dw0 = batch_with_zeros(out_dim, in_dim, rng);
+    let db0 = batch_with_zeros(1, out_dim, rng);
+    let x = batch_with_zeros(rows, in_dim, rng);
+    let g = batch_with_zeros(rows, out_dim, rng);
+    let (mut y, mut dx) = (Matrix::zeros(rows, out_dim), Matrix::zeros(rows, in_dim));
+    let (mut dw, mut db) = (dw0.clone(), db0.clone());
+    for i in 0..rows {
+        for j in 0..out_dim {
+            let mut acc = 0.0f32;
+            for k in 0..in_dim {
+                acc += x[(i, k)] * w[(j, k)];
+            }
+            y[(i, j)] = acc + b[(0, j)];
+        }
+        for k in 0..in_dim {
+            let mut acc = 0.0f32;
+            for j in 0..out_dim {
+                acc += g[(i, j)] * w[(j, k)];
+            }
+            dx[(i, k)] = acc;
+        }
+    }
+    for j in 0..out_dim {
+        for k in 0..in_dim {
+            let mut acc = 0.0f32;
+            for r in 0..rows {
+                acc += g[(r, j)] * x[(r, k)];
+            }
+            dw[(j, k)] += acc;
+        }
+        let mut acc = 0.0f32;
+        for r in 0..rows {
+            acc += g[(r, j)];
+        }
+        db[(0, j)] += acc;
+    }
+    for width in LaneWidth::supported() {
+        let what = |k: &str| format!("{k} {in_dim}->{out_dim} batch {rows} {width:?}");
+        let mut got = Matrix::zeros(0, 0);
+        kernels::affine_into_at(width, &x, &w, b.as_slice(), &mut got);
+        assert_bits_eq(got.as_slice(), y.as_slice(), &what("affine"));
+        kernels::input_grad_into_at(width, &g, &w, &mut got);
+        assert_bits_eq(got.as_slice(), dx.as_slice(), &what("input grad"));
+        let mut got = dw0.clone();
+        kernels::add_weight_grad_at(width, &g, &x, &mut got);
+        assert_bits_eq(got.as_slice(), dw.as_slice(), &what("weight grad"));
+        let mut got = db0.clone();
+        kernels::add_bias_grad_at(width, &g, got.as_mut_slice());
+        assert_bits_eq(got.as_slice(), db.as_slice(), &what("bias grad"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every pair of layer widths — pure remainders, whole lane blocks
+    /// at every width and their edges, an inner dimension deeper than
+    /// one 16-deep weight panel — at the short batches (empty, one row,
+    /// a row block plus a remainder). The training batch and its edges
+    /// run every width against a width of 1, on either side, and the
+    /// paper demapper's three layer shapes. (A debug build spends about
+    /// 0.1 µs per kernel multiply-add, which bounds the sweep.)
+    #[test]
+    fn dense_kernels_match_textbook_loops_at_every_width(seed in any::<u64>()) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let widths = [1, 2, 4, 15, 16, 17, 33];
+        for in_dim in widths {
+            for out_dim in widths {
+                for rows in [0, 1, 7] {
+                    check_dense_kernels(in_dim, out_dim, rows, &mut rng);
+                }
+            }
+        }
+        let long = widths.iter().flat_map(|&w| [(w, 1), (1, w)]);
+        for (in_dim, out_dim) in long.chain([(2, 16), (16, 16), (16, 4)]) {
+            for rows in [255, 256, 257] {
+                check_dense_kernels(in_dim, out_dim, rows, &mut rng);
+            }
+        }
+    }
+}
+
+/// The shared-exponential `bce_with_logits` against the form that
+/// evaluates `e^{−|z|}` for the softplus and `sigmoid_f32` for the
+/// gradient: the loss and every gradient bit agree, and a NaN logit
+/// gives a NaN gradient either way.
+#[test]
+fn bce_with_logits_shares_one_exp_bit_exactly() {
+    let zs = [
+        0.0f32,
+        -0.0,
+        1e-30,
+        -1e-30,
+        88.0,
+        -88.0,
+        500.0,
+        -500.0,
+        f32::NAN,
+    ];
+    for t in [0.0f32, 1.0] {
+        let z = Matrix::from_vec(1, zs.len(), zs.to_vec());
+        let target = Matrix::full(1, zs.len(), t);
+        let (loss, grad) = bce_with_logits(&z, &target);
+        let n = zs.len() as f32;
+        let mut want_loss = 0.0f64;
+        for (&z, &g) in zs.iter().zip(grad.as_slice()) {
+            want_loss += (z.max(0.0) - t * z + (1.0 + (-z.abs()).exp()).ln()) as f64;
+            let want = (sigmoid_f32(z) - t) / n;
+            if z.is_nan() {
+                assert!(g.is_nan(), "NaN logit gave gradient {g}");
+            } else {
+                assert_eq!(g.to_bits(), want.to_bits(), "z {z} t {t}: {g} vs {want}");
+            }
+        }
+        let want_loss = (want_loss / n as f64) as f32;
+        assert!(
+            loss.is_nan() && want_loss.is_nan(),
+            "a NaN logit makes the mean loss NaN"
+        );
+        // Without the NaN logit, the losses agree bit for bit.
+        let finite = Matrix::from_vec(1, zs.len() - 1, zs[..zs.len() - 1].to_vec());
+        let (loss, _) = bce_with_logits(&finite, &Matrix::full(1, zs.len() - 1, t));
+        let mut want = 0.0f64;
+        for &z in &zs[..zs.len() - 1] {
+            want += (z.max(0.0) - t * z + (1.0 + (-z.abs()).exp()).ln()) as f64;
+        }
+        let want = (want / (zs.len() - 1) as f64) as f32;
+        assert_eq!(
+            loss.to_bits(),
+            want.to_bits(),
+            "t {t}: loss {loss} vs {want}"
+        );
+    }
+}
+
+/// A snapshot whose dense shapes disagree with the running width is a
+/// decode error, not a panic at construction or on first use.
+#[test]
+fn from_json_rejects_inconsistent_dense_shapes() {
+    let mut rng = Xoshiro256pp::seed_from_u64(21);
+    let json = MlpSpec::paper_demapper_logits().build(&mut rng).to_json();
+    assert!(Sequential::from_json(&json).is_ok());
+    // The first layer's 16-long bias is the first `"cols":16` after
+    // `"bias"`; its weight is 16x2 and its input 2 wide.
+    let bias_at = json.find("\"bias\"").expect("a dense bias");
+    let short_bias = format!(
+        "{}{}",
+        &json[..bias_at],
+        json[bias_at..]
+            .replacen("\"cols\":16", "\"cols\":15", 1)
+            .replacen(",0.0]", "]", 1)
+    );
+    let wide_input = json.replacen("\"input_dim\":2", "\"input_dim\":3", 1);
+    // The middle layer's weight: 16x16 becomes 8x32 with the same data.
+    let second = json
+        .find("\"rows\":16,\"cols\":16")
+        .expect("a 16x16 weight");
+    let bad_width = format!(
+        "{}{}",
+        &json[..second],
+        json[second..].replacen("\"rows\":16,\"cols\":16", "\"rows\":8,\"cols\":32", 1)
+    );
+    for (text, reason) in [
+        (short_bias, "layer 0: dense bias is 1x15, not 1x16"),
+        (
+            wide_input,
+            "layer 0: dense weight is 16x2 but its input is 3 wide",
+        ),
+        (
+            bad_width,
+            "layer 2: dense weight is 8x32 but its input is 16 wide",
+        ),
+    ] {
+        match Sequential::from_json(&text) {
+            Ok(_) => panic!("a corrupt snapshot decoded ({reason})"),
+            Err(e) => assert!(e.to_string().ends_with(reason), "{e}, expected {reason}"),
+        }
     }
 }
