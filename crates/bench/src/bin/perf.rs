@@ -1,11 +1,13 @@
 //! The one timing binary (DESIGN.md §11.4): the SIMD hot kernels, the
-//! many-link serving grid and the adaptive-FIR equalizer kernels at
-//! pinned shapes, run by [`hybridem_bench::perf::main`]. `perf` times
-//! every case and checks the invariants below; `perf --case <name>`
-//! times one case; `perf --against <rev>` pairs this build against
-//! `<rev>`'s, case by case.
+//! many-link serving grid, the adaptive-FIR equalizer kernels and the
+//! whole `OnlineLink` step at pinned shapes, run by
+//! [`hybridem_bench::perf::main`]. `perf` times every case and checks
+//! the invariants below; `perf --case <name>` times one case;
+//! `perf --against <rev>` pairs this build against `<rev>`'s, case by
+//! case.
 //!
-//! Cases (elements are symbols, or frames for `serve_*`):
+//! Cases (elements are symbols, or frames for `serve_*` and
+//! `link_step_*`):
 //!
 //! - `mvau_block_n{256,4096}_w8`: the MVAU per-layer block entry
 //!   point, 16×16 W8 Q(8,6) ReLU.
@@ -29,6 +31,14 @@
 //!   256 noisy QAM-16 pilots. `ann_demap_block_n4096`: the float
 //!   demapper's `demap_block`, the inference path of the decision-region
 //!   extraction grid. Both run the `nn` dense lane kernels.
+//! - `link_step_fixed_qam16_f256`, `link_step_eq_qpsk_f256`: one
+//!   `OnlineLink::step` per iteration, the whole per-frame path (frame
+//!   build, channel, equalizer, demap, error counts). The first is a
+//!   fixed max-log QAM-16 link, 256-symbol frames with 64 pilots, on
+//!   AWGN at the paper's Es/N0; the second an equalized QPSK link
+//!   without pilots on the two-ray echo (gain 0.4, one symbol) at
+//!   12 dB. Both trajectories are constant, so the link streams for
+//!   the whole budget.
 //!
 //! Invariants, checked after a full-budget plain run:
 //!
@@ -44,9 +54,10 @@ use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::{Demapper, MaxLogMap};
 use hybridem_comm::equalizer::{AdaptiveEqualizer, EqualizerConfig};
 use hybridem_comm::snr::noise_sigma;
-use hybridem_comm::trajectory::{ChannelState, Trajectory};
+use hybridem_comm::trajectory::{ChannelState, Taps, Trajectory};
 use hybridem_core::config::SystemConfig;
 use hybridem_core::demapper_ann::NeuralDemapper;
+use hybridem_core::runtime::{LinkParams, OnlineLink, OnlineLinkSpec};
 use hybridem_core::server::{LinkServer, ServerCfg, SessionCfg};
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::graph::{compile, QuantizedGraph};
@@ -294,6 +305,52 @@ fn train_step_case() -> f64 {
     })
 }
 
+/// A spec of 256-symbol frames on a constant `state`, which the
+/// trajectory holds past its one scripted frame.
+fn link_spec(state: ChannelState, pilot_symbols: usize) -> OnlineLinkSpec {
+    OnlineLinkSpec {
+        trajectory: Trajectory::constant("constant", state, 1),
+        seed: 31,
+        params: LinkParams {
+            frame_symbols: 256,
+            pilot_symbols,
+            ..LinkParams::default()
+        },
+    }
+}
+
+/// One `OnlineLink::step` per iteration: M frames/s.
+fn link_step_case(mut link: OnlineLink) -> f64 {
+    perf::measure_melems(1, || {
+        black_box(link.step());
+    })
+}
+
+/// A fixed max-log QAM-16 link with 64 pilots on AWGN at the paper's
+/// Es/N0.
+fn link_step_fixed_case() -> f64 {
+    let es_n0_db = SystemConfig::paper_default().es_n0_db();
+    let qam = Constellation::qam_gray(16);
+    let maxlog = MaxLogMap::new(qam.clone(), noise_sigma(es_n0_db, 1.0) as f32);
+    let spec = link_spec(ChannelState::clean(es_n0_db), 64);
+    link_step_case(OnlineLink::fixed(spec, qam, Box::new(maxlog)))
+}
+
+/// An equalized max-log QPSK link without pilots on the two-ray echo of
+/// the equalizer cases at 12 dB.
+fn link_step_eq_case() -> f64 {
+    let qpsk = Constellation::qam_gray(4);
+    let maxlog = MaxLogMap::new(qpsk.clone(), noise_sigma(12.0, 1.0) as f32);
+    let state = ChannelState::clean(12.0).with_taps(Taps::two_ray(0.4, 0.35, 1));
+    let link = OnlineLink::equalized(
+        link_spec(state, 0),
+        qpsk,
+        Box::new(maxlog),
+        EqualizerConfig::default(),
+    );
+    link_step_case(link)
+}
+
 fn cases() -> Vec<Case> {
     let mut cases = vec![
         Case::new("mvau_block_n256_w8", || mvau_case(256)),
@@ -332,6 +389,11 @@ fn cases() -> Vec<Case> {
     cases.push(Case::new("ann_demap_block_n4096", || {
         demap_block_case(&paper_ann(), 4096)
     }));
+    cases.push(Case::new(
+        "link_step_fixed_qam16_f256",
+        link_step_fixed_case,
+    ));
+    cases.push(Case::new("link_step_eq_qpsk_f256", link_step_eq_case));
     cases
 }
 

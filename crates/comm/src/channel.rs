@@ -248,6 +248,50 @@ impl Channel for RayleighBlockFading {
     }
 }
 
+/// The last `len` samples of a stream, as one contiguous slice.
+///
+/// A doubled linear delay line: each input is written at `pos` and at
+/// `pos + len`, so after the write the last `len` inputs are
+/// `line[pos..pos + len]`, oldest first and newest last, and no tap
+/// index wraps. [`TappedDelayLine`] and the adaptive equalizer
+/// (`crate::equalizer`) share it; each pairs tap `k` with the `k`-th
+/// newest sample and keeps its own summation order.
+#[derive(Clone, Debug)]
+pub(crate) struct DelayLine {
+    line: Vec<C32>,
+    /// Start of the window, the slot the next input overwrites.
+    pos: usize,
+}
+
+impl DelayLine {
+    /// A line of `len` zero samples.
+    pub(crate) fn new(len: usize) -> Self {
+        Self {
+            line: vec![C32::zero(); 2 * len],
+            pos: 0,
+        }
+    }
+
+    /// Shifts `x` in and returns the last `len` inputs, newest last.
+    #[inline]
+    pub(crate) fn push(&mut self, x: C32) -> &[C32] {
+        let len = self.line.len() / 2;
+        self.line[self.pos] = x;
+        self.line[self.pos + len] = x;
+        self.pos += 1;
+        if self.pos == len {
+            self.pos = 0;
+        }
+        &self.line[self.pos..self.pos + len]
+    }
+
+    /// Forgets every input.
+    pub(crate) fn clear(&mut self) {
+        self.line.fill(C32::zero());
+        self.pos = 0;
+    }
+}
+
 /// Frequency-selective (ISI) channel: a complex FIR tapped delay line
 /// `y[n] = Σ_k h_k · x[n−k]` with per-symbol memory that persists
 /// across blocks, frames and [`Channel::box_clone`] — the multipath
@@ -262,10 +306,8 @@ impl Channel for RayleighBlockFading {
 #[derive(Clone, Debug)]
 pub struct TappedDelayLine {
     taps: Vec<C32>,
-    // Circular delay line of past inputs; `pos` points at the slot the
-    // *next* input overwrites. line[pos−1−k mod L] = x[n−1−k].
-    line: Vec<C32>,
-    pos: usize,
+    /// The last `taps.len()` inputs, the current one included.
+    line: DelayLine,
 }
 
 impl TappedDelayLine {
@@ -281,8 +323,8 @@ impl TappedDelayLine {
             taps.iter().all(|t| t.is_finite()),
             "delay-line taps must be finite"
         );
-        let line = vec![C32::zero(); taps.len()];
-        Self { taps, line, pos: 0 }
+        let line = DelayLine::new(taps.len());
+        Self { taps, line }
     }
 
     /// `new(taps)` scaled to unit power (`Σ|h_k|² = 1`).
@@ -349,15 +391,13 @@ impl Channel for TappedDelayLine {
         }
         for y in block {
             let x = *y;
+            let window = self.line.push(x);
+            // From h₀·x, then taps[k] (k ≥ 1) times x[n−k], the k-th
+            // newest sample.
             let mut acc = self.taps[0] * x;
-            // taps[k] (k ≥ 1) multiplies x[n−k], stored k−1 steps
-            // behind the write cursor.
-            for (k, &h) in self.taps.iter().enumerate().skip(1) {
-                let idx = (self.pos + len - k) % len;
-                acc += h * self.line[idx];
+            for (&h, &past) in self.taps.iter().zip(window.iter().rev()).skip(1) {
+                acc += h * past;
             }
-            self.line[self.pos] = x;
-            self.pos = (self.pos + 1) % len;
             *y = acc;
         }
     }
@@ -367,8 +407,7 @@ impl Channel for TappedDelayLine {
     }
 
     fn reset(&mut self) {
-        self.line.fill(C32::zero());
-        self.pos = 0;
+        self.line.clear();
     }
 }
 

@@ -47,6 +47,7 @@
 //! instance per link keeps artefacts byte-identical at any
 //! `HYBRIDEM_THREADS`.
 
+use crate::channel::DelayLine;
 use crate::constellation::Constellation;
 use hybridem_mathkit::complex::C32;
 
@@ -102,10 +103,8 @@ pub struct AdaptiveEqualizer {
     /// CMA dispersion constant `R₂ = E|a|⁴ / E|a|²`.
     r2: f32,
     taps: Vec<C32>,
-    /// Circular delay line of inputs; `pos` is the slot the next input
-    /// overwrites, so line[pos−1−k mod L] = y[n−1−k].
-    line: Vec<C32>,
-    pos: usize,
+    /// The last `num_taps` inputs, newest last.
+    line: DelayLine,
     mode: EqualizerMode,
     /// EMA of |z − â|², the handoff statistic.
     dd_mse: f32,
@@ -133,14 +132,13 @@ impl AdaptiveEqualizer {
         let r2 = (p4 / p2) as f32;
         let mut taps = vec![C32::zero(); cfg.num_taps];
         taps[0] = C32::one();
-        let line = vec![C32::zero(); cfg.num_taps];
+        let line = DelayLine::new(cfg.num_taps);
         Self {
             cfg,
             constellation,
             r2,
             taps,
             line,
-            pos: 0,
             mode: EqualizerMode::Cma,
             dd_mse: 1.0,
         }
@@ -161,40 +159,12 @@ impl AdaptiveEqualizer {
         &self.taps
     }
 
-    /// Equalizer output for the sample at the write cursor *after*
-    /// `push` stored it: `z[n] = Σ_k w_k · y[n−k]`.
-    fn filter_output(&self) -> C32 {
-        let len = self.taps.len();
-        let mut z = C32::zero();
-        for (k, &w) in self.taps.iter().enumerate() {
-            // y[n−k] sits k+1 slots behind the (advanced) cursor.
-            let idx = (self.pos + len - 1 - k) % len;
-            z += w * self.line[idx];
-        }
-        z
-    }
-
-    fn push(&mut self, y: C32) {
-        self.line[self.pos] = y;
-        self.pos = (self.pos + 1) % self.line.len();
-    }
-
-    /// Applies the stochastic-gradient update `w_k ← w_k − μ·e·ȳ[n−k]`.
-    fn adapt(&mut self, err: C32, mu: f32) {
-        let len = self.taps.len();
-        for k in 0..len {
-            let idx = (self.pos + len - 1 - k) % len;
-            let g = err * self.line[idx].conj();
-            self.taps[k] -= g.scale(mu);
-        }
-    }
-
     /// Equalizes one sample **with** unsupervised adaptation: filters,
     /// updates the taps (CMA or DD-LMS per the current mode), updates
     /// the handoff statistic, and returns the equalized sample.
     pub fn equalize_symbol(&mut self, y: C32) -> C32 {
-        self.push(y);
-        let z = self.filter_output();
+        let window = self.line.push(y);
+        let z = filter_output(&self.taps, window);
         // Handoff statistic: decision error against the nearest point,
         // tracked in both modes so entry and exit share one signal.
         let nearest = self.constellation.point(self.constellation.nearest(z));
@@ -204,13 +174,13 @@ impl AdaptiveEqualizer {
         match self.mode {
             EqualizerMode::Cma => {
                 let e = z.scale(z.norm_sqr() - self.r2);
-                self.adapt(e, self.cfg.mu_cma);
+                adapt(&mut self.taps, window, e, self.cfg.mu_cma);
                 if self.dd_mse < self.cfg.dd_enter_mse {
                     self.mode = EqualizerMode::DecisionDirected;
                 }
             }
             EqualizerMode::DecisionDirected => {
-                self.adapt(dd_err, self.cfg.mu_dd);
+                adapt(&mut self.taps, window, dd_err, self.cfg.mu_dd);
                 if self.dd_mse > self.cfg.dd_exit_mse {
                     self.mode = EqualizerMode::Cma;
                 }
@@ -237,17 +207,37 @@ impl AdaptiveEqualizer {
     pub fn train(&mut self, rx: &mut [C32], tx: &[C32]) {
         assert_eq!(rx.len(), tx.len(), "pilot rx/tx length mismatch");
         for (y, &x) in rx.iter_mut().zip(tx) {
-            self.push(*y);
-            let z = self.filter_output();
+            let window = self.line.push(*y);
+            let z = filter_output(&self.taps, window);
             let err = z - x;
             let a = self.cfg.ema_alpha;
             self.dd_mse = (1.0 - a) * self.dd_mse + a * err.norm_sqr();
-            self.adapt(err, self.cfg.mu_dd);
+            adapt(&mut self.taps, window, err, self.cfg.mu_dd);
             *y = z;
         }
         if self.dd_mse < self.cfg.dd_enter_mse {
             self.mode = EqualizerMode::DecisionDirected;
         }
+    }
+}
+
+/// The FIR output `z[n] = Σ_k w_k · y[n−k]` over `window` (the last
+/// `taps.len()` inputs, newest last), summed from +0 with tap 0 first.
+#[inline]
+fn filter_output(taps: &[C32], window: &[C32]) -> C32 {
+    let mut z = C32::zero();
+    for (&w, &y) in taps.iter().zip(window.iter().rev()) {
+        z += w * y;
+    }
+    z
+}
+
+/// The stochastic-gradient update `w_k ← w_k − μ·e·ȳ[n−k]` over
+/// `window` (newest last).
+#[inline]
+fn adapt(taps: &mut [C32], window: &[C32], err: C32, mu: f32) {
+    for (w, &y) in taps.iter_mut().zip(window.iter().rev()) {
+        *w -= (err * y.conj()).scale(mu);
     }
 }
 

@@ -12,12 +12,15 @@
 //! [`QuantizedGraph`] deployment back into the datapath after a
 //! retrain latency charged against the FPGA trainer cost model.
 //!
-//! [`run_drift_campaign`] runs many independent links (one
-//! [`par_for_each_mut`] element per link, per-link RNG stream and
+//! A step logs the frame's error counts only; the payload's bitwise MI
+//! is [`OnlineLink::payload_mi`], computed on demand.
+//! [`run_drift_campaign`], its one reader, runs many independent links
+//! (one [`par_for_each_mut`] element per link, per-link RNG stream and
 //! state) over the paper's receiver line-up × a drift scenario suite,
-//! pooling per-frame error counts in link order so the
-//! [`DriftRuntimeReport`] artefact is a pure function of
-//! `(spec, seed)` — byte-identical at any thread count.
+//! records each link's MI after every frame, and pools per-frame error
+//! counts and MI in link order so the [`DriftRuntimeReport`] artefact is
+//! a pure function of `(spec, seed)` — byte-identical at any thread
+//! count.
 
 use crate::adapt::{AdaptThresholds, AdaptationController, Recommendation};
 use crate::config::SystemConfig;
@@ -133,8 +136,6 @@ pub struct FrameRecord {
     pub pilot_bits: u64,
     /// Pilot bit errors.
     pub pilot_bit_errors: u64,
-    /// Bitwise mutual information over this frame's payload LLRs.
-    pub mi: f64,
     /// The controller fired this frame.
     pub triggered: bool,
     /// A retrained demapper was swapped in at the start of this frame.
@@ -769,16 +770,8 @@ impl OnlineLink {
         self.demapper
             .demap_block(self.engine.block(), &mut self.llrs);
 
-        // 4. Frame statistics.
+        // 4. Error counts (the MI is `payload_mi`, on demand).
         let errors = self.engine.count_errors(&self.llrs);
-        let pilot_bits = self.engine.pilot_bits();
-        let mut mi = BitwiseMiEstimator::new();
-        for (&b, &l) in self.engine.tx_bits()[pilot_bits..]
-            .iter()
-            .zip(&self.llrs[pilot_bits..])
-        {
-            mi.push(b, l);
-        }
 
         // 5. The policy observes the frame: the switch policy traces
         // and re-selects, the retrain policy monitors and triggers.
@@ -799,14 +792,33 @@ impl OnlineLink {
             frame,
             payload_bits: self.engine.payload_bits() as u64,
             payload_bit_errors: errors.payload,
-            pilot_bits: pilot_bits as u64,
+            pilot_bits: self.engine.pilot_bits() as u64,
             pilot_bit_errors: errors.pilot,
-            mi: mi.mi(),
             triggered,
             swapped,
         });
         self.frame += 1;
         self.log.last().unwrap()
+    }
+
+    /// Bitwise mutual information of the last frame's payload LLRs, in
+    /// bits: one [`BitwiseMiEstimator`] over the payload bits in frame
+    /// order. 0.0 before the first frame and for a frame without
+    /// payload. Computed on demand (one `exp` and one `ln` per bit), so
+    /// [`OnlineLink::step`] does only datapath work.
+    pub fn payload_mi(&self) -> f64 {
+        if self.frame == 0 {
+            return 0.0;
+        }
+        let pilot_bits = self.engine.pilot_bits();
+        let mut mi = BitwiseMiEstimator::new();
+        for (&b, &l) in self.engine.tx_bits()[pilot_bits..]
+            .iter()
+            .zip(&self.llrs[pilot_bits..])
+        {
+            mi.push(b, l);
+        }
+        mi.mi()
     }
 
     /// Streams the whole scripted trajectory.
@@ -1334,12 +1346,19 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
             // construction happens on the workers too — each slot is a
             // pure function of its index, preserving the
             // byte-identical artefact.
-            let mut links: Vec<Option<OnlineLink>> = (0..spec.links).map(|_| None).collect();
+            // Each worker also records its link's per-frame payload
+            // MI, which only this campaign reads.
+            let mut links: Vec<Option<(OnlineLink, Vec<f64>)>> =
+                (0..spec.links).map(|_| None).collect();
             par_for_each_mut(&mut links, |i, slot| {
                 let seed = link_seed(spec.seed, fi, si, i as u32);
                 let mut link = (family.build)(&sc.trajectory, seed);
-                link.run();
-                *slot = Some(link);
+                let mut mi = Vec::with_capacity(frames);
+                while link.frames() < frames as u64 {
+                    link.step();
+                    mi.push(link.payload_mi());
+                }
+                *slot = Some((link, mi));
             });
 
             let mut bit_errors = vec![0u64; frames];
@@ -1349,13 +1368,13 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
             let mut pilot_bits = 0u64;
             let mut retrain_events = Vec::new();
             for (li, slot) in links.iter().enumerate() {
-                let link = slot.as_ref().expect("every worker built its link");
+                let (link, mi) = slot.as_ref().expect("every worker built its link");
                 assert_eq!(link.log().len(), frames, "link streamed the whole script");
-                for rec in link.log() {
+                for (rec, &mi) in link.log().iter().zip(mi) {
                     let f = rec.frame as usize;
                     bit_errors[f] += rec.payload_bit_errors;
                     pilot_errors[f] += rec.pilot_bit_errors;
-                    mi_sum[f] += rec.mi;
+                    mi_sum[f] += mi;
                     if li == 0 && f == 0 {
                         payload_bits = rec.payload_bits * u64::from(spec.links);
                         pilot_bits = rec.pilot_bits * u64::from(spec.links);
@@ -1764,16 +1783,22 @@ mod tests {
     #[test]
     fn noiseless_fixed_link_is_error_free() {
         let mut link = qam_link(noiseless_spec(5, 3));
-        link.run();
-        assert_eq!(link.frames(), 5);
-        assert_eq!(link.log().len(), 5);
-        for rec in link.log() {
+        assert_eq!(
+            link.payload_mi().to_bits(),
+            0.0f64.to_bits(),
+            "no frame yet"
+        );
+        for _ in 0..5 {
+            let rec = link.step();
             assert_eq!(rec.payload_bit_errors, 0);
             assert_eq!(rec.pilot_bit_errors, 0);
             assert_eq!(rec.payload_bits, (256 - 64) * 4);
-            assert!(rec.mi > 0.999, "clean LLRs carry the full bit: {}", rec.mi);
             assert!(!rec.triggered && !rec.swapped);
+            let mi = link.payload_mi();
+            assert!(mi > 0.999, "clean LLRs carry the full bit: {mi}");
         }
+        assert_eq!(link.frames(), 5);
+        assert_eq!(link.log().len(), 5);
         assert!(link.events().is_empty());
         assert!(link.deployment().is_none());
     }
@@ -1784,13 +1809,43 @@ mod tests {
             let mut spec = noiseless_spec(4, 9);
             spec.trajectory = Trajectory::constant("awgn", ChannelState::clean(10.0), 4);
             let mut link = qam_link(spec);
-            link.run();
-            link.log()
-                .iter()
-                .map(|r| (r.payload_bit_errors, r.mi.to_bits()))
+            (0..4)
+                .map(|_| {
+                    let errors = link.step().payload_bit_errors;
+                    (errors, link.payload_mi().to_bits())
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn payload_mi_matches_an_estimator_over_the_frame_payload() {
+        // The link's on-demand MI equals an estimator fed the payload
+        // bits and LLRs of the same frame, run by hand from the same
+        // seed: frame engine → the demapper's block call.
+        let traj = Trajectory::constant("awgn", ChannelState::clean(8.0), 3);
+        let spec = OnlineLinkSpec::new(traj.clone(), 12);
+        let (n, p) = (spec.params.frame_symbols, spec.params.pilot_symbols);
+        let qam = Constellation::qam_gray(16);
+        let sigma = noise_sigma(8.0, 1.0) as f32;
+        let demapper = MaxLogMap::new(qam.clone(), sigma);
+        let mut engine = FrameEngine::new(traj, spec.seed, n, p, spec.params.monitor, 4);
+        let mut llrs = vec![0.0f32; n * 4];
+        let inner = MaxLogMap::new(qam.clone(), sigma);
+        let mut link = OnlineLink::fixed(spec, qam.clone(), Box::new(inner));
+        for _ in 0..3 {
+            engine.generate(&qam);
+            demapper.demap_block(engine.block(), &mut llrs);
+            let mut want = BitwiseMiEstimator::new();
+            for (&b, &l) in engine.tx_bits()[p * 4..].iter().zip(&llrs[p * 4..]) {
+                want.push(b, l);
+            }
+            link.step();
+            let mi = link.payload_mi();
+            assert_eq!(mi.to_bits(), want.mi().to_bits());
+            assert!(mi > 0.5 && mi < 0.999, "a noisy frame's MI: {mi}");
+        }
     }
 
     #[test]
@@ -1809,10 +1864,11 @@ mod tests {
         let mut spec = noiseless_spec(2, 1);
         spec.params.pilot_symbols = spec.params.frame_symbols;
         let mut link = qam_link(spec);
-        link.run();
-        for rec in link.log() {
+        for _ in 0..2 {
+            let rec = link.step();
             assert_eq!(rec.payload_bits, 0);
             assert_eq!(rec.ber(), 0.0, "zero-payload contract: never NaN");
+            assert_eq!(link.payload_mi().to_bits(), 0.0f64.to_bits());
         }
     }
 

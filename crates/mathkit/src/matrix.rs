@@ -186,21 +186,6 @@ impl<T: Real> Matrix<T> {
         }
     }
 
-    /// `self += k * other` (axpy), reusing the allocation.
-    pub fn axpy(&mut self, k: T, other: &Self) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += k * b;
-        }
-    }
-
-    /// Scales all elements in place.
-    pub fn scale_inplace(&mut self, k: T) {
-        for a in &mut self.data {
-            *a *= k;
-        }
-    }
-
     /// Matrix product `self · other` with the cache-friendly `ikj`
     /// loop order.
     ///
@@ -331,16 +316,6 @@ mod tests {
         let a = Matrix::<f32>::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose().shape(), (3, 2));
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = Matrix::<f64>::from_rows(&[&[1.0, 1.0]]);
-        let b = Matrix::<f64>::from_rows(&[&[2.0, -2.0]]);
-        a.axpy(0.5, &b);
-        assert_eq!(a, Matrix::from_rows(&[&[2.0, 0.0]]));
-        a.scale_inplace(2.0);
-        assert_eq!(a, Matrix::from_rows(&[&[4.0, 0.0]]));
     }
 
     #[test]

@@ -60,19 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn matmul_distributes_over_axpy(a in small_matrix(), k in -10.0f64..10.0) {
-        // (A + kA)·I = (1+k)·A
-        let n = a.cols();
-        let eye = Matrix::eye(n);
-        let mut a2 = a.clone();
-        a2.axpy(k, &a);
-        let prod = a2.matmul(&eye);
-        for (x, y) in prod.as_slice().iter().zip(a.as_slice()) {
-            prop_assert!((x - (1.0 + k) * y).abs() < 1e-6 * y.abs().max(1.0));
-        }
-    }
-
-    #[test]
     fn vec2_cross_antisymmetric(ax in finite_f64(), ay in finite_f64(),
                                 bx in finite_f64(), by in finite_f64()) {
         let a = Vec2::new(ax, ay);
