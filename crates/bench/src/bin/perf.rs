@@ -7,10 +7,9 @@
 //! case.
 //!
 //! Cases (elements are symbols, or frames for `serve_*` and
-//! `link_step_*`):
+//! `link_step_*`; 26 on a 2-thread host, where the worker sweep is
+//! {1, 2, 4}):
 //!
-//! - `mvau_block_n{256,4096}_w8`: the MVAU per-layer block entry
-//!   point, 16×16 W8 Q(8,6) ReLU.
 //! - `max_log_block_n{256,4096}`, `max_log_per_symbol_n4096`: the
 //!   max-log point-outer kernel (QAM-16, σ=0.2) and its per-symbol
 //!   reference; `graph_demap_block_n256`: the compiled paper-demapper
@@ -61,7 +60,6 @@ use hybridem_core::runtime::{LinkParams, OnlineLink, OnlineLinkSpec};
 use hybridem_core::server::{LinkServer, ServerCfg, SessionCfg};
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::graph::{compile, QuantizedGraph};
-use hybridem_fpga::mvau::{HwActivation, Mvau, MvauConfig, MvauScratch};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
@@ -75,42 +73,6 @@ use std::sync::Arc;
 const LINKS: u64 = 1024;
 /// Symbols per served frame.
 const FRAME_SYMBOLS: usize = 8;
-
-/// The pinned MVAU shape: 16×16 dense, W8 weights/activations (Q8.6),
-/// ReLU.
-fn pinned_mvau() -> Mvau {
-    let fmt = QFormat::signed(8, 6);
-    let cfg = MvauConfig::full_parallel(16, 16, fmt, fmt, fmt, false);
-    let mut rng = Xoshiro256pp::seed_from_u64(7);
-    let mut w = Matrix::zeros(16, 16);
-    for v in w.as_mut_slice() {
-        *v = rng.normal_f32() * 0.3;
-    }
-    let mut b = Matrix::zeros(1, 16);
-    for v in b.as_mut_slice() {
-        *v = rng.normal_f32() * 0.1;
-    }
-    Mvau::from_dense(cfg, &w, &b, HwActivation::Relu)
-}
-
-fn mvau_case(n: usize) -> f64 {
-    let mvau = pinned_mvau();
-    assert!(
-        mvau.has_fast_path(),
-        "pinned shape must take the i32 fast path"
-    );
-    let fmt = QFormat::signed(8, 6);
-    let mut rng = Xoshiro256pp::seed_from_u64(11);
-    let inputs: Vec<i64> = (0..n * 16)
-        .map(|_| fmt.raw_from_f64(rng.normal_f64() * 0.4, Rounding::Nearest))
-        .collect();
-    let mut out = vec![0i64; n * 16];
-    let mut scratch = MvauScratch::new();
-    perf::measure_melems(n as u64, || {
-        mvau.process_block_into(black_box(&inputs), &mut out, &mut scratch);
-        black_box(&out);
-    })
-}
 
 fn qam16_maxlog() -> MaxLogMap {
     MaxLogMap::new(Constellation::qam_gray(16), 0.2)
@@ -353,8 +315,6 @@ fn link_step_eq_case() -> f64 {
 
 fn cases() -> Vec<Case> {
     let mut cases = vec![
-        Case::new("mvau_block_n256_w8", || mvau_case(256)),
-        Case::new("mvau_block_n4096_w8", || mvau_case(4096)),
         Case::new("max_log_block_n256", || {
             demap_block_case(&qam16_maxlog(), 256)
         }),

@@ -30,7 +30,7 @@ use hybridem_mathkit::json::ToJson;
 use std::path::{Path, PathBuf};
 
 /// Directory where experiment artefacts are written.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = std::env::var("HYBRIDEM_RESULTS").unwrap_or_else(|_| "results".to_string());
     let p = PathBuf::from(dir);
     std::fs::create_dir_all(&p).expect("create results dir");

@@ -176,7 +176,7 @@ fn run_all(cases: &[Case], invariants: impl FnOnce(&dyn Fn(&str) -> f64)) {
     let mut medians = Vec::with_capacity(cases.len());
     for case in cases {
         let median = (case.run)();
-        println!("| {} | {median:.3} |", case.name);
+        println!("| {} | {} |", case.name, sig4(median));
         medians.push((case.name.as_str(), median));
     }
     if smoke_mode() {
@@ -200,6 +200,17 @@ fn run_case(cases: &[Case], name: &str) -> Result<(), String> {
         .ok_or_else(|| format!("unknown case {name}"))?;
     println!("{}", case_line(name, (case.run)()));
     Ok(())
+}
+
+/// A median in M/s to four significant digits: the `link_step_*`
+/// cases run at 0.03–0.12 M/s, where a fixed `{:.3}` shows two.
+fn sig4(median: f64) -> String {
+    let decimals = if median > 0.0 && median.is_finite() {
+        (3 - median.log10().floor() as i32).max(0) as usize
+    } else {
+        3
+    };
+    format!("{median:.decimals$}")
 }
 
 /// The child protocol's one output line. `{}` prints the shortest
@@ -249,15 +260,15 @@ impl Verdict {
 /// row reads `new` and is not judged.
 fn table_row(name: &str, base: &[f64], change: &[f64]) -> (String, bool) {
     if base.is_empty() {
-        let row = format!("| {name} | – | {:.3} | – | – | new |", median(change));
+        let row = format!("| {name} | – | {} | – | – | new |", sig4(median(change)));
         return (row, false);
     }
     let verdict = Verdict::of(base, change);
     let regressed = verdict.regressed();
     let row = format!(
-        "| {name} | {:.3} | {:.3} | {:.3} | {}/{} | {} |",
-        median(base),
-        median(change),
+        "| {name} | {} | {} | {:.3} | {}/{} | {} |",
+        sig4(median(base)),
+        sig4(median(change)),
         verdict.median_ratio,
         verdict.slower,
         base.len(),
@@ -482,12 +493,26 @@ mod tests {
     #[test]
     fn a_case_the_base_does_not_answer_is_new_and_not_judged() {
         let (row, regressed) = table_row("eq_train_n256", &[], &[20.4]);
-        assert_eq!(row, "| eq_train_n256 | – | 20.400 | – | – | new |");
+        assert_eq!(row, "| eq_train_n256 | – | 20.40 | – | – | new |");
         assert!(!regressed);
 
         let (row, regressed) = table_row("eq_train_n256", &[20.0; 10], &[15.0; 10]);
         assert!(regressed);
         assert!(row.ends_with("| 0.750 | 10/10 | REGRESSED |"), "{row}");
+    }
+
+    #[test]
+    fn medians_print_four_significant_digits() {
+        assert_eq!(sig4(0.035123), "0.03512");
+        assert_eq!(sig4(0.1234), "0.1234");
+        assert_eq!(sig4(2.5), "2.500");
+        assert_eq!(sig4(123.456), "123.5");
+        assert_eq!(sig4(98765.4), "98765");
+        let (row, _) = table_row("link_step_eq_qpsk_f256", &[0.0351; 10], &[0.0369; 10]);
+        assert!(
+            row.starts_with("| link_step_eq_qpsk_f256 | 0.03510 | 0.03690 | 1.051 |"),
+            "{row}"
+        );
     }
 
     #[test]

@@ -37,19 +37,19 @@ use hybridem_mathkit::stats::wilson_interval;
 /// Builds the channel for one scenario at one grid SNR. The campaign
 /// engine passes grid values through verbatim, so the builder decides
 /// the axis convention (Es/N0 vs Eb/N0).
-pub type ChannelBuilder<'a> = Box<dyn Fn(f64) -> Box<dyn Channel> + Sync + 'a>;
+pub(crate) type ChannelBuilder<'a> = Box<dyn Fn(f64) -> Box<dyn Channel> + Sync + 'a>;
 
 /// Builds the demapper for one family at one grid SNR (same axis
 /// convention note as [`ChannelBuilder`]).
-pub type DemapperBuilder<'a> = Box<dyn Fn(f64) -> Box<dyn Demapper + 'a> + Sync + 'a>;
+pub(crate) type DemapperBuilder<'a> = Box<dyn Fn(f64) -> Box<dyn Demapper + 'a> + Sync + 'a>;
 
 /// One channel scenario of the campaign matrix (e.g. "awgn",
 /// "phase-pi4+awgn", "rayleigh+awgn").
 pub struct ChannelScenario<'a> {
     /// Scenario label used in artefacts.
-    pub name: String,
+    pub(crate) name: String,
     /// Channel factory, called once per (family, scenario, SNR) point.
-    pub build: ChannelBuilder<'a>,
+    pub(crate) build: ChannelBuilder<'a>,
 }
 
 impl<'a> ChannelScenario<'a> {
@@ -79,9 +79,9 @@ pub struct DemapperFamily<'a> {
     /// Family label used in artefacts.
     pub name: String,
     /// Transmit constellation for this family.
-    pub constellation: Constellation,
+    pub(crate) constellation: Constellation,
     /// Demapper factory, called once per (family, scenario, SNR) point.
-    pub build: DemapperBuilder<'a>,
+    pub(crate) build: DemapperBuilder<'a>,
 }
 
 impl<'a> DemapperFamily<'a> {
@@ -216,10 +216,10 @@ pub struct CampaignSpec<'a> {
     /// machine) so artefacts reproduce byte-for-byte anywhere.
     pub tasks: u32,
     /// Base seed; per-point seeds are derived deterministically.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Standard-normal quantile of the reported confidence intervals
     /// (1.96 ⇒ 95 %).
-    pub z: f64,
+    pub(crate) z: f64,
 }
 
 impl<'a> CampaignSpec<'a> {
@@ -259,9 +259,9 @@ pub struct CampaignPoint {
     /// Wilson interval of the BER at the campaign's `z`.
     pub ber_ci: (f64, f64),
     /// Symbol error rate (same zero-observation contract).
-    pub ser: f64,
+    pub(crate) ser: f64,
     /// Wilson interval of the SER.
-    pub ser_ci: (f64, f64),
+    pub(crate) ser_ci: (f64, f64),
     /// Bitwise mutual information (0 when nothing was simulated).
     pub mi: f64,
     /// Simulated bits.
@@ -306,19 +306,19 @@ hybridem_mathkit::impl_json!(CampaignPoint {
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
     /// Campaign label.
-    pub name: String,
+    pub(crate) name: String,
     /// Base seed the artefact is a pure function of.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Monte-Carlo task count used by every point.
-    pub tasks: u32,
+    pub(crate) tasks: u32,
     /// Symbols per channel block.
-    pub block_len: u64,
+    pub(crate) block_len: u64,
     /// CI quantile.
-    pub z: f64,
+    pub(crate) z: f64,
     /// Early-stop error target.
-    pub target_bit_errors: u64,
+    pub(crate) target_bit_errors: u64,
     /// Early-stop symbol cap.
-    pub max_symbols_per_point: u64,
+    pub(crate) max_symbols_per_point: u64,
     /// The SNR grid.
     pub snrs_db: Vec<f64>,
     /// One point per (family, scenario, SNR) cell, in matrix order.

@@ -92,7 +92,6 @@ impl Channel for Awgn {
 /// case study (θ = π/4).
 #[derive(Clone, Debug)]
 pub struct PhaseOffset {
-    theta: f32,
     rot: C32,
 }
 
@@ -100,14 +99,8 @@ impl PhaseOffset {
     /// Rotation by `theta` radians.
     pub fn new(theta: f32) -> Self {
         Self {
-            theta,
             rot: C32::from_angle(theta),
         }
-    }
-
-    /// The rotation angle.
-    pub fn theta(&self) -> f32 {
-        self.theta
     }
 }
 
@@ -142,7 +135,7 @@ impl Cfo {
     /// trajectory runtime folds this into a static [`PhaseOffset`]
     /// when a scripted segment changes the CFO rate, so the rotation
     /// stays continuous across the re-lowering.
-    pub fn phase(&self) -> f32 {
+    pub(crate) fn phase(&self) -> f32 {
         self.phase
     }
 }
@@ -313,7 +306,7 @@ pub struct TappedDelayLine {
 impl TappedDelayLine {
     /// FIR channel with the given impulse response (`taps[0]` is the
     /// main tap). Taps are used as given — call
-    /// [`TappedDelayLine::normalized`] or use a preset for unit power.
+    /// `TappedDelayLine::normalized` or use a preset for unit power.
     ///
     /// # Panics
     /// Panics when `taps` is empty or carries a non-finite coefficient.
@@ -331,7 +324,7 @@ impl TappedDelayLine {
     ///
     /// # Panics
     /// Panics on empty, non-finite or all-zero taps.
-    pub fn normalized(taps: Vec<C32>) -> Self {
+    pub(crate) fn normalized(taps: Vec<C32>) -> Self {
         let power: f32 = taps.iter().map(|t| t.norm_sqr()).sum();
         assert!(power > 0.0, "cannot normalise all-zero taps");
         let scale = power.sqrt().recip();
@@ -374,7 +367,7 @@ impl TappedDelayLine {
     }
 
     /// The impulse response (`taps()[0]` is the main tap).
-    pub fn taps(&self) -> &[C32] {
+    pub(crate) fn taps(&self) -> &[C32] {
         &self.taps
     }
 }

@@ -64,43 +64,6 @@ impl Constellation {
         c
     }
 
-    /// Square QAM with **natural binary** (non-Gray) labelling — the
-    /// classical baseline for labelling studies: adjacent points can
-    /// differ in several bits, costing ~0.5 dB at medium SNR.
-    pub fn qam_natural(order: usize) -> Self {
-        assert!(
-            matches!(order, 4 | 16 | 64 | 256),
-            "unsupported QAM order {order}"
-        );
-        let m = order.trailing_zeros() as usize;
-        let side = 1usize << (m / 2);
-        let mut points = vec![C32::zero(); order];
-        for (u, p) in points.iter_mut().enumerate() {
-            let li = u >> (m / 2);
-            let lq = u & (side - 1);
-            let re = (2 * li) as f32 - (side - 1) as f32;
-            let im = (2 * lq) as f32 - (side - 1) as f32;
-            *p = C32::new(re, im);
-        }
-        let mut c = Self::from_points(points);
-        c.normalize_power();
-        c
-    }
-
-    /// Gray-labelled M-PSK on the unit circle.
-    pub fn psk_gray(order: usize) -> Self {
-        assert!(order >= 2 && order.is_power_of_two(), "PSK order {order}");
-        let mut points = vec![C32::zero(); order];
-        for (u, p) in points.iter_mut().enumerate() {
-            // Place Gray-coded labels on consecutive phases so adjacent
-            // points differ in one bit.
-            let pos = crate::bits::gray_inverse(u);
-            let theta = 2.0 * std::f32::consts::PI * pos as f32 / order as f32;
-            *p = C32::from_angle(theta);
-        }
-        Self::from_points(points)
-    }
-
     /// Number of points `M`.
     pub fn size(&self) -> usize {
         self.points.len()
@@ -134,7 +97,7 @@ impl Constellation {
     }
 
     /// Scales the constellation to unit average power in place.
-    pub fn normalize_power(&mut self) {
+    pub(crate) fn normalize_power(&mut self) {
         let p = self.avg_energy();
         assert!(p > 0.0, "cannot normalise zero-power constellation");
         let k = 1.0 / p.sqrt();
@@ -242,18 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn natural_labelling_breaks_gray_property() {
-        let gray = Constellation::qam_gray(16);
-        let nat = Constellation::qam_natural(16);
-        // Same geometry…
-        assert!((nat.avg_energy() - 1.0).abs() < 1e-6);
-        assert!((nat.min_distance() - gray.min_distance()).abs() < 1e-6);
-        // …worse labelling: mean nearest-neighbour Hamming distance > 1.
-        assert!((gray.gray_penalty() - 1.0).abs() < 1e-9);
-        assert!(nat.gray_penalty() > 1.2, "penalty {}", nat.gray_penalty());
-    }
-
-    #[test]
     fn qam_orders_all_normalised() {
         for order in [4usize, 16, 64, 256] {
             let c = Constellation::qam_gray(order);
@@ -269,24 +220,6 @@ mod tests {
         for p in qam.points() {
             assert!((p.abs() - 1.0).abs() < 1e-6);
             assert!((p.re.abs() - std::f32::consts::FRAC_1_SQRT_2).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn psk_gray_adjacency() {
-        let c = Constellation::psk_gray(8);
-        assert!((c.avg_energy() - 1.0).abs() < 1e-6);
-        // Phase-adjacent labels differ in one bit.
-        for u in 0..8usize {
-            for v in 0..8usize {
-                if u == v {
-                    continue;
-                }
-                let d = c.point(u).dist_sqr(c.point(v)).sqrt();
-                if (d - c.min_distance()).abs() < 1e-5 {
-                    assert_eq!(crate::bits::hamming_distance(u, v), 1);
-                }
-            }
         }
     }
 

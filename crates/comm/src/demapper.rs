@@ -38,11 +38,11 @@ use std::cell::RefCell;
 
 /// Widest symbol (bits) the fixed stack buffers of the per-symbol
 /// convenience paths support.
-pub const MAX_BITS_PER_SYMBOL: usize = 16;
+pub(crate) const MAX_BITS_PER_SYMBOL: usize = 16;
 
 /// Largest labelled point set [`ExactLogMap`] supports (the size of its
 /// fixed per-point metric buffer).
-pub const MAX_EXACT_POINTS: usize = 256;
+pub(crate) const MAX_EXACT_POINTS: usize = 256;
 
 /// Symbols per internal tile of the point-outer block kernels. The
 /// bit-major working planes of one tile (distances plus per-bit
@@ -208,11 +208,6 @@ impl ExactLogMap {
             constellation,
             two_sigma_sqr: 2.0 * sigma * sigma,
         }
-    }
-
-    /// The labelled point set in use.
-    pub fn constellation(&self) -> &Constellation {
-        &self.constellation
     }
 
     #[inline]
@@ -438,7 +433,7 @@ thread_local! {
 }
 
 /// The point-outer max-log tile, written once over `Simd` lanes and
-/// monomorphised at the probed width by [`simd::dispatch`]. Lanes run
+/// monomorphised at the probed width by [`simd::dispatch_at`]. Lanes run
 /// across symbols: one distance vector per chunk feeds the per-bit
 /// running-min planes the subset masks select. Same distance
 /// expression (`dr·dr + di·di`), point order and strict-`<` min update

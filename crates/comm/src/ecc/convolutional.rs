@@ -14,12 +14,10 @@ use super::DecodeOutcome;
 pub struct ConvCode;
 
 impl ConvCode {
-    /// Constraint length.
-    pub const K: usize = 3;
     /// Number of trellis states.
-    pub const STATES: usize = 4;
+    pub(crate) const STATES: usize = 4;
     /// Tail bits appended to terminate the trellis.
-    pub const TAIL: usize = 2;
+    pub(crate) const TAIL: usize = 2;
 
     /// New encoder.
     pub fn new() -> Self {
@@ -88,7 +86,7 @@ impl Viterbi {
     /// [`Demapper::demap_block`](crate::demapper::Demapper::demap_block)
     /// feeds in directly). Maximises the path correlation
     /// `Σ (1−2c)·LLR` over codewords `c`.
-    pub fn decode_soft(&self, code: &ConvCode, llrs: &[f32]) -> DecodeOutcome {
+    pub(crate) fn decode_soft(&self, code: &ConvCode, llrs: &[f32]) -> DecodeOutcome {
         assert_eq!(llrs.len() % 2, 0, "rate-1/2 stream must be even");
         let steps = llrs.len() / 2;
         assert!(steps >= ConvCode::TAIL, "stream shorter than the tail");

@@ -162,7 +162,7 @@ impl AdaptiveEqualizer {
     /// Equalizes one sample **with** unsupervised adaptation: filters,
     /// updates the taps (CMA or DD-LMS per the current mode), updates
     /// the handoff statistic, and returns the equalized sample.
-    pub fn equalize_symbol(&mut self, y: C32) -> C32 {
+    pub(crate) fn equalize_symbol(&mut self, y: C32) -> C32 {
         let window = self.line.push(y);
         let z = filter_output(&self.taps, window);
         // Handoff statistic: decision error against the nearest point,

@@ -60,14 +60,3 @@ pub mod metrics;
 pub mod snr;
 pub mod theory;
 pub mod trajectory;
-
-pub use campaign::{
-    run_campaign, CampaignPoint, CampaignReport, CampaignSpec, ChannelScenario, DemapperFamily,
-    EarlyStop,
-};
-pub use channel::{Awgn, Channel, ChannelChain, PhaseOffset};
-pub use constellation::Constellation;
-pub use demapper::{Demapper, ExactLogMap, HardNearest, MaxLogMap};
-pub use equalizer::{AdaptiveEqualizer, EqualizerConfig, EqualizerMode};
-pub use linksim::{simulate_link, LinkResult, LinkSim, LinkSpec};
-pub use trajectory::{ChannelState, Taps, Trajectory, TrajectoryChannel};

@@ -173,13 +173,8 @@ impl<'a> LinkSim<'a> {
     }
 
     /// Rounds executed so far.
-    pub fn rounds(&self) -> u32 {
+    pub(crate) fn rounds(&self) -> u32 {
         self.runner.rounds()
-    }
-
-    /// Symbols simulated so far (`blocks × block_len`).
-    pub fn symbols(&self) -> u64 {
-        self.runner.trials() * self.spec.block_len as u64
     }
 
     /// Snapshot of the accumulated result, reduced in task order (so
@@ -393,7 +388,6 @@ mod tests {
         }
         let incremental = sim.result();
         assert_eq!(sim.rounds(), 3);
-        assert_eq!(sim.symbols(), 64 * 256);
 
         let mut one_shot = LinkSim::new(&spec, 8);
         one_shot.run_round(64);

@@ -39,20 +39,13 @@ impl BitwiseMiEstimator {
         self.n += 1;
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Current MI estimate in bits. May be slightly negative for a
     /// mismatched demapper — that is information-loss signal, not an
     /// error.
     ///
     /// Zero-observation contract: returns exactly `0.0` (never NaN)
     /// when no LLRs were pushed, so campaign artefacts and adaptation
-    /// thresholds always see a finite number; check
-    /// [`BitwiseMiEstimator::count`] to tell "no information" from
-    /// "nothing measured".
+    /// thresholds always see a finite number.
     pub fn mi(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -62,7 +55,7 @@ impl BitwiseMiEstimator {
     }
 
     /// Merges another estimator (parallel reduction).
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         self.acc += other.acc;
         self.n += other.n;
     }
@@ -86,7 +79,6 @@ mod tests {
     #[test]
     fn mi_empty_estimator_is_finite_zero() {
         let mi = BitwiseMiEstimator::new();
-        assert_eq!(mi.count(), 0);
         assert_eq!(mi.mi(), 0.0);
         assert!(mi.mi().is_finite());
     }
@@ -128,7 +120,6 @@ mod tests {
             }
         }
         a.merge(&b);
-        assert_eq!(a.count(), whole.count());
         assert!((a.mi() - whole.mi()).abs() < 1e-12);
     }
 }

@@ -30,15 +30,6 @@ pub fn ber_qam16_gray(es_n0_db: f64) -> f64 {
     0.75 * qfunc(x) + 0.5 * qfunc(3.0 * x) - 0.25 * qfunc(5.0 * x)
 }
 
-/// Exact symbol error rate of square 16-QAM over AWGN (any labelling).
-pub fn ser_qam16(es_n0_db: f64) -> f64 {
-    let es_n0 = db_to_linear(es_n0_db);
-    let x = (es_n0 / 5.0).sqrt();
-    // SER = 1 − (1 − P_pam)², P_pam = (3/2)·Q(x) for 4-PAM.
-    let p_pam = 1.5 * qfunc(x);
-    1.0 - (1.0 - p_pam) * (1.0 - p_pam)
-}
-
 /// Nearest-neighbour union-bound approximation of Gray square M-QAM BER
 /// (standard textbook formula) — used for 64/256-QAM extension sweeps.
 pub fn ber_qam_gray_approx(order: usize, es_n0_db: f64) -> f64 {
@@ -93,18 +84,6 @@ mod tests {
             assert!(b < last, "BER must fall with SNR");
             assert!(b > 0.0 && b < 0.5);
             last = b;
-        }
-    }
-
-    #[test]
-    fn ser_upper_bounds_ber_times_bits() {
-        // Each symbol error flips at least one of 4 bits:
-        // BER ≥ SER/4 and BER ≤ SER.
-        for snr in [0.0, 6.0, 12.0] {
-            let ber = ber_qam16_gray(snr);
-            let ser = ser_qam16(snr);
-            assert!(ber <= ser + 1e-12);
-            assert!(ber >= ser / 4.0 - 1e-12);
         }
     }
 

@@ -34,7 +34,7 @@ use hybridem_mathkit::rng::Xoshiro256pp;
 /// Maximum FIR length a [`ChannelState`] can carry. Bounded so the
 /// state stays `Copy` (segment interpolation and artefact plumbing
 /// pass it by value everywhere).
-pub const MAX_TAPS: usize = 8;
+pub(crate) const MAX_TAPS: usize = 8;
 
 /// A bounded, by-value FIR impulse response for the frequency-selective
 /// path of a [`ChannelState`]. The empty value ([`Taps::none`]) is the
@@ -65,7 +65,7 @@ impl Taps {
     /// # Panics
     /// Panics when `taps` has more than [`MAX_TAPS`] entries or a
     /// non-finite coefficient.
-    pub fn from_slice(taps: &[C32]) -> Self {
+    pub(crate) fn from_slice(taps: &[C32]) -> Self {
         assert!(
             taps.len() <= MAX_TAPS,
             "at most {MAX_TAPS} channel taps, got {}",
@@ -93,7 +93,7 @@ impl Taps {
     }
 
     /// True for the identity value (no stage lowered).
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.len == 0
     }
 
@@ -127,7 +127,7 @@ pub struct ChannelState {
     pub iq_phi: f32,
     /// Block Rayleigh fading coherence length in symbols (0 ⇒ off).
     /// Discrete: a ramp segment holds its start value.
-    pub fading_block: usize,
+    pub(crate) fading_block: usize,
     /// Frequency-selective impulse response ([`Taps::none`] ⇒ no ISI).
     /// Discrete like `fading_block`: a ramp segment holds its start
     /// taps, and the delay-line memory survives re-lowerings that do
@@ -202,11 +202,11 @@ impl ChannelState {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Segment {
     /// Duration in frames (> 0).
-    pub frames: u64,
+    pub(crate) frames: u64,
     /// Parameters at the segment's first frame.
-    pub start: ChannelState,
+    pub(crate) start: ChannelState,
     /// Parameters approached over the segment.
-    pub end: ChannelState,
+    pub(crate) end: ChannelState,
 }
 
 // Segment interpolation. Equal endpoints return `a` verbatim (no float
@@ -467,30 +467,15 @@ impl TrajectoryChannel {
         }
     }
 
-    /// The script being played.
-    pub fn trajectory(&self) -> &Trajectory {
-        &self.traj
-    }
-
-    /// Current frame index (advances every `frame_symbols` symbols).
-    pub fn frame(&self) -> u64 {
-        self.frame
-    }
-
     /// Symbols per frame.
     pub fn frame_symbols(&self) -> usize {
         self.frame_symbols
     }
 
-    /// The parameter state currently lowered.
-    pub fn state(&self) -> ChannelState {
-        self.state
-    }
-
     /// Total phase the playhead has accumulated beyond the scripted
     /// static offset: folded-in carry from past CFO-rate changes plus
     /// the live CFO stage's running phase.
-    pub fn accumulated_phase(&self) -> f32 {
+    pub(crate) fn accumulated_phase(&self) -> f32 {
         self.carry_phase + self.stages.cfo.as_ref().map_or(0.0, Cfo::phase)
     }
 
@@ -639,7 +624,7 @@ mod tests {
             assert_eq!(x.re.to_bits(), y.re.to_bits());
             assert_eq!(x.im.to_bits(), y.im.to_bits());
         }
-        assert_eq!(tc.frame(), 6);
+        assert_eq!(tc.frame, 6);
         assert!((tc.noise_sigma() - stat.noise_sigma()).abs() == 0.0);
     }
 
@@ -695,7 +680,7 @@ mod tests {
         // RNG values: had the stage been rebuilt, `remaining` would
         // reset and a *new* pair would be drawn at symbol 16, visibly
         // desynchronising every later draw).
-        assert_eq!(tc.frame(), 3);
+        assert_eq!(tc.frame, 3);
     }
 
     #[test]
@@ -737,7 +722,7 @@ mod tests {
         assert!(block[0].arg().abs() < 1e-6);
         assert!((block[4].arg() - 1.0).abs() < 1e-5);
         tc.reset();
-        assert_eq!(tc.frame(), 0);
+        assert_eq!(tc.frame, 0);
         let mut again = vec![C32::new(1.0, 0.0)];
         tc.transmit(&mut again, &mut rng());
         assert!(again[0].arg().abs() < 1e-6, "reset must rewind the script");

@@ -20,16 +20,16 @@ use hybridem_mathkit::stats::ErrorCounter;
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptThresholds {
     /// Retrain when the pilot-BER Wilson lower bound exceeds this.
-    pub ber_retrain: f64,
+    pub(crate) ber_retrain: f64,
     /// Consider the channel healthy when the upper bound falls below
     /// this (must be < `ber_retrain`; the gap is the hysteresis).
-    pub ber_healthy: f64,
+    pub(crate) ber_healthy: f64,
     /// Minimum observed pilot bits before any decision.
-    pub min_observations: u64,
+    pub(crate) min_observations: u64,
     /// Retrain when the ECC corrected-flip rate exceeds this.
-    pub ecc_flip_rate_retrain: f64,
+    pub(crate) ecc_flip_rate_retrain: f64,
     /// Confidence multiplier (z-score) for the Wilson bounds.
-    pub z: f64,
+    pub(crate) z: f64,
 }
 
 impl Default for AdaptThresholds {

@@ -14,7 +14,7 @@ use hybridem_nn::model::MlpSpec;
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Bits per symbol (4 = the paper's 16-QAM order).
-    pub bits_per_symbol: usize,
+    pub(crate) bits_per_symbol: usize,
     /// Demapper topology.
     pub demapper: MlpSpec,
     /// SNR in dB (Eb/N0 — the paper's axis).

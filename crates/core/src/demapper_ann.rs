@@ -56,19 +56,13 @@ impl NeuralDemapper {
     }
 
     /// Bits per symbol.
-    pub fn bits_per_symbol(&self) -> usize {
+    pub(crate) fn bits_per_symbol(&self) -> usize {
         self.model.output_dim()
     }
 
     /// Logits for a batch of received samples (`batch × 2` I/Q rows).
-    pub fn logits(&self, samples: &Matrix<f32>) -> Matrix<f32> {
+    pub(crate) fn logits(&self, samples: &Matrix<f32>) -> Matrix<f32> {
         self.model.infer(samples)
-    }
-
-    /// Bit probabilities `P(b_k = 1 | y)` for a batch.
-    pub fn probabilities(&self, samples: &Matrix<f32>) -> Matrix<f32> {
-        self.logits(samples)
-            .map(hybridem_mathkit::special::sigmoid_f32)
     }
 
     /// Hard symbol decision for one sample: the label formed by the
@@ -167,7 +161,9 @@ mod tests {
         let y = C32::new(0.3, -0.8);
         let mut llr = [0f32; 4];
         d.llrs(y, &mut llr);
-        let p = d.probabilities(&Matrix::from_vec(1, 2, vec![y.re, y.im]));
+        let p = d
+            .logits(&Matrix::from_vec(1, 2, vec![y.re, y.im]))
+            .map(hybridem_mathkit::special::sigmoid_f32);
         for k in 0..4 {
             // p > 0.5 ⇔ bit 1 more likely ⇔ LLR < 0.
             assert_eq!(p[(0, k)] > 0.5, llr[k] < 0.0, "bit {k}");
@@ -200,13 +196,5 @@ mod tests {
         for k in 0..4 {
             assert!((llr[k] + zs[(0, k)]).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn probabilities_in_unit_interval() {
-        let d = demapper(5);
-        let batch = Matrix::from_rows(&[&[3.0f32, -3.0]]);
-        let p = d.probabilities(&batch);
-        assert!(p.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 }

@@ -18,23 +18,23 @@ use hybridem_nn::schedule::LrSchedule;
 use hybridem_nn::Adam;
 
 /// Joint trainer for the autoencoder.
-pub struct E2eTrainer {
+pub(crate) struct E2eTrainer {
     cfg: SystemConfig,
     /// Static channel rotation used during training (0 for the paper's
     /// abstract AWGN channel).
-    pub channel_theta: f32,
+    pub(crate) channel_theta: f32,
     rng: Xoshiro256pp,
     mapper_opt: Adam,
     demapper_opt: Adam,
     schedule: LrSchedule,
     step_count: u64,
     /// Per-step loss history.
-    pub loss_history: Vec<f32>,
+    pub(crate) loss_history: Vec<f32>,
 }
 
 impl E2eTrainer {
     /// New trainer for a configuration.
-    pub fn new(cfg: &SystemConfig) -> Self {
+    pub(crate) fn new(cfg: &SystemConfig) -> Self {
         cfg.validate();
         Self {
             channel_theta: 0.0,
@@ -55,7 +55,7 @@ impl E2eTrainer {
     }
 
     /// One training step; returns the batch loss.
-    pub fn step(&mut self, mapper: &mut NeuralMapper, demapper: &mut NeuralDemapper) -> f32 {
+    pub(crate) fn step(&mut self, mapper: &mut NeuralMapper, demapper: &mut NeuralDemapper) -> f32 {
         let lr = self.schedule.at(self.step_count);
         self.mapper_opt.set_learning_rate(lr);
         self.demapper_opt.set_learning_rate(lr);
@@ -107,7 +107,11 @@ impl E2eTrainer {
     }
 
     /// Runs the configured number of steps; returns the final loss.
-    pub fn train(&mut self, mapper: &mut NeuralMapper, demapper: &mut NeuralDemapper) -> f32 {
+    pub(crate) fn train(
+        &mut self,
+        mapper: &mut NeuralMapper,
+        demapper: &mut NeuralDemapper,
+    ) -> f32 {
         let mut last = f32::INFINITY;
         for _ in 0..self.cfg.e2e_steps {
             last = self.step(mapper, demapper);
@@ -116,7 +120,7 @@ impl E2eTrainer {
     }
 
     /// Mean loss over the final `n` steps (smoother convergence metric).
-    pub fn tail_loss(&self, n: usize) -> f32 {
+    pub(crate) fn tail_loss(&self, n: usize) -> f32 {
         if self.loss_history.is_empty() {
             return f32::INFINITY;
         }

@@ -32,19 +32,19 @@ use hybridem_fpga::graph::QuantizedGraph;
 #[derive(Clone, Debug)]
 pub struct BerPoint {
     /// Receiver label.
-    pub receiver: String,
+    pub(crate) receiver: String,
     /// SNR in dB (Eb/N0, the paper's axis).
-    pub snr_db: f64,
+    pub(crate) snr_db: f64,
     /// Bit error rate.
     pub ber: f64,
     /// 95 % Wilson interval of the BER.
-    pub ber_ci: (f64, f64),
+    pub(crate) ber_ci: (f64, f64),
     /// Symbol error rate.
-    pub ser: f64,
+    pub(crate) ser: f64,
     /// Bitwise mutual information (bits per bit).
     pub mi: f64,
     /// Simulated bits.
-    pub bits: u64,
+    pub(crate) bits: u64,
     /// Observed bit errors.
     pub bit_errors: u64,
 }
@@ -61,7 +61,7 @@ hybridem_mathkit::impl_json!(BerPoint {
 });
 
 /// Measures one receiver on one channel.
-pub fn measure(
+pub(crate) fn measure(
     receiver: &str,
     snr_db: f64,
     constellation: &Constellation,
@@ -89,7 +89,7 @@ pub fn measure(
 /// to the registry's Es/N0 axis per family's symbol width). The
 /// builders capture shared backend handles, so the returned families
 /// own everything and outlive the registry borrow.
-pub fn registry_families(registry: &BackendRegistry) -> Vec<DemapperFamily<'static>> {
+pub(crate) fn registry_families(registry: &BackendRegistry) -> Vec<DemapperFamily<'static>> {
     registry
         .iter()
         .map(|(_, b)| {
@@ -107,7 +107,7 @@ pub fn registry_families(registry: &BackendRegistry) -> Vec<DemapperFamily<'stat
 }
 
 /// The paper's receiver line-up as campaign demapper families: the
-/// full [`paper_registry`] enumerated through [`registry_families`]
+/// full [`paper_registry`] enumerated through `registry_families`
 /// (grid SNR = **Eb/N0 in dB**):
 ///
 /// 1. `conventional` — Gray QAM + max-log with the true constellation;

@@ -33,14 +33,14 @@ use hybridem_mathkit::vec2::Vec2;
 #[derive(Clone, Copy, Debug)]
 pub struct ExtractionConfig {
     /// Grid cells per axis.
-    pub grid_n: usize,
+    pub(crate) grid_n: usize,
     /// Window half-width as a multiple of the constellation's largest
     /// coordinate. **4/3 is the unbiased choice for square grids**: an
     /// outer cell of a 4×4 lattice spans `[2a, W]` per axis, so its
     /// mass centroid `(2a + W)/2` equals the true point `3a` exactly
     /// when `W = 4a = (4/3)·3a` — larger windows drag outer centroids
     /// outward and visibly shift the max-log decision boundaries.
-    pub scale: f64,
+    pub(crate) scale: f64,
 }
 
 impl ExtractionConfig {
@@ -51,7 +51,7 @@ impl ExtractionConfig {
     }
 
     /// Resolved half-width for a reference constellation.
-    pub fn halfwidth(&self, reference: &Constellation) -> f64 {
+    pub(crate) fn halfwidth(&self, reference: &Constellation) -> f64 {
         let max_coord = reference
             .points()
             .iter()
@@ -85,7 +85,7 @@ pub struct ExtractionReport {
 impl ExtractionReport {
     /// The extracted centroids as a labelled constellation, ready for
     /// the conventional max-log demapper.
-    pub fn centroid_constellation(&self) -> Constellation {
+    pub(crate) fn centroid_constellation(&self) -> Constellation {
         Constellation::from_points(self.centroids.clone())
     }
 }

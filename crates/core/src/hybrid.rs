@@ -38,11 +38,6 @@ impl HybridDemapper {
         self.maxlog.constellation()
     }
 
-    /// Operating noise level.
-    pub fn sigma(&self) -> f32 {
-        self.sigma
-    }
-
     /// Instantiates the FPGA accelerator for this demapper.
     pub fn to_hardware(&self, cfg: SoftDemapperConfig) -> SoftDemapperDesign {
         build_soft_demapper_design(self.centroids().points(), self.sigma, cfg)

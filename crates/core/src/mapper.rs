@@ -2,7 +2,7 @@
 //!
 //! Paper §III-A: "the mapper consists of a trainable embedding layer
 //! with 16 inputs and two outputs as well as an average power
-//! normalization layer". [`NeuralMapper`] composes exactly those two
+//! normalization layer". `NeuralMapper` composes exactly those two
 //! pieces and exposes the learned constellation to the rest of the
 //! system.
 
@@ -14,7 +14,7 @@ use hybridem_nn::layer::Param;
 use hybridem_nn::layers::{Embedding, PowerNorm};
 
 /// Embedding + average-power normalisation.
-pub struct NeuralMapper {
+pub(crate) struct NeuralMapper {
     embedding: Embedding,
     norm: PowerNorm,
     cached_indices: Vec<usize>,
@@ -22,7 +22,7 @@ pub struct NeuralMapper {
 
 impl NeuralMapper {
     /// Fresh mapper with `num_symbols` random points.
-    pub fn new(num_symbols: usize, rng: &mut Xoshiro256pp) -> Self {
+    pub(crate) fn new(num_symbols: usize, rng: &mut Xoshiro256pp) -> Self {
         Self {
             embedding: Embedding::new(num_symbols, 2, 1.0, rng),
             norm: PowerNorm::new(),
@@ -30,28 +30,9 @@ impl NeuralMapper {
         }
     }
 
-    /// Mapper seeded from an existing constellation (e.g. Gray 16-QAM,
-    /// used by the convergence ablation).
-    pub fn from_constellation(c: &Constellation) -> Self {
-        let mut table = Matrix::zeros(c.size(), 2);
-        for (r, p) in c.points().iter().enumerate() {
-            table.row_mut(r).copy_from_slice(&[p.re, p.im]);
-        }
-        Self {
-            embedding: Embedding::from_table(table),
-            norm: PowerNorm::new(),
-            cached_indices: Vec::new(),
-        }
-    }
-
-    /// Number of symbols.
-    pub fn num_symbols(&self) -> usize {
-        self.embedding.num_symbols()
-    }
-
     /// Maps a batch of symbol indices to normalised I/Q points
     /// (`batch × 2`), caching for backward.
-    pub fn forward(&mut self, indices: &[usize]) -> Matrix<f32> {
+    pub(crate) fn forward(&mut self, indices: &[usize]) -> Matrix<f32> {
         // Normalise the whole table, then gather — the constraint is a
         // property of the codebook, not of the batch.
         let normed = self.norm.forward(self.embedding.table());
@@ -65,7 +46,7 @@ impl NeuralMapper {
     }
 
     /// Pure inference (no caches): the current normalised codebook.
-    pub fn constellation(&self) -> Constellation {
+    pub(crate) fn constellation(&self) -> Constellation {
         let table = self.embedding.table();
         let p = PowerNorm::avg_power(table).sqrt();
         let points: Vec<C32> = (0..table.rows())
@@ -76,7 +57,7 @@ impl NeuralMapper {
 
     /// Backward: scatter the batch gradient into table rows, then pull
     /// it through the power-norm Jacobian into the embedding gradient.
-    pub fn backward(&mut self, grad_points: &Matrix<f32>) {
+    pub(crate) fn backward(&mut self, grad_points: &Matrix<f32>) {
         assert_eq!(
             grad_points.rows(),
             self.cached_indices.len(),
@@ -100,13 +81,8 @@ impl NeuralMapper {
     }
 
     /// The trainable parameter (for optimisers).
-    pub fn param_mut(&mut self) -> &mut Param {
+    pub(crate) fn param_mut(&mut self) -> &mut Param {
         self.embedding.param_mut()
-    }
-
-    /// Read-only parameter access.
-    pub fn param(&self) -> &Param {
-        self.embedding.param()
     }
 }
 
@@ -136,17 +112,6 @@ mod tests {
             assert!((c.point(u).im - pts[(u, 1)]).abs() < 1e-6);
         }
         assert!((c.avg_energy() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn seeded_from_qam_reproduces_qam() {
-        let qam = Constellation::qam_gray(16);
-        let mut m = NeuralMapper::from_constellation(&qam);
-        let c = m.constellation();
-        for u in 0..16 {
-            assert!(c.point(u).dist_sqr(qam.point(u)) < 1e-10);
-        }
-        let _ = m.forward(&[3, 7]);
     }
 
     #[test]

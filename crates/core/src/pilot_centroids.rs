@@ -19,14 +19,14 @@ use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 
 /// Streaming estimator of per-symbol conditional means.
 #[derive(Clone, Debug)]
-pub struct PilotCentroidEstimator {
+pub(crate) struct PilotCentroidEstimator {
     sums: Vec<C32>,
     counts: Vec<u64>,
 }
 
 impl PilotCentroidEstimator {
     /// Estimator for `m` symbols.
-    pub fn new(num_symbols: usize) -> Self {
+    pub(crate) fn new(num_symbols: usize) -> Self {
         assert!(num_symbols >= 2);
         Self {
             sums: vec![C32::zero(); num_symbols],
@@ -35,24 +35,14 @@ impl PilotCentroidEstimator {
     }
 
     /// Records one received pilot with its known transmitted label.
-    pub fn observe(&mut self, label: usize, received: C32) {
+    pub(crate) fn observe(&mut self, label: usize, received: C32) {
         self.sums[label] += received;
         self.counts[label] += 1;
     }
 
-    /// Number of observations for `label`.
-    pub fn count(&self, label: usize) -> u64 {
-        self.counts[label]
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Current centroid estimates; labels never observed fall back to
     /// the supplied constellation point.
-    pub fn centroids(&self, fallback: &Constellation) -> Constellation {
+    pub(crate) fn centroids(&self, fallback: &Constellation) -> Constellation {
         assert_eq!(fallback.size(), self.sums.len());
         let points: Vec<C32> = self
             .sums
@@ -138,9 +128,6 @@ mod tests {
         let c = est.centroids(&qam);
         assert_eq!(c.point(3), C32::new(0.5, 0.5));
         assert_eq!(c.point(7), qam.point(7));
-        assert_eq!(est.total(), 1);
-        assert_eq!(est.count(3), 1);
-        assert_eq!(est.count(7), 0);
     }
 
     #[test]

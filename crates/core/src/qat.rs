@@ -10,9 +10,9 @@
 //!
 //! 1. **Calibrate** — drive noisy pilot symbols through the trained
 //!    float model and fit one fixed-point format per tensor boundary
-//!    at the requested width ([`QatConfig::bits`]);
+//!    at the requested width (`QatConfig::bits`);
 //! 2. **Fine-tune** — rebuild the model with straight-through
-//!    [`hybridem_nn::layers::FakeQuant`] casts at every boundary and
+//!    `FakeQuant` casts at every boundary and
 //!    run a short demapper-only training loop (mapper frozen, AWGN
 //!    pilots at the operating SNR) — training stays in f32 per the §1
 //!    substitution policy, only the injected rounding/saturation noise
@@ -39,17 +39,17 @@ pub struct QatConfig {
     /// converter boundaries (ADC input, LLR output) stay at
     /// `bits.max(6)` — they model the fixed bus widths the paper's
     /// design keeps while the datapath width is swept.
-    pub bits: u32,
+    pub(crate) bits: u32,
     /// Fine-tuning steps (demapper only, mapper frozen).
     pub steps: usize,
     /// Pilot batch size per step.
     pub batch: usize,
     /// Adam learning rate.
-    pub lr: f32,
+    pub(crate) lr: f32,
     /// Calibration sample count for the range fit.
-    pub calibration: usize,
+    pub(crate) calibration: usize,
     /// RNG seed (calibration noise and pilot stream).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl QatConfig {
@@ -67,29 +67,18 @@ impl QatConfig {
     }
 }
 
-/// Result of a QAT fine-tuning run.
-pub struct QatOutcome {
-    /// The fine-tuned quantisation-aware model (FakeQuant boundaries
-    /// carrying the deployment formats).
-    pub model: Sequential,
-    /// The fitted tensor-boundary specs, in datapath order.
-    pub boundaries: Vec<QuantSpec>,
-    /// Loss of the first fine-tuning step (quantisation damage).
-    pub initial_loss: f32,
-    /// Loss of the final step.
-    pub final_loss: f32,
-}
-
 /// Calibrates tensor-boundary formats and fine-tunes `base` with
 /// straight-through fake quantisation: pilots are drawn from the
 /// frozen `constellation`, passed through AWGN at `sigma`, and the
 /// demapper-only BCE loss is minimised for [`QatConfig::steps`] steps.
-pub fn qat_finetune(
+/// Returns the fine-tuned quantisation-aware model, whose `FakeQuant`
+/// boundaries carry the deployment formats.
+fn qat_finetune(
     constellation: &Constellation,
     base: &Sequential,
     sigma: f32,
     cfg: &QatConfig,
-) -> QatOutcome {
+) -> Sequential {
     assert_eq!(base.input_dim(), 2, "demapper models take I/Q inputs");
     assert!(cfg.steps >= 1, "need at least one fine-tuning step");
     // Fail before spending the training budget: the integer IR can
@@ -117,11 +106,9 @@ pub fn qat_finetune(
     // 3. Straight-through fine-tuning, mapper frozen.
     let mut model = insert_fake_quant(base, &boundaries);
     let mut opt = Adam::new(cfg.lr);
-    let mut initial_loss = f32::NAN;
-    let mut final_loss = f32::NAN;
     let mut y = Matrix::zeros(cfg.batch, 2);
     let mut targets = Matrix::zeros(cfg.batch, m);
-    for step in 0..cfg.steps {
+    for _ in 0..cfg.steps {
         for r in 0..cfg.batch {
             let idx = (rng.next_u64() >> (64 - m)) as usize;
             for k in 0..m {
@@ -133,21 +120,11 @@ pub fn qat_finetune(
         }
         model.zero_grad();
         let z = model.forward(&y);
-        let (loss, grad) = bce_with_logits(&z, &targets);
+        let (_, grad) = bce_with_logits(&z, &targets);
         model.backward(&grad);
         opt.step(&mut model.params_mut());
-        if step == 0 {
-            initial_loss = loss;
-        }
-        final_loss = loss;
     }
-
-    QatOutcome {
-        model,
-        boundaries,
-        initial_loss,
-        final_loss,
-    }
+    model
 }
 
 /// Fits one fixed-point format per tensor boundary of `model` by
@@ -155,8 +132,8 @@ pub fn qat_finetune(
 /// at noise level `sigma`) through it: input at the ADC width, each
 /// hidden activation at `bits`, output at the LLR-bus width
 /// (`bits.max(6)` for both I/O converters, matching
-/// [`QatConfig::bits`]). This is the calibration half of
-/// [`qat_finetune`], exposed on its own because the online runtime
+/// `QatConfig::bits`). This is the calibration half of
+/// `qat_finetune`, exposed on its own because the online runtime
 /// ([`crate::runtime`]) recompiles its integer deployment from freshly
 /// retrained weights mid-stream, where a full fine-tuning pass would
 /// blow the retrain-latency budget.
@@ -238,13 +215,13 @@ pub fn calibrate_boundaries(
 /// simulations (family label `ann-qat-w{bits}`).
 pub fn qat_quantized_demapper(pipe: &HybridPipeline, cfg: &QatConfig) -> QuantizedGraph {
     let constellation = pipe.constellation();
-    let outcome = qat_finetune(
+    let model = qat_finetune(
         &constellation,
         pipe.ann_demapper().model(),
         pipe.config().sigma(),
         cfg,
     );
-    hybridem_fpga::graph::compile_qat(&outcome.model, cfg.bits)
+    hybridem_fpga::graph::compile_qat(&model, cfg.bits)
 }
 
 #[cfg(test)]
@@ -266,23 +243,45 @@ mod tests {
         let base = base_model(1);
         let mut cfg = QatConfig::at_bits(6);
         cfg.steps = 200;
-        let out = qat_finetune(&constellation, &base, 0.1, &cfg);
-        assert_eq!(out.boundaries.len(), 4);
-        // I/O boundaries at the bus width, hidden at the sweep width.
-        assert_eq!(out.boundaries[0].format.total_bits, 6);
-        assert_eq!(out.boundaries[1].format.total_bits, 6);
-        assert_eq!(out.boundaries[3].format.total_bits, 6);
-        assert!(
-            out.final_loss < out.initial_loss,
-            "QAT fine-tuning must reduce the loss: {} → {}",
-            out.initial_loss,
-            out.final_loss
-        );
-        // The model round-trips its quant metadata.
+        let mut tuned = qat_finetune(&constellation, &base, 0.1, &cfg);
+        // The model carries the calibrated boundaries, one per tensor.
+        let boundaries = hybridem_nn::model::boundary_specs(&tuned);
         assert_eq!(
-            hybridem_nn::model::boundary_specs(&out.model),
-            out.boundaries
+            boundaries,
+            calibrate_boundaries(&constellation, &base, 0.1, 6, cfg.calibration, cfg.seed)
         );
+        assert_eq!(boundaries.len(), 4);
+        // I/O boundaries at the bus width, hidden at the sweep width.
+        assert_eq!(boundaries[0].format.total_bits, 6);
+        assert_eq!(boundaries[1].format.total_bits, 6);
+        assert_eq!(boundaries[3].format.total_bits, 6);
+        // Fine-tuning beats the untuned quantisation-aware model on
+        // fresh pilots.
+        let mut untuned = insert_fake_quant(&base, &boundaries);
+        let before = pilot_loss(&mut untuned, &constellation, 0.1);
+        let after = pilot_loss(&mut tuned, &constellation, 0.1);
+        assert!(
+            after < before,
+            "QAT fine-tuning must reduce the loss: {before} → {after}"
+        );
+    }
+
+    /// Mean BCE of `model` over 1024 fresh AWGN pilots at `sigma`.
+    fn pilot_loss(model: &mut Sequential, constellation: &Constellation, sigma: f32) -> f32 {
+        let (n, m) = (1024, constellation.bits_per_symbol());
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5eed);
+        let mut y = Matrix::zeros(n, 2);
+        let mut targets = Matrix::zeros(n, m);
+        for r in 0..n {
+            let idx = (rng.next_u64() >> (64 - m)) as usize;
+            for k in 0..m {
+                targets[(r, k)] = ((idx >> (m - 1 - k)) & 1) as f32;
+            }
+            let p = constellation.point(idx);
+            y[(r, 0)] = p.re + sigma * rng.normal_f32();
+            y[(r, 1)] = p.im + sigma * rng.normal_f32();
+        }
+        bce_with_logits(&model.forward(&y), &targets).0
     }
 
     #[test]

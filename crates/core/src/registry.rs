@@ -17,8 +17,9 @@
 //!
 //! Campaigns ([`crate::eval::campaign_families`]), the drift runtime
 //! ([`crate::runtime`], the `SwitchBackend` adaptation action) and the
-//! serving fabric ([`crate::server::LinkServer::register_registry`])
-//! all enumerate the same registry instead of hand-built lists.
+//! serving fabric (one [`crate::server::LinkServer::register_backend`]
+//! per entry) all draw on the same registry instead of hand-built
+//! lists.
 //!
 //! Cost is cycles-per-symbol first (initiation interval of the
 //! modelled hardware pipeline), energy-per-symbol second
@@ -53,7 +54,7 @@ pub struct BackendCost {
     pub cycles_per_symbol: f64,
     /// Energy per demapped symbol in joules (power model over the
     /// structural resource estimate at the modelled clock).
-    pub energy_per_symbol_j: f64,
+    pub(crate) energy_per_symbol_j: f64,
 }
 
 impl BackendCost {
@@ -104,7 +105,7 @@ pub struct BackendHandle(u32);
 
 impl BackendHandle {
     /// Dense registry index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -117,7 +118,7 @@ pub struct BackendRegistry {
 
 impl BackendRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -126,7 +127,7 @@ impl BackendRegistry {
     /// # Panics
     /// Panics on a duplicate name: names are artefact labels and
     /// selection tie-breaks, so they must be unique.
-    pub fn register(&mut self, backend: Arc<dyn Backend>) -> BackendHandle {
+    pub(crate) fn register(&mut self, backend: Arc<dyn Backend>) -> BackendHandle {
         assert!(
             self.find(backend.name()).is_none(),
             "backend name {:?} already registered",
@@ -241,7 +242,7 @@ type CurveFn = dyn Fn(f64) -> f64 + Send + Sync;
 /// a structural cost model. Clocked datapaths have an SNR-independent
 /// cycle count at full toggle activity; event-driven ones supply
 /// cycle/activity curves that fall with SNR.
-pub struct ModelBackend {
+pub(crate) struct ModelBackend {
     name: String,
     constellation: Constellation,
     build: Box<BuildFn>,
@@ -254,7 +255,7 @@ pub struct ModelBackend {
 
 impl ModelBackend {
     /// A clocked (always-toggling) backend with a flat cycle count.
-    pub fn clocked(
+    pub(crate) fn clocked(
         name: impl Into<String>,
         constellation: Constellation,
         build: Box<BuildFn>,
@@ -280,7 +281,7 @@ impl ModelBackend {
     /// of the operating SNR (both should be non-increasing so the
     /// registry's selection monotonicity holds).
     #[allow(clippy::too_many_arguments)]
-    pub fn event_driven(
+    pub(crate) fn event_driven(
         name: impl Into<String>,
         constellation: Constellation,
         build: Box<BuildFn>,
@@ -345,7 +346,7 @@ impl Backend for ModelBackend {
 /// (arXiv 2409.08698). Deterministic and thread-count independent:
 /// quantisation is a pure elementwise map over the max-log block
 /// kernel's bit-exact output.
-pub struct SpikingDemapper {
+pub(crate) struct SpikingDemapper {
     inner: MaxLogMap,
     step: f32,
     llr_clip: f32,
@@ -354,7 +355,7 @@ pub struct SpikingDemapper {
 impl SpikingDemapper {
     /// Spiking readout over `centroids` at noise σ with `levels`
     /// accumulation timesteps per bit and saturation at `llr_clip`.
-    pub fn new(centroids: Constellation, sigma: f32, levels: u32, llr_clip: f32) -> Self {
+    pub(crate) fn new(centroids: Constellation, sigma: f32, levels: u32, llr_clip: f32) -> Self {
         assert!(levels >= 1, "at least one accumulation timestep");
         assert!(llr_clip > 0.0, "spike saturation must be positive");
         Self {
@@ -406,20 +407,20 @@ const MODEL_CLOCK_MHZ: f64 = 150.0;
 /// the spiking stub lands between W6 and W4.
 mod penalty {
     /// Exact log-MAP: optimal bitwise demapper.
-    pub const EXACT: f64 = -0.05;
+    pub(crate) const EXACT: f64 = -0.05;
     /// Max-log with the true constellation.
-    pub const MAX_LOG: f64 = 0.0;
+    pub(crate) const MAX_LOG: f64 = 0.0;
     /// Trained float ANN at inference.
-    pub const ANN: f64 = 0.25;
+    pub(crate) const ANN: f64 = 0.25;
     /// Max-log on extracted centroids.
-    pub const HYBRID: f64 = 0.45;
+    pub(crate) const HYBRID: f64 = 0.45;
     /// Fixed-point accelerator model of the hybrid demapper.
-    pub const ACCEL: f64 = 0.55;
+    pub(crate) const ACCEL: f64 = 0.55;
     /// Spiking/event-driven readout stub.
-    pub const SNN: f64 = 1.8;
+    pub(crate) const SNN: f64 = 1.8;
 
     /// Quantized MVAU graph penalty by weight width.
-    pub fn graph(weight_bits: u32) -> f64 {
+    pub(crate) fn graph(weight_bits: u32) -> f64 {
         match weight_bits {
             w if w >= 8 => 0.9,
             6 | 7 => 1.4,
@@ -449,9 +450,11 @@ const FLOAT_UNITS: u64 = 4;
 
 /// Max-log float software/soft-core backend on an arbitrary labelled
 /// point set: one serial distance unit, `M` cycles per symbol.
-/// Public so ad-hoc line-ups (the equalizer bench, external tools) can
-/// build the stock conventional backend without a trained pipeline.
-pub fn max_log_backend(name: &str, tx: Constellation, points: Constellation) -> ModelBackend {
+pub(crate) fn max_log_backend(
+    name: &str,
+    tx: Constellation,
+    points: Constellation,
+) -> ModelBackend {
     let m = points.size() as f64;
     let usage = float_mac().times(3) // sub/square/accumulate chain
         + ResourceUsage {

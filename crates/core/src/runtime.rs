@@ -13,7 +13,7 @@
 //! retrain latency charged against the FPGA trainer cost model.
 //!
 //! A step logs the frame's error counts only; the payload's bitwise MI
-//! is [`OnlineLink::payload_mi`], computed on demand.
+//! is `OnlineLink::payload_mi`, computed on demand.
 //! [`run_drift_campaign`], its one reader, runs many independent links
 //! (one [`par_for_each_mut`] element per link, per-link RNG stream and
 //! state) over the paper's receiver line-up × a drift scenario suite,
@@ -133,25 +133,11 @@ pub struct FrameRecord {
     /// Payload bit errors (raw demapped decisions, before any ECC).
     pub payload_bit_errors: u64,
     /// Pilot bits transmitted this frame.
-    pub pilot_bits: u64,
+    pub(crate) pilot_bits: u64,
     /// Pilot bit errors.
-    pub pilot_bit_errors: u64,
+    pub(crate) pilot_bit_errors: u64,
     /// The controller fired this frame.
     pub triggered: bool,
-    /// A retrained demapper was swapped in at the start of this frame.
-    pub swapped: bool,
-}
-
-impl FrameRecord {
-    /// Payload BER (0 when the frame carried no payload — never NaN).
-    pub fn ber(&self) -> f64 {
-        error_rate(self.payload_bit_errors, self.payload_bits)
-    }
-
-    /// Pilot BER (same zero-observation contract).
-    pub fn pilot_ber(&self) -> f64 {
-        error_rate(self.pilot_bit_errors, self.pilot_bits)
-    }
 }
 
 /// One completed trigger→swap cycle.
@@ -163,10 +149,10 @@ pub struct RetrainEvent {
     /// (equals `trigger_frame` for [`TriggerAction::LogOnly`]).
     pub swap_frame: u64,
     /// `swap_frame − trigger_frame`.
-    pub latency_frames: u64,
+    pub(crate) latency_frames: u64,
     /// Simulated on-chip retraining time (s) from the FPGA trainer
     /// cost model (0 for `LogOnly`).
-    pub sim_time_s: f64,
+    pub(crate) sim_time_s: f64,
 }
 
 struct Pending {
@@ -326,19 +312,19 @@ const ES_CEIL_DB: f64 = 40.0;
 
 /// One backend switch of a switching link.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SwitchEvent {
+pub(crate) struct SwitchEvent {
     /// Frame whose evidence triggered the switch (the new backend
     /// demaps from the *next* frame).
-    pub frame: u64,
+    pub(crate) frame: u64,
     /// Backend that demapped up to and including `frame`.
-    pub from: BackendHandle,
+    pub(crate) from: BackendHandle,
     /// Backend that demaps from `frame + 1`.
-    pub to: BackendHandle,
+    pub(crate) to: BackendHandle,
     /// The windowed pilot SNR estimate (Es/N0 dB) behind the decision.
-    pub est_es_n0_db: f64,
+    pub(crate) est_es_n0_db: f64,
     /// True when `to` is cheaper than `from` (rising SNR earned a
     /// cheaper implementation); false for the accuracy upshift.
-    pub downshift: bool,
+    pub(crate) downshift: bool,
 }
 
 /// The switch policy: a registry handle and a ring buffer of per-frame
@@ -355,7 +341,6 @@ struct Switch {
     filled: usize,
     cursor: usize,
     last_switch: u64,
-    trace: Vec<u32>,
     events: Vec<SwitchEvent>,
 }
 
@@ -376,10 +361,10 @@ impl Switch {
         (10.0 * (sig / err).log10()).clamp(ES_FLOOR_DB, ES_CEIL_DB)
     }
 
-    /// Records who demapped this frame, feeds its pilot energies to the
-    /// estimator and, once the window is full and the dwell has
-    /// elapsed, re-runs the selection rule. Returns true when the
-    /// decision switched backends (effective next frame).
+    /// Feeds this frame's pilot energies to the estimator and, once the
+    /// window is full and the dwell has elapsed, re-runs the selection
+    /// rule. Returns true when the decision switched backends
+    /// (effective next frame).
     fn observe(
         &mut self,
         frame: u64,
@@ -387,9 +372,6 @@ impl Switch {
         engine: &FrameEngine,
         pilots: usize,
     ) -> bool {
-        // The trace records who demapped *this* frame before the
-        // decision runs — a switch takes effect next frame.
-        self.trace.push(self.active.index() as u32);
         // Pilot energies for the SNR estimate, derotated by the
         // one-tap LS phase θ* = arg Σ y·x̄ (the phase minimising
         // Σ|y·e^{−jθ} − x|²): raw Σ|y − x|² counts any uncompensated
@@ -590,7 +572,7 @@ impl OnlineLink {
     /// Panics on an empty registry, on an entry whose constellation
     /// points differ from the first entry's, or when the spec has no
     /// pilot symbols.
-    pub fn switching(
+    pub(crate) fn switching(
         spec: OnlineLinkSpec,
         registry: Arc<BackendRegistry>,
         policy: SwitchPolicy,
@@ -632,7 +614,6 @@ impl OnlineLink {
             filled: 0,
             cursor: 0,
             last_switch: 0,
-            trace: Vec::new(),
             events: Vec::new(),
         };
         let policy = Policy::Switch(Box::new(switch));
@@ -686,7 +667,7 @@ impl OnlineLink {
     }
 
     /// Backend switches so far (empty for non-switching receivers).
-    pub fn switch_events(&self) -> &[SwitchEvent] {
+    pub(crate) fn switch_events(&self) -> &[SwitchEvent] {
         match &self.policy {
             Some(Policy::Switch(s)) => &s.events,
             _ => &[],
@@ -694,19 +675,10 @@ impl OnlineLink {
     }
 
     /// The live registry handle (switching receivers only).
-    pub fn active_backend(&self) -> Option<BackendHandle> {
+    pub(crate) fn active_backend(&self) -> Option<BackendHandle> {
         match &self.policy {
             Some(Policy::Switch(s)) => Some(s.active),
             _ => None,
-        }
-    }
-
-    /// Per-frame backend trace — `trace[f]` is the registry index
-    /// that demapped frame `f` (empty for non-switching receivers).
-    pub fn backend_trace(&self) -> &[u32] {
-        match &self.policy {
-            Some(Policy::Switch(s)) => &s.trace,
-            _ => &[],
         }
     }
 
@@ -717,8 +689,15 @@ impl OnlineLink {
         &self.eq_modes
     }
 
+    /// The live demapper, the one the next frame demaps through.
+    #[cfg(test)]
+    pub(crate) fn demapper(&self) -> &Arc<dyn Demapper> {
+        &self.demapper
+    }
+
     /// The live integer deployment (adaptive receivers only).
-    pub fn deployment(&self) -> Option<&QuantizedGraph> {
+    #[cfg(test)]
+    pub(crate) fn deployment(&self) -> Option<&QuantizedGraph> {
         match &self.policy {
             Some(Policy::Retrain(r)) => Some(&r.deployment),
             _ => None,
@@ -742,7 +721,6 @@ impl OnlineLink {
             Some(Policy::Switch(s)) => s.next.take(),
             None => None,
         };
-        let swapped = swap.is_some();
         if let Some(demapper) = swap {
             self.demapper = demapper;
         }
@@ -773,8 +751,8 @@ impl OnlineLink {
         // 4. Error counts (the MI is `payload_mi`, on demand).
         let errors = self.engine.count_errors(&self.llrs);
 
-        // 5. The policy observes the frame: the switch policy traces
-        // and re-selects, the retrain policy monitors and triggers.
+        // 5. The policy observes the frame: the switch policy
+        // re-selects, the retrain policy monitors and triggers.
         let triggered = match &mut self.policy {
             Some(Policy::Retrain(r)) => r.observe(
                 frame,
@@ -795,7 +773,6 @@ impl OnlineLink {
             pilot_bits: self.engine.pilot_bits() as u64,
             pilot_bit_errors: errors.pilot,
             triggered,
-            swapped,
         });
         self.frame += 1;
         self.log.last().unwrap()
@@ -806,7 +783,7 @@ impl OnlineLink {
     /// order. 0.0 before the first frame and for a frame without
     /// payload. Computed on demand (one `exp` and one `ln` per bit), so
     /// [`OnlineLink::step`] does only datapath work.
-    pub fn payload_mi(&self) -> f64 {
+    pub(crate) fn payload_mi(&self) -> f64 {
         if self.frame == 0 {
             return 0.0;
         }
@@ -819,13 +796,6 @@ impl OnlineLink {
             mi.push(b, l);
         }
         mi.mi()
-    }
-
-    /// Streams the whole scripted trajectory.
-    pub fn run(&mut self) {
-        while self.frame < self.spec.trajectory.total_frames() {
-            self.step();
-        }
     }
 }
 
@@ -862,7 +832,7 @@ pub struct DriftFamily<'a> {
 }
 
 /// Builds one link for `(trajectory, link_seed)` (see [`DriftFamily`]).
-pub type LinkBuilder<'a> = Box<dyn Fn(&Trajectory, u64) -> OnlineLink + Sync + 'a>;
+pub(crate) type LinkBuilder<'a> = Box<dyn Fn(&Trajectory, u64) -> OnlineLink + Sync + 'a>;
 
 /// One drift scenario: the script plus the recovery expectations the
 /// artefact validation enforces.
@@ -1087,31 +1057,31 @@ pub struct DriftRow {
     /// Family label.
     pub family: String,
     /// Family role (`"baseline"`, `"frozen"`, `"adaptive"`).
-    pub role: String,
+    pub(crate) role: String,
     /// Scenario label.
     pub trajectory: String,
     /// Scripted frames.
     pub frames: u64,
     /// Links pooled into this row.
-    pub links: u32,
+    pub(crate) links: u32,
     /// Pre-drift baseline window length in frames.
     pub baseline_frames: u64,
     /// First post-disturbance frame.
-    pub drift_end_frame: u64,
+    pub(crate) drift_end_frame: u64,
     /// The recovery expectation this row is validated against.
-    pub expect_recovery: Option<bool>,
+    pub(crate) expect_recovery: Option<bool>,
     /// Whether validation additionally requires ≥ 1 retrain event.
-    pub expect_retrain: bool,
+    pub(crate) expect_retrain: bool,
     /// Payload bits per frame, pooled across links.
-    pub payload_bits_per_frame: u64,
+    pub(crate) payload_bits_per_frame: u64,
     /// Pooled payload bit errors per frame.
-    pub bit_errors: Vec<u64>,
+    pub(crate) bit_errors: Vec<u64>,
     /// Pooled payload BER per frame (`bit_errors / payload bits`).
-    pub ber: Vec<f64>,
+    pub(crate) ber: Vec<f64>,
     /// Pooled pilot BER per frame.
-    pub pilot_ber: Vec<f64>,
+    pub(crate) pilot_ber: Vec<f64>,
     /// Mean bitwise MI per frame across links (link-order mean).
-    pub mi: Vec<f64>,
+    pub(crate) mi: Vec<f64>,
     /// Every link's trigger→swap cycles.
     pub retrain_events: Vec<RetrainEventRecord>,
     /// Total retrains across the cell's links.
@@ -1160,19 +1130,19 @@ pub const RECOVERY_WINDOW: u64 = 30;
 #[derive(Clone, Debug)]
 pub struct DriftRuntimeReport {
     /// Campaign label.
-    pub name: String,
+    pub(crate) name: String,
     /// Base seed the artefact is a pure function of.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Links per cell.
     pub links: u32,
     /// Symbols per frame.
-    pub frame_symbols: u64,
+    pub(crate) frame_symbols: u64,
     /// Pilot symbols per frame.
-    pub pilot_symbols: u64,
+    pub(crate) pilot_symbols: u64,
     /// Modelled symbol rate (symbols/s) behind the latency accounting.
-    pub symbol_rate: f64,
+    pub(crate) symbol_rate: f64,
     /// Width of the recompiled integer deployments.
-    pub deploy_bits: u32,
+    pub(crate) deploy_bits: u32,
     /// One row per cell, in matrix order.
     pub rows: Vec<DriftRow>,
 }
@@ -1448,7 +1418,7 @@ pub fn run_drift_campaign(spec: &DriftCampaignSpec<'_>) -> DriftRuntimeReport {
 // Backend-switch campaign: one registry, many links, per-frame traces.
 // ---------------------------------------------------------------------
 
-/// A backend-switching campaign: independent [`OnlineLink::switching`]
+/// A backend-switching campaign: independent `OnlineLink::switching`
 /// links riding one scripted trajectory over one shared registry.
 pub struct SwitchCampaignSpec {
     /// Campaign label recorded in the artefact.
@@ -1571,7 +1541,9 @@ impl BackendSwitchReport {
     /// and error vectors span the stream, every index resolves in the
     /// backend table, the trace is consistent with the event log
     /// (each event flips `active` at its frame boundary, nothing else
-    /// does), and the shift counters match the events they summarise.
+    /// does, and at most one trailing event decided on the last frame
+    /// leaves the trace's last backend), and the shift counters match
+    /// the events they summarise.
     pub fn validate(&self) -> Result<(), String> {
         if self.links == 0 {
             return Err("links must be positive".to_string());
@@ -1603,7 +1575,16 @@ impl BackendSwitchReport {
             {
                 return Err(ctx("trace index outside the backend table".to_string()));
             }
-            let (mut rd, mut ru) = (0u64, 0u64);
+            // An event of this link, decided on `frame`, leaving `from`
+            // for another backend of the table on a finite estimate.
+            let leaves = |e: &SwitchEventRecord, frame: u64, from: u32| {
+                e.link == r.link
+                    && e.frame == frame
+                    && e.from == from
+                    && e.to != from
+                    && u64::from(e.to) < self.backends.len() as u64
+                    && e.est_es_n0_db.is_finite()
+            };
             let mut at = 0usize;
             for (f, w) in r.active.windows(2).enumerate() {
                 if w[0] == w[1] {
@@ -1612,34 +1593,21 @@ impl BackendSwitchReport {
                 let Some(e) = r.events.get(at) else {
                     return Err(ctx(format!("trace flips at frame {f} without an event")));
                 };
-                if e.link != r.link
-                    || e.frame != f as u64
-                    || e.from != w[0]
-                    || e.to != w[1]
-                    || e.from == e.to
-                    || !e.est_es_n0_db.is_finite()
-                {
+                if !leaves(e, f as u64, w[0]) || e.to != w[1] {
                     return Err(ctx(format!("event {at} inconsistent with the trace")));
-                }
-                if e.downshift {
-                    rd += 1;
-                } else {
-                    ru += 1;
                 }
                 at += 1;
             }
-            // A trailing event may land on the last frame: the switch
-            // was decided but the stream ended before it demapped.
-            for e in &r.events[at..] {
-                if e.frame + 1 != self.frames || e.from == e.to {
-                    return Err(ctx(format!("dangling event {e:?}")));
-                }
-                if e.downshift {
-                    rd += 1;
-                } else {
-                    ru += 1;
-                }
+            // At most one trailing event: a switch decided on the last
+            // frame, which the stream ended before it demapped.
+            let last = r.active[r.active.len() - 1];
+            match &r.events[at..] {
+                [] => {}
+                [e] if leaves(e, self.frames - 1, last) => {}
+                rest => return Err(ctx(format!("dangling events {rest:?}"))),
             }
+            let rd = r.events.iter().filter(|e| e.downshift).count() as u64;
+            let ru = r.events.len() as u64 - rd;
             if rd != r.downshifts || ru != r.upshifts {
                 return Err(ctx("shift counters disagree with the event log".to_string()));
             }
@@ -1702,7 +1670,9 @@ pub fn run_switch_campaign(spec: &SwitchCampaignSpec) -> BackendSwitchReport {
     let initial = spec
         .registry
         .select_or_best(spec.policy.initial_es_n0_db, spec.policy.ber_target);
-    let mut links: Vec<Option<OnlineLink>> = (0..spec.links).map(|_| None).collect();
+    // Each worker also records who demaps each of its link's frames:
+    // the backend active before the frame's step.
+    let mut links: Vec<Option<(OnlineLink, Vec<u32>)>> = (0..spec.links).map(|_| None).collect();
     par_for_each_mut(&mut links, |i, slot| {
         let link_spec = OnlineLinkSpec {
             trajectory: spec.trajectory.clone(),
@@ -1710,13 +1680,18 @@ pub fn run_switch_campaign(spec: &SwitchCampaignSpec) -> BackendSwitchReport {
             params: spec.params.clone(),
         };
         let mut link = OnlineLink::switching(link_spec, spec.registry.clone(), spec.policy);
-        link.run();
-        *slot = Some(link);
+        let mut active = Vec::with_capacity(frames as usize);
+        while link.frames() < frames {
+            let backend = link.active_backend().expect("a switching link");
+            active.push(backend.index() as u32);
+            link.step();
+        }
+        *slot = Some((link, active));
     });
     let mut rows = Vec::with_capacity(spec.links as usize);
     let (mut downshifts, mut upshifts) = (0u64, 0u64);
-    for (li, slot) in links.iter().enumerate() {
-        let link = slot.as_ref().expect("every worker built its link");
+    for (li, slot) in links.into_iter().enumerate() {
+        let (link, active) = slot.expect("every worker built its link");
         assert_eq!(link.frames(), frames, "link streamed the whole script");
         let events: Vec<SwitchEventRecord> = link
             .switch_events()
@@ -1736,7 +1711,7 @@ pub fn run_switch_campaign(spec: &SwitchCampaignSpec) -> BackendSwitchReport {
         upshifts += up;
         rows.push(SwitchLinkRow {
             link: li as u32,
-            active: link.backend_trace().to_vec(),
+            active,
             bit_errors: link.log().iter().map(|r| r.payload_bit_errors).collect(),
             downshifts: down,
             upshifts: up,
@@ -1767,6 +1742,13 @@ mod tests {
     use hybridem_comm::snr::noise_sigma;
     use hybridem_mathkit::json::{FromJson, Json};
 
+    /// Streams the whole scripted trajectory.
+    fn run(link: &mut OnlineLink) {
+        while link.frames() < link.spec().trajectory.total_frames() {
+            link.step();
+        }
+    }
+
     fn noiseless_spec(frames: u64, seed: u64) -> OnlineLinkSpec {
         OnlineLinkSpec::new(
             Trajectory::constant("clean", ChannelState::clean(f64::INFINITY), frames),
@@ -1793,7 +1775,7 @@ mod tests {
             assert_eq!(rec.payload_bit_errors, 0);
             assert_eq!(rec.pilot_bit_errors, 0);
             assert_eq!(rec.payload_bits, (256 - 64) * 4);
-            assert!(!rec.triggered && !rec.swapped);
+            assert!(!rec.triggered);
             let mi = link.payload_mi();
             assert!(mi > 0.999, "clean LLRs carry the full bit: {mi}");
         }
@@ -1853,7 +1835,7 @@ mod tests {
         let mut spec = noiseless_spec(3, 5);
         spec.params.monitor = Monitor::Ecc;
         let mut link = qam_link(spec);
-        link.run();
+        run(&mut link);
         for rec in link.log() {
             assert_eq!(rec.payload_bit_errors, 0, "noiseless coded payload");
         }
@@ -1867,7 +1849,7 @@ mod tests {
         for _ in 0..2 {
             let rec = link.step();
             assert_eq!(rec.payload_bits, 0);
-            assert_eq!(rec.ber(), 0.0, "zero-payload contract: never NaN");
+            assert_eq!(rec.payload_bit_errors, 0);
             assert_eq!(link.payload_mi().to_bits(), 0.0f64.to_bits());
         }
     }
@@ -1919,7 +1901,7 @@ mod tests {
         let mut link = OnlineLink::adaptive(spec, &pipe);
         let probe = C32::new(0.55, -0.35);
         let before = link.deployment().unwrap().process_iq(probe);
-        link.run();
+        run(&mut link);
         assert!(!link.events().is_empty(), "π/4 step must trigger a retrain");
         let e = link.events()[0];
         assert!(e.trigger_frame >= 4, "no trigger on the clean prefix");
@@ -1928,8 +1910,8 @@ mod tests {
         // integer deployment answers differently.
         let after = link.deployment().unwrap().process_iq(probe);
         assert_ne!(before, after, "deployment must be recompiled on swap");
-        let broken: f64 = link.log()[e.trigger_frame as usize].ber();
-        let healed: f64 = link.log().last().unwrap().ber();
+        let broken = log_window_ber(&link, e.trigger_frame, e.trigger_frame + 1);
+        let healed = log_window_ber(&link, link.frames() - 1, link.frames());
         assert!(
             healed < broken * 0.5,
             "retrained datapath must beat the stale one: {broken} → {healed}"
@@ -1955,8 +1937,8 @@ mod tests {
         assert!(!link.events().is_empty(), "offset must be detected");
         assert_eq!(link.events()[0].latency_frames, 0);
         // LogOnly never swaps: the stream stays broken.
-        link.run();
-        assert!(link.log().last().unwrap().ber() > 0.1);
+        run(&mut link);
+        assert!(log_window_ber(&link, link.frames() - 1, link.frames()) > 0.1);
     }
 
     #[test]
@@ -1977,7 +1959,7 @@ mod tests {
         spec.params.action = TriggerAction::LogOnly;
         spec.params.thresholds = test_thresholds();
         let mut link = OnlineLink::adaptive(spec, &pipe);
-        link.run();
+        run(&mut link);
         let first = link.events().first().expect("π/4 offset must trigger");
         assert!(first.trigger_frame >= 4, "triggered on the clean prefix");
         assert_eq!(first.latency_frames, 0);
@@ -2132,9 +2114,18 @@ mod tests {
         let precise = reg.find("precise").unwrap();
         let cheap = reg.find("cheap").unwrap();
         let spec = OnlineLinkSpec::new(up_down_trajectory(), 21);
+        let frames = spec.trajectory.total_frames();
         let mut link = OnlineLink::switching(spec, reg, switch_policy());
         assert_eq!(link.active_backend(), Some(precise));
-        link.run();
+        // Who demaps each frame: the backend active before its step,
+        // and the demapper the step installed and ran.
+        let mut trace = Vec::new();
+        let mut live = Vec::new();
+        while link.frames() < frames {
+            trace.extend(link.active_backend());
+            link.step();
+            live.push(Arc::clone(link.demapper()));
+        }
         let events = link.switch_events();
         assert!(events.len() >= 2, "one switch each way: {events:?}");
         let down = events.iter().find(|e| e.downshift).expect("a downshift");
@@ -2144,13 +2135,18 @@ mod tests {
         assert_eq!((up.from, up.to), (cheap, precise));
         assert!(up.frame > down.frame, "upshift follows the SNR drop");
         // Trace bookkeeping: who demapped each frame, switch visible
-        // one frame after its decision, `swapped` flagged there.
-        let trace = link.backend_trace();
+        // one frame after its decision.
         assert_eq!(trace.len() as u64, link.frames());
-        assert_eq!(trace[down.frame as usize] as usize, precise.index());
-        assert_eq!(trace[down.frame as usize + 1] as usize, cheap.index());
-        assert!(link.log()[down.frame as usize + 1].swapped);
+        assert_eq!(trace[down.frame as usize], precise);
+        assert_eq!(trace[down.frame as usize + 1], cheap);
         assert!(link.log()[down.frame as usize].triggered);
+        // The selected backend's demapper goes live on the frame after
+        // each decision, and on no other frame.
+        for f in 1..live.len() {
+            let swapped = !Arc::ptr_eq(&live[f], &live[f - 1]);
+            let decided = events.iter().any(|e| e.frame as usize + 1 == f);
+            assert_eq!(swapped, decided, "frame {f}");
+        }
         assert!(link.events().is_empty(), "no retrain events on switching");
         assert!(link.deployment().is_none());
     }
@@ -2191,9 +2187,9 @@ mod tests {
             Box::new(MaxLogMap::new(qam.clone(), sigma)),
             EqualizerConfig::default(),
         );
-        eq.run();
+        run(&mut eq);
         let mut fixed = OnlineLink::fixed(spec, qam.clone(), Box::new(MaxLogMap::new(qam, sigma)));
-        fixed.run();
+        run(&mut fixed);
         let frames = eq.frames();
         let base = log_window_ber(&eq, 0, sc.baseline_frames);
         let eq_post = log_window_ber(&eq, frames - RECOVERY_WINDOW, frames);
@@ -2238,7 +2234,7 @@ mod tests {
                 Box::new(MaxLogMap::new(qam.clone(), noise_sigma(12.0, 1.0) as f32)),
                 EqualizerConfig::default(),
             );
-            link.run();
+            run(&mut link);
             link.log()
                 .iter()
                 .map(|r| (r.payload_bit_errors, r.pilot_bit_errors))
@@ -2319,7 +2315,7 @@ mod tests {
         );
         let mut link = OnlineLink::switching(OnlineLinkSpec::new(traj, 33), reg, switch_policy());
         assert_eq!(link.active_backend(), Some(precise));
-        link.run();
+        run(&mut link);
         let down = link
             .switch_events()
             .iter()
@@ -2383,6 +2379,76 @@ mod tests {
         tampered.upshifts = 0;
         let err = tampered.validate().unwrap_err();
         assert!(err.contains("without an event"), "{err}");
+    }
+
+    #[test]
+    fn switch_validate_checks_a_trailing_event_like_a_flip() {
+        let report = run_switch_campaign(&SwitchCampaignSpec {
+            name: "tamper".to_string(),
+            registry: fake_registry(),
+            trajectory: up_down_trajectory(),
+            links: 1,
+            params: LinkParams::default(),
+            policy: switch_policy(),
+            seed: 5,
+        });
+        let row = &report.rows[0];
+        assert!(row.events.iter().all(|e| e.frame + 1 < report.frames));
+        let last = *row.active.last().unwrap();
+        // A switch decided on the last frame, away from the trace's
+        // last backend: valid once the counters include it.
+        let with_trailing = |e: SwitchEventRecord| {
+            let mut r = report.clone();
+            r.rows[0].events.push(e);
+            r.rows[0].upshifts += 1;
+            r.upshifts += 1;
+            r
+        };
+        let trailing = SwitchEventRecord {
+            link: 0,
+            frame: report.frames - 1,
+            from: last,
+            to: 1 - last,
+            est_es_n0_db: 3.0,
+            downshift: false,
+        };
+        with_trailing(trailing.clone())
+            .validate()
+            .expect("a trailing switch is valid");
+        let tampered = [
+            SwitchEventRecord {
+                to: 2,
+                ..trailing.clone()
+            },
+            SwitchEventRecord {
+                link: 1,
+                ..trailing.clone()
+            },
+            SwitchEventRecord {
+                from: 1 - last,
+                to: last,
+                ..trailing.clone()
+            },
+            SwitchEventRecord {
+                est_es_n0_db: f64::NAN,
+                ..trailing.clone()
+            },
+        ];
+        for e in tampered {
+            let err = with_trailing(e.clone()).validate().unwrap_err();
+            assert!(err.contains("dangling"), "{e:?}: {err}");
+        }
+        // Two trailing events: the stream ends after one decision.
+        let mut twice = with_trailing(trailing.clone());
+        twice.rows[0].events.push(SwitchEventRecord {
+            from: 1 - last,
+            to: last,
+            ..trailing
+        });
+        twice.rows[0].upshifts += 1;
+        twice.upshifts += 1;
+        let err = twice.validate().unwrap_err();
+        assert!(err.contains("dangling"), "{err}");
     }
 
     #[test]

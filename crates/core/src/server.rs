@@ -125,18 +125,18 @@ impl std::error::Error for SessionError {}
 #[derive(Clone, Debug)]
 pub struct SessionCfg {
     /// Which registered backend demaps this session's frames.
-    pub backend: BackendId,
+    pub(crate) backend: BackendId,
     /// The session's scripted channel (held at its final state past
     /// the script's end, so long-lived sessions keep streaming).
-    pub trajectory: Trajectory,
+    pub(crate) trajectory: Trajectory,
     /// Seed of the session's private RNG stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Symbols per frame.
     pub frame_symbols: usize,
     /// Known pilot symbols at the start of every frame.
     pub pilot_symbols: usize,
     /// Which evidence the per-session monitor accumulates.
-    pub monitor: Monitor,
+    pub(crate) monitor: Monitor,
 }
 
 impl SessionCfg {
@@ -162,21 +162,21 @@ pub struct SessionStats {
     /// Frames offered to admission control (accepted **and** shed) —
     /// the left-hand side of the frame-conservation invariant
     /// `submitted = frames + shed + dropped (+ still pending)`.
-    pub submitted_frames: u64,
+    pub(crate) submitted_frames: u64,
     /// Frames served.
-    pub frames: u64,
+    pub(crate) frames: u64,
     /// Payload bits transmitted.
-    pub payload_bits: u64,
+    pub(crate) payload_bits: u64,
     /// Payload bit errors (raw demapped decisions, before ECC).
-    pub payload_bit_errors: u64,
+    pub(crate) payload_bit_errors: u64,
     /// Pilot bits transmitted.
-    pub pilot_bits: u64,
+    pub(crate) pilot_bits: u64,
     /// Pilot bit errors.
-    pub pilot_bit_errors: u64,
+    pub(crate) pilot_bit_errors: u64,
     /// Channel bits the Viterbi decoder corrected (ECC monitor only).
-    pub ecc_corrected: u64,
+    pub(crate) ecc_corrected: u64,
     /// Frames refused by admission control.
-    pub shed_frames: u64,
+    pub(crate) shed_frames: u64,
     /// Frames accepted but still queued when the session closed.
     /// Closing is the caller's choice (not backpressure), but the
     /// frames must still be accounted — they were admitted and never
@@ -187,7 +187,7 @@ pub struct SessionStats {
 impl SessionStats {
     /// Adds `other` into `self` (associative + commutative: all
     /// fields are counts).
-    pub fn merge(&mut self, other: &SessionStats) {
+    pub(crate) fn merge(&mut self, other: &SessionStats) {
         self.submitted_frames += other.submitted_frames;
         self.frames += other.frames;
         self.payload_bits += other.payload_bits;
@@ -197,11 +197,6 @@ impl SessionStats {
         self.ecc_corrected += other.ecc_corrected;
         self.shed_frames += other.shed_frames;
         self.dropped_frames += other.dropped_frames;
-    }
-
-    /// Payload BER (0 when no payload was served — never NaN).
-    pub fn ber(&self) -> f64 {
-        error_rate(self.payload_bit_errors, self.payload_bits)
     }
 }
 
@@ -213,9 +208,9 @@ pub struct AggregateReport {
     /// Sessions currently open.
     pub sessions_open: u64,
     /// Sessions closed over the server's lifetime.
-    pub sessions_closed: u64,
+    pub(crate) sessions_closed: u64,
     /// Serving rounds executed.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Frames offered to admission control (accepted and shed).
     pub submitted_frames: u64,
     /// Frames served.
@@ -225,11 +220,11 @@ pub struct AggregateReport {
     /// Payload bit errors.
     pub payload_bit_errors: u64,
     /// Pilot bits transmitted.
-    pub pilot_bits: u64,
+    pub(crate) pilot_bits: u64,
     /// Pilot bit errors.
-    pub pilot_bit_errors: u64,
+    pub(crate) pilot_bit_errors: u64,
     /// Viterbi-corrected channel bits (ECC-monitored sessions).
-    pub ecc_corrected: u64,
+    pub(crate) ecc_corrected: u64,
     /// Frames refused by admission control.
     pub shed_frames: u64,
     /// Frames accepted but dropped unserved by a session close.
@@ -504,11 +499,6 @@ impl LinkServer {
         Ok(stats)
     }
 
-    /// A session's current counters.
-    pub fn session_stats(&mut self, id: SessionId) -> Result<SessionStats, SessionError> {
-        Ok(self.session_mut(id)?.stats)
-    }
-
     /// Frames a session has queued.
     pub fn pending(&mut self, id: SessionId) -> Result<u32, SessionError> {
         Ok(self.session_mut(id)?.pending)
@@ -560,23 +550,6 @@ impl LinkServer {
         );
         self.session_mut(id)?.backend = backend.0;
         Ok(())
-    }
-
-    /// Registers every backend of a [`BackendRegistry`](crate::registry::BackendRegistry) at one
-    /// operating point, in registration order; `result[h.index()]` is
-    /// the server-side id of registry handle `h`. Sessions opened on
-    /// one of these ids can [`LinkServer::switch_backend`] to any
-    /// other whose backend shares the constellation — for a
-    /// [`crate::registry::switch_registry`] line-up, all of them.
-    pub fn register_registry(
-        &mut self,
-        registry: &crate::registry::BackendRegistry,
-        es_n0_db: f64,
-    ) -> Vec<BackendId> {
-        registry
-            .iter()
-            .map(|(_, b)| self.register_backend(b.constellation().clone(), b.demapper(es_n0_db)))
-            .collect()
     }
 
     /// Serves one frame on every session with queued work; returns the
@@ -830,7 +803,6 @@ mod tests {
         assert_ne!(c.generation, a.generation, "…under a new generation");
         // …and every operation through the stale handle is rejected.
         assert_eq!(server.submit(a, 1), Err(SessionError::Stale));
-        assert_eq!(server.session_stats(a), Err(SessionError::Stale));
         assert_eq!(server.close_session(a), Err(SessionError::Stale));
         // Closed counters stay in the aggregate.
         assert_eq!(server.aggregate().frames, 1);
@@ -862,7 +834,7 @@ mod tests {
         assert_eq!(server.submit(id, 1).unwrap(), Admit::Shed);
         assert_eq!(server.pending(id).unwrap(), 4, "queue never exceeds cap");
         server.serve();
-        let stats = server.session_stats(id).unwrap();
+        let stats = server.close_session(id).unwrap();
         assert_eq!(stats.frames, 4);
         assert_eq!(stats.shed_frames, 3);
     }
@@ -905,10 +877,10 @@ mod tests {
         // Oversized and normal submits through the stale handle.
         assert_eq!(server.submit(old, 100), Err(SessionError::Stale));
         assert_eq!(server.submit(old, 1), Err(SessionError::Stale));
-        let stats = server.session_stats(new).unwrap();
+        assert_eq!(server.pending(new).unwrap(), 0);
+        let stats = server.close_session(new).unwrap();
         assert_eq!(stats.submitted_frames, 0, "stale submit must not count");
         assert_eq!(stats.shed_frames, 0, "stale shed must not count");
-        assert_eq!(server.pending(new).unwrap(), 0);
         server.aggregate().validate().unwrap();
     }
 
@@ -979,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_backends_register_in_handle_order() {
+    fn switch_registry_backends_share_one_constellation_on_the_server() {
         use crate::config::SystemConfig;
         use crate::pipeline::HybridPipeline;
         use crate::registry::switch_registry;
@@ -987,7 +959,10 @@ mod tests {
         let _ = pipe.extract_centroids();
         let registry = switch_registry(&pipe, &[]);
         let mut server = LinkServer::new(ServerCfg::default());
-        let ids = server.register_registry(&registry, 12.0);
+        let ids: Vec<BackendId> = registry
+            .iter()
+            .map(|(_, b)| server.register_backend(b.constellation().clone(), b.demapper(12.0)))
+            .collect();
         assert_eq!(ids.len(), registry.len());
         // A session on any of them can switch to any other: the whole
         // switch line-up shares the learned constellation.
@@ -1012,7 +987,7 @@ mod tests {
         let id = server.open_session(cfg);
         server.submit(id, 8).unwrap();
         server.serve();
-        let stats = server.session_stats(id).unwrap();
+        let stats = server.close_session(id).unwrap();
         assert_eq!(stats.frames, 8);
         assert!(
             stats.payload_bit_errors > 0,

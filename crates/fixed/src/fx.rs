@@ -38,19 +38,9 @@ impl Fx {
         }
     }
 
-    /// Zero in the given format.
-    pub fn zero(format: QFormat) -> Self {
-        Self { raw: 0, format }
-    }
-
     /// The raw integer.
     pub fn raw(&self) -> i64 {
         self.raw
-    }
-
-    /// The format.
-    pub fn format(&self) -> QFormat {
-        self.format
     }
 
     /// Real value represented.
@@ -91,7 +81,7 @@ impl Fx {
 
     /// Negation (stays in a signed version of the format, widened by one
     /// bit so `-raw_min` is representable).
-    pub fn neg(&self) -> Fx {
+    pub(crate) fn neg(&self) -> Fx {
         Fx {
             raw: -self.raw,
             format: QFormat {
@@ -160,7 +150,7 @@ mod tests {
         let b = Fx::from_f64(0.375, q(8, 3), Rounding::Nearest); // raw 3
         let s = a.add_exact(&b);
         assert_eq!(s.to_f64(), 1.625);
-        assert_eq!(s.format().frac_bits, 3);
+        assert_eq!(s.format.frac_bits, 3);
     }
 
     #[test]
@@ -169,8 +159,8 @@ mod tests {
         let b = Fx::from_f64(-2.25, q(8, 4), Rounding::Nearest);
         let p = a.mul_exact(&b);
         assert_eq!(p.to_f64(), -3.375);
-        assert_eq!(p.format().total_bits, 16);
-        assert_eq!(p.format().frac_bits, 8);
+        assert_eq!(p.format.total_bits, 16);
+        assert_eq!(p.format.frac_bits, 8);
     }
 
     #[test]
@@ -214,7 +204,7 @@ mod tests {
         let x = Fx::from_raw(f.raw_min(), f);
         let y = x.neg();
         assert_eq!(y.to_f64(), 128.0);
-        assert!(y.format().raw_max() >= 128);
+        assert!(y.format.raw_max() >= 128);
     }
 
     #[test]
@@ -226,7 +216,7 @@ mod tests {
         let acc_f = af.accumulator(&wf, 4);
         let xs = [0.9, -0.5, 0.25, 1.1];
         let ws = [0.7, 0.3, -0.9, 0.5];
-        let mut acc = Fx::zero(acc_f);
+        let mut acc = Fx::from_raw(0, acc_f);
         let mut exact = 0.0;
         for (&x, &w) in xs.iter().zip(&ws) {
             let xq = Fx::from_f64(x, af, Rounding::Nearest);

@@ -56,7 +56,7 @@ impl QFormat {
     }
 
     /// Number of integer bits (including sign when signed).
-    pub fn int_bits(&self) -> u32 {
+    pub(crate) fn int_bits(&self) -> u32 {
         self.total_bits - self.frac_bits
     }
 
@@ -148,7 +148,7 @@ impl QFormat {
     ///
     /// # Panics
     /// Panics if the product would exceed 63 bits.
-    pub fn product(&self, other: &QFormat) -> QFormat {
+    pub(crate) fn product(&self, other: &QFormat) -> QFormat {
         let total = self.total_bits + other.total_bits;
         assert!(
             total <= 63,

@@ -7,7 +7,7 @@
 //! per dense layer with runtime-writable weights, since retraining
 //! updates them in place), and attach the stream interface.
 //! [`build_soft_demapper_design`] wraps the centroid max-log
-//! accelerator, and [`build_trainer_design`] the on-chip trainer.
+//! accelerator.
 
 use crate::demapper_accel::{SoftDemapperAccel, SoftDemapperConfig};
 use crate::graph::{compile_spec, GraphSpec, QuantizedGraph};
@@ -16,7 +16,6 @@ use crate::pipeline::{ExecutionMode, PipelineTiming, StageTiming};
 use crate::power::PowerModel;
 use crate::report::ImplReport;
 use crate::resources::ResourceUsage;
-use crate::trainer::{TrainerConfig, TrainerDesign};
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::matrix::Matrix;
@@ -73,17 +72,12 @@ impl InferenceDesign {
     }
 
     /// The MVAU chain.
-    pub fn mvaus(&self) -> &[Mvau] {
+    pub(crate) fn mvaus(&self) -> &[Mvau] {
         self.graph.mvaus()
     }
 
-    /// Pipeline timing of the design.
-    pub fn timing(&self) -> &PipelineTiming {
-        &self.timing
-    }
-
     /// Total resources including the stream-interface FIFO.
-    pub fn resources(&self) -> ResourceUsage {
+    pub(crate) fn resources(&self) -> ResourceUsage {
         let mut r: ResourceUsage = self.mvaus().iter().map(|m| m.resources()).sum();
         // AXI-stream input/output FIFO (half BRAM).
         r += ResourceUsage {
@@ -248,11 +242,6 @@ pub fn build_soft_demapper_design(
     }
 }
 
-/// Builds the on-chip trainer design.
-pub fn build_trainer_design(cfg: TrainerConfig) -> TrainerDesign {
-    TrainerDesign::new(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +287,7 @@ mod tests {
         assert_eq!(r.dsp, 352);
         assert!((r.bram36 - 18.5).abs() < 1e-9, "BRAM {}", r.bram36);
         // Iterative chain: 12-cycle latency at 150 MHz = 80 ns.
-        let t = design.timing();
+        let t = &design.timing;
         assert_eq!(t.total_depth_cycles(), 12);
         assert!((t.latency_s() - 8.0e-8).abs() < 1e-9);
         assert!((t.throughput_per_s() - 1.25e7).abs() < 1e4);
@@ -319,8 +308,8 @@ mod tests {
                 ..DeployConfig::default()
             },
         );
-        assert!(pipe.timing().throughput_per_s() > 5.0 * iter.timing().throughput_per_s());
-        assert_eq!(pipe.timing().latency_s(), iter.timing().latency_s());
+        assert!(pipe.timing.throughput_per_s() > 5.0 * iter.timing.throughput_per_s());
+        assert_eq!(pipe.timing.latency_s(), iter.timing.latency_s());
     }
 
     #[test]
@@ -337,7 +326,8 @@ mod tests {
             0.2,
             SoftDemapperConfig::paper_default(),
         );
-        let trainer = build_trainer_design(TrainerConfig::paper_default());
+        let trainer =
+            crate::trainer::TrainerDesign::new(crate::trainer::TrainerConfig::paper_default());
 
         let r_inf = inference.report(&power);
         let r_dem = demapper.report(&power);

@@ -50,13 +50,13 @@ thread_local! {
 #[derive(Clone, Debug)]
 pub struct SoftDemapperConfig {
     /// Fixed-point format of inputs and centroids.
-    pub coord_format: QFormat,
+    pub(crate) coord_format: QFormat,
     /// Output LLR format.
-    pub llr_format: QFormat,
+    pub(crate) llr_format: QFormat,
     /// Parallel distance units (must divide the centroid count).
-    pub dist_par: usize,
+    pub(crate) dist_par: usize,
     /// Fabric clock in MHz.
-    pub clock_mhz: f64,
+    pub(crate) clock_mhz: f64,
 }
 
 impl SoftDemapperConfig {
@@ -124,27 +124,9 @@ impl SoftDemapperAccel {
         }
     }
 
-    /// Bits per symbol.
-    pub fn bits_per_symbol(&self) -> usize {
-        self.bits_per_symbol
-    }
-
-    /// The dequantised centroids the hardware effectively uses.
-    pub fn effective_centroids(&self) -> Vec<C32> {
-        self.centroids
-            .iter()
-            .map(|&(re, im)| {
-                C32::new(
-                    self.cfg.coord_format.f64_from_raw(re) as f32,
-                    self.cfg.coord_format.f64_from_raw(im) as f32,
-                )
-            })
-            .collect()
-    }
-
     /// Bit-exact demap of one received symbol: returns raw LLRs in
     /// `llr_format` (positive ⇒ bit 0). Legacy allocating entry point —
-    /// routes through [`SoftDemapperAccel::process_into`].
+    /// routes through `SoftDemapperAccel::process_into`.
     pub fn process(&self, y: C32) -> Vec<i64> {
         let mut out = vec![0i64; self.bits_per_symbol];
         self.process_into(y, &mut out);
@@ -153,7 +135,7 @@ impl SoftDemapperAccel {
 
     /// Allocation-free per-symbol demap: raw LLRs in `llr_format` into
     /// `out` (`bits_per_symbol` values, positive ⇒ bit 0).
-    pub fn process_into(&self, y: C32, out: &mut [i64]) {
+    pub(crate) fn process_into(&self, y: C32, out: &mut [i64]) {
         let m = self.bits_per_symbol;
         assert_eq!(out.len(), m, "process_into output width");
         let f = self.cfg.coord_format;
@@ -387,6 +369,19 @@ mod tests {
     use hybridem_comm::constellation::Constellation;
     use hybridem_comm::demapper::MaxLogMap;
 
+    /// The dequantised centroids the hardware effectively uses.
+    fn effective_centroids(hw: &SoftDemapperAccel) -> Vec<C32> {
+        hw.centroids
+            .iter()
+            .map(|&(re, im)| {
+                C32::new(
+                    hw.cfg.coord_format.f64_from_raw(re) as f32,
+                    hw.cfg.coord_format.f64_from_raw(im) as f32,
+                )
+            })
+            .collect()
+    }
+
     fn accel(sigma: f32) -> SoftDemapperAccel {
         let c = Constellation::qam_gray(16);
         SoftDemapperAccel::new(SoftDemapperConfig::paper_default(), c.points(), sigma)
@@ -397,7 +392,7 @@ mod tests {
         let sigma = 0.2f32;
         let hw = accel(sigma);
         // Float reference on the *quantised* centroids.
-        let eff = Constellation::from_points(hw.effective_centroids());
+        let eff = Constellation::from_points(effective_centroids(&hw));
         let reference = MaxLogMap::new(eff, sigma);
         let mut rng = hybridem_mathkit::rng::Xoshiro256pp::seed_from_u64(3);
         let mut llr_hw = [0f32; 4];
@@ -428,7 +423,7 @@ mod tests {
     fn llr_magnitude_tracks_reference() {
         let sigma = 0.2f32;
         let hw = accel(sigma);
-        let eff = Constellation::from_points(hw.effective_centroids());
+        let eff = Constellation::from_points(effective_centroids(&hw));
         let reference = MaxLogMap::new(eff, sigma);
         let mut llr_hw = [0f32; 4];
         let mut llr_ref = [0f32; 4];

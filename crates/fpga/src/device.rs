@@ -5,49 +5,25 @@ use crate::resources::ResourceUsage;
 /// Resource capacities and default clock of an FPGA part.
 #[derive(Clone, Debug)]
 pub struct DeviceModel {
-    /// Part name.
-    pub name: String,
     /// 6-input LUT count.
-    pub lut: u64,
+    pub(crate) lut: u64,
     /// Flip-flop count.
-    pub ff: u64,
+    pub(crate) ff: u64,
     /// DSP48 slice count.
-    pub dsp: u64,
+    pub(crate) dsp: u64,
     /// 36 Kb block-RAM count (18 Kb halves count as 0.5).
-    pub bram36: f64,
-    /// Default fabric clock in MHz.
-    pub clock_mhz: f64,
+    pub(crate) bram36: f64,
 }
 
 impl DeviceModel {
     /// Xilinx Zynq UltraScale+ ZU3EG — the paper's Ultra96-V2 part.
     pub fn zu3eg() -> Self {
         Self {
-            name: "xczu3eg-sbva484".to_string(),
             lut: 70_560,
             ff: 141_120,
             dsp: 360,
             bram36: 216.0,
-            clock_mhz: 150.0,
         }
-    }
-
-    /// Xilinx Zynq UltraScale+ ZU7EV (ZCU104) — a larger part used by
-    /// the extension sweeps to show how the AE design scales.
-    pub fn zu7ev() -> Self {
-        Self {
-            name: "xczu7ev-ffvc1156".to_string(),
-            lut: 230_400,
-            ff: 460_800,
-            dsp: 1_728,
-            bram36: 312.0,
-            clock_mhz: 200.0,
-        }
-    }
-
-    /// Clock period in seconds.
-    pub fn clock_period_s(&self) -> f64 {
-        1.0 / (self.clock_mhz * 1e6)
     }
 
     /// True if `usage` fits this device.
@@ -104,7 +80,6 @@ mod tests {
         let d = DeviceModel::zu3eg();
         assert_eq!(d.dsp, 360);
         assert_eq!(d.lut, 70_560);
-        assert!((d.clock_period_s() - 6.6667e-9).abs() < 1e-12);
     }
 
     #[test]
@@ -153,18 +128,5 @@ mod tests {
         assert_eq!(d.max_instances(&ae, 1.0), 1);
         // Degenerate zero usage.
         assert_eq!(d.max_instances(&ResourceUsage::zero(), 0.8), 0);
-    }
-
-    #[test]
-    fn bigger_part_fits_more() {
-        let big = DeviceModel::zu7ev();
-        let u = ResourceUsage {
-            lut: 100_000,
-            ff: 200_000,
-            dsp: 1_000,
-            bram36: 250.0,
-        };
-        assert!(big.fits(&u));
-        assert!(!DeviceModel::zu3eg().fits(&u));
     }
 }

@@ -18,13 +18,13 @@ use crate::sigmoid_lut::SigmoidLut;
 use hybridem_comm::demapper::Demapper;
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_mathkit::complex::C32;
-use hybridem_mathkit::simd::{self, SimdKernel};
+use hybridem_mathkit::simd::{self, LaneWidth, SimdKernel};
 use hybridem_nn::Sequential;
 use std::cell::RefCell;
 
 /// How the raw outputs of the final op map to receiver LLRs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GraphOutput {
+pub(crate) enum GraphOutput {
     /// Final op is linear: outputs are quantised logits,
     /// `LLR = −logit` (the workspace convention).
     Logits,
@@ -40,16 +40,16 @@ pub struct GraphSpec {
     /// `dense_count + 1` tensor-boundary quantisation specs in
     /// datapath order: input format first, each layer's activation
     /// format after.
-    pub boundaries: Vec<QuantSpec>,
+    pub(crate) boundaries: Vec<QuantSpec>,
     /// Weight width per dense layer.
-    pub weight_bits: Vec<u32>,
+    pub(crate) weight_bits: Vec<u32>,
     /// Address bits of the sigmoid LUTs (for layers that end in one).
-    pub sigmoid_addr_bits: u32,
+    pub(crate) sigmoid_addr_bits: u32,
     /// Per-dense-layer input clamp range of the sigmoid LUT (used only
     /// when that layer's activation is a sigmoid).
-    pub sigmoid_ranges: Vec<f64>,
+    pub(crate) sigmoid_ranges: Vec<f64>,
     /// Whether weight memories stay runtime-writable (retraining).
-    pub writable_weights: bool,
+    pub(crate) writable_weights: bool,
     /// Requested folding applied to every layer (fitted per layer via
     /// [`Folding::fit_to`], since one uniform request must match
     /// different shapes). `None` compiles fully parallel — the paper's
@@ -304,23 +304,13 @@ impl QuantizedGraph {
         self.output_format
     }
 
-    /// Semantic of the raw outputs.
-    pub fn output_kind(&self) -> GraphOutput {
-        self.output
-    }
-
     /// Weight width label (W4/W6/W8 in artefacts).
     pub fn weight_bits(&self) -> u32 {
         self.weight_bits
     }
 
-    /// Input feature count (always 2 for I/Q demappers).
-    pub fn input_dim(&self) -> usize {
-        self.mvaus[0].config().in_dim
-    }
-
     /// Output feature count.
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.mvaus.last().unwrap().config().out_dim
     }
 
@@ -334,13 +324,30 @@ impl QuantizedGraph {
     /// arithmetic end to end — and allocation-free once `scratch` is
     /// warm.
     pub fn process_block_raw(&self, ys: &[C32], out: &mut Vec<i64>, scratch: &mut GraphScratch) {
+        self.process_block_raw_at(LaneWidth::detect(), ys, out, scratch);
+    }
+
+    /// [`QuantizedGraph::process_block_raw`] pinned to an explicit
+    /// [`LaneWidth`] — the hook the property tests use to prove the
+    /// plane kernels bit-exact at every supported width. Results never
+    /// depend on `width`.
+    pub fn process_block_raw_at(
+        &self,
+        width: LaneWidth,
+        ys: &[C32],
+        out: &mut Vec<i64>,
+        scratch: &mut GraphScratch,
+    ) {
         out.resize(ys.len() * self.output_dim(), 0);
-        simd::dispatch(GraphKernel {
-            graph: self,
-            ys,
-            out,
-            scratch,
-        });
+        simd::dispatch_at(
+            width,
+            GraphKernel {
+                graph: self,
+                ys,
+                out,
+                scratch,
+            },
+        );
     }
 
     /// One raw output to one LLR, per the graph's output semantic.
@@ -473,9 +480,8 @@ mod tests {
     fn compile_builds_one_mvau_per_dense_layer() {
         let g = compile(&model(1), &boundaries(8));
         assert_eq!(g.mvaus().len(), 3);
-        assert_eq!(g.input_dim(), 2);
         assert_eq!(g.output_dim(), 4);
-        assert_eq!(g.output_kind(), GraphOutput::Logits);
+        assert_eq!(g.output, GraphOutput::Logits);
         assert_eq!(g.weight_bits(), 8);
         // Fully parallel: one DSP per MAC, the paper's 352 anchor.
         let dsp: u64 = g.mvaus().iter().map(|m| m.resources().dsp).sum();
@@ -492,7 +498,7 @@ mod tests {
             rounding: Rounding::Nearest,
         };
         let g = compile(&m, &b);
-        assert_eq!(g.output_kind(), GraphOutput::Probabilities);
+        assert_eq!(g.output, GraphOutput::Probabilities);
         for p in g.process_iq(C32::new(0.4, -0.9)) {
             assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
         }
@@ -520,5 +526,16 @@ mod tests {
     #[should_panic(expected = "one FakeQuant boundary per tensor")]
     fn compile_qat_rejects_float_models() {
         let _ = compile_qat(&model(5), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 31 bits of the i32 activation planes")]
+    fn compile_spec_rejects_boundaries_wider_than_the_planes() {
+        let mut b = boundaries(8);
+        b[2] = QuantSpec {
+            format: QFormat::signed(40, 20),
+            rounding: Rounding::Nearest,
+        };
+        let _ = compile(&model(6), &b);
     }
 }

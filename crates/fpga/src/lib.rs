@@ -47,8 +47,4 @@ pub mod resources;
 pub mod sigmoid_lut;
 pub mod trainer;
 
-pub use builder::{build_inference_design, build_soft_demapper_design, build_trainer_design};
-pub use device::DeviceModel;
-pub use graph::{compile, compile_qat, QuantizedGraph};
 pub use report::ImplReport;
-pub use resources::ResourceUsage;

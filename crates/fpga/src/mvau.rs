@@ -24,7 +24,7 @@ use crate::resources::{self, ResourceUsage};
 use crate::sigmoid_lut::SigmoidLut;
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_mathkit::matrix::Matrix;
-use hybridem_mathkit::simd::{self, LaneWidth, Simd, SimdKernel};
+use hybridem_mathkit::simd::{self, Simd};
 
 /// Hardware activation function of an MVAU.
 #[derive(Clone, Debug)]
@@ -153,7 +153,7 @@ impl Folding {
     }
 
     /// Initiation interval of a layer under this folding.
-    pub fn ii_cycles(&self, in_dim: usize, out_dim: usize) -> u64 {
+    pub(crate) fn ii_cycles(&self, in_dim: usize, out_dim: usize) -> u64 {
         ((in_dim / self.simd) * (out_dim / self.pe)) as u64
     }
 }
@@ -185,7 +185,7 @@ impl MvauConfig {
     /// # Panics
     /// Panics with the [`FoldingError`] message when the folding does
     /// not divide the layer shape.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.folding.validate_for(self.in_dim, self.out_dim) {
             panic!("invalid MVAU folding: {e}");
         }
@@ -245,36 +245,6 @@ impl MvauConfig {
 fn ceil_log2(n: usize) -> u32 {
     assert!(n >= 1);
     (usize::BITS - (n - 1).leading_zeros()).max(1)
-}
-
-/// Reusable buffers for [`Mvau::process_block_into`], mirroring
-/// `hybridem_nn`'s `InferScratch`: one tile's inputs narrowed and
-/// transposed into a feature-major `i32` plane, the output plane the
-/// layer writes before it is widened back, and the column staging of
-/// a layer without a fast path. After one warm-up block all three are
-/// at their high-water mark and the whole integer pipeline allocates
-/// nothing (asserted by the fpga crate's counting-allocator test).
-pub struct MvauScratch {
-    x: Vec<i32>,
-    y: Vec<i32>,
-    col: Vec<i64>,
-}
-
-impl MvauScratch {
-    /// Empty scratch; the buffers grow on first use.
-    pub fn new() -> Self {
-        Self {
-            x: Vec::new(),
-            y: Vec::new(),
-            col: Vec::new(),
-        }
-    }
-}
-
-impl Default for MvauScratch {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Symbols per cache-resident block tile (the comm-side demapper
@@ -484,43 +454,6 @@ pub struct Mvau {
     fast: Option<FastPlan>,
 }
 
-/// [`Mvau::process_block_into_at`]'s width-generic body: per tile, a
-/// narrowing transpose into the feature-major input plane,
-/// [`Mvau::process_plane`] (the path the graph executor runs), and a
-/// widening transpose back to symbol-major raw outputs.
-struct LayerKernel<'a> {
-    mvau: &'a Mvau,
-    /// Symbol-major raw inputs, `n × in_dim`.
-    inputs: &'a [i64],
-    /// Symbol-major raw outputs, `n × out_dim`.
-    out: &'a mut [i64],
-    scratch: &'a mut MvauScratch,
-}
-
-impl SimdKernel for LayerKernel<'_> {
-    type Output = ();
-
-    fn run<const N: usize>(self) {
-        let LayerKernel {
-            mvau,
-            inputs,
-            out,
-            scratch,
-        } = self;
-        let (in_dim, out_dim) = (mvau.cfg.in_dim, mvau.cfg.out_dim);
-        for (xt, yt) in inputs
-            .chunks(TILE * in_dim)
-            .zip(out.chunks_mut(TILE * out_dim))
-        {
-            let stride = fill_plane(&mut scratch.x, in_dim, xt.len() / in_dim, |s, i| {
-                xt[s * in_dim + i] as i32
-            });
-            mvau.process_plane::<N>(&scratch.x, &mut scratch.y, stride, &mut scratch.col);
-            widen_plane(&scratch.y, stride, yt, out_dim);
-        }
-    }
-}
-
 impl Mvau {
     /// Quantises a dense layer (`weight`: `out × in`, `bias`: `1 × out`)
     /// into hardware form.
@@ -630,9 +563,9 @@ impl Mvau {
 
     /// Bit-exact forward pass for one input vector (raw values in
     /// `in_format`). Fold-invariant by integer associativity. Legacy
-    /// allocating entry point — routes through
-    /// [`Mvau::process_into`]; hot paths should call that or
-    /// [`Mvau::process_block_into`] directly.
+    /// allocating entry point — routes through [`Mvau::process_into`];
+    /// block paths run the layer inside
+    /// [`QuantizedGraph::process_block_raw`](crate::graph::QuantizedGraph::process_block_raw).
     pub fn process(&self, input_raw: &[i64]) -> Vec<i64> {
         let mut out = vec![0i64; self.cfg.out_dim];
         self.process_into(input_raw, &mut out);
@@ -659,67 +592,6 @@ impl Mvau {
             let (acc, _) = acc_fmt.saturate(acc);
             *slot = self.apply_activation(acc, acc_fmt);
         }
-    }
-
-    /// Bit-exact block forward pass: `inputs` holds `n · in_dim` raw
-    /// values symbol-major, `out` receives `n · out_dim` raw outputs
-    /// symbol-major. Results equal a [`Mvau::process`] loop exactly.
-    /// Tile by tile, the inputs are narrowed and transposed into a
-    /// feature-major `i32` plane, the layer runs plane to plane as in
-    /// the graph executor (the symbol-lane kernel in the same
-    /// per-`(symbol, neuron)` fan-in order when the layer has the i32
-    /// fast path, [`Mvau::has_fast_path`]; [`Mvau::process_into`] per
-    /// plane column otherwise: sigmoid LUTs, fraction-growing casts,
-    /// accumulators over 30 bits), and the output plane is widened
-    /// back. Nothing allocates once `scratch` is warm.
-    ///
-    /// # Panics
-    /// Panics if the input or output format is wider than the 31 bits
-    /// an `i32` plane holds, if `inputs` is not a whole number of
-    /// symbols, or if `out` does not hold exactly `n · out_dim` values.
-    pub fn process_block_into(&self, inputs: &[i64], out: &mut [i64], scratch: &mut MvauScratch) {
-        self.process_block_into_at(LaneWidth::detect(), inputs, out, scratch);
-    }
-
-    /// [`Mvau::process_block_into`] pinned to an explicit
-    /// [`LaneWidth`] — the hook the property tests use to prove the
-    /// fast-path kernel bit-exact at every supported width. Results
-    /// never depend on `width`; hot paths should use
-    /// [`Mvau::process_block_into`], which dispatches at the probed
-    /// width.
-    ///
-    /// # Panics
-    /// As [`Mvau::process_block_into`].
-    pub fn process_block_into_at(
-        &self,
-        width: LaneWidth,
-        inputs: &[i64],
-        out: &mut [i64],
-        scratch: &mut MvauScratch,
-    ) {
-        let in_dim = self.cfg.in_dim;
-        let out_dim = self.cfg.out_dim;
-        assert!(
-            self.cfg.in_format.total_bits <= 31 && self.cfg.out_format.total_bits <= 31,
-            "block formats {} → {} exceed the 31 bits of the i32 planes",
-            self.cfg.in_format,
-            self.cfg.out_format
-        );
-        assert!(
-            inputs.len().is_multiple_of(in_dim),
-            "block input length must be a multiple of in_dim"
-        );
-        let n = inputs.len() / in_dim;
-        assert_eq!(out.len(), n * out_dim, "block output buffer size");
-        simd::dispatch_at(
-            width,
-            LayerKernel {
-                mvau: self,
-                inputs,
-                out,
-                scratch,
-            },
-        );
     }
 
     /// Runs the layer plane to plane inside a dispatched kernel: `x`
@@ -896,45 +768,6 @@ mod tests {
             let folded = make_mvau(simd, pe, HwActivation::Relu);
             assert_eq!(folded.process(&input), reference, "simd={simd} pe={pe}");
         }
-    }
-
-    #[test]
-    fn block_kernel_bit_exact_with_per_symbol() {
-        for (simd, pe, act) in [
-            (4, 2, HwActivation::Relu),
-            (2, 1, HwActivation::Linear),
-            (
-                1,
-                2,
-                HwActivation::Sigmoid(SigmoidLut::new(8, 8.0, QFormat::unsigned(8, 8))),
-            ),
-        ] {
-            let mvau = make_mvau(simd, pe, act);
-            let mut scratch = MvauScratch::new();
-            for n in [0usize, 1, 3, 300, 1024] {
-                let inputs: Vec<i64> = (0..n * 4).map(|i| ((i * 13) % 127) as i64 - 63).collect();
-                let mut block = vec![0i64; n * 2];
-                mvau.process_block_into(&inputs, &mut block, &mut scratch);
-                for s in 0..n {
-                    let single = mvau.process(&inputs[s * 4..(s + 1) * 4]);
-                    assert_eq!(&block[s * 2..(s + 1) * 2], &single[..], "symbol {s} n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed the 31 bits of the i32 planes")]
-    fn block_path_rejects_formats_wider_than_its_planes() {
-        let wide = QFormat::signed(40, 20);
-        let cfg = MvauConfig::full_parallel(2, 2, fmt8_6(), wide, wide, false);
-        let m = Mvau::from_dense(
-            cfg,
-            &Matrix::zeros(2, 2),
-            &Matrix::zeros(1, 2),
-            HwActivation::Linear,
-        );
-        m.process_block_into(&[0; 2], &mut [0; 2], &mut MvauScratch::new());
     }
 
     #[test]

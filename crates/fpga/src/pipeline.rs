@@ -65,11 +65,6 @@ impl PipelineTiming {
         }
     }
 
-    /// The stages.
-    pub fn stages(&self) -> &[StageTiming] {
-        &self.stages
-    }
-
     /// End-to-end depth in cycles.
     pub fn total_depth_cycles(&self) -> u64 {
         self.stages.iter().map(|s| s.depth).sum()
@@ -84,12 +79,12 @@ impl PipelineTiming {
     }
 
     /// First-token latency in seconds.
-    pub fn latency_s(&self) -> f64 {
+    pub(crate) fn latency_s(&self) -> f64 {
         self.total_depth_cycles() as f64 / (self.clock_mhz * 1e6)
     }
 
     /// Steady-state throughput in tokens per second.
-    pub fn throughput_per_s(&self) -> f64 {
+    pub(crate) fn throughput_per_s(&self) -> f64 {
         self.clock_mhz * 1e6 / self.ii_cycles() as f64
     }
 

@@ -25,11 +25,11 @@ pub struct PowerModel {
     /// Static (leakage + clocking) power in watts.
     pub static_w: f64,
     /// Dynamic watts per (LUT+FF) cell per MHz at activity 1.
-    pub cell_w_per_mhz: f64,
+    pub(crate) cell_w_per_mhz: f64,
     /// Dynamic watts per DSP slice per MHz at activity 1.
-    pub dsp_w_per_mhz: f64,
+    pub(crate) dsp_w_per_mhz: f64,
     /// Dynamic watts per BRAM36 per MHz at activity 1.
-    pub bram_w_per_mhz: f64,
+    pub(crate) bram_w_per_mhz: f64,
 }
 
 impl Default for PowerModel {

@@ -22,10 +22,10 @@ use crate::report::ImplReport;
 #[derive(Clone, Copy, Debug)]
 pub struct ReconfigModel {
     /// Configuration port bandwidth in bytes/second.
-    pub port_bytes_per_s: f64,
+    pub(crate) port_bytes_per_s: f64,
     /// Partial bitstream size per reconfigured LUT (bytes) — frames
     /// cover CLBs; ~12 bytes/LUT is the UltraScale+ ballpark.
-    pub bytes_per_lut: f64,
+    pub(crate) bytes_per_lut: f64,
 }
 
 impl Default for ReconfigModel {
@@ -39,7 +39,7 @@ impl Default for ReconfigModel {
 
 impl ReconfigModel {
     /// Time to swap in a design occupying `lut` LUTs.
-    pub fn swap_time_s(&self, lut: u64) -> f64 {
+    pub(crate) fn swap_time_s(&self, lut: u64) -> f64 {
         (lut as f64 * self.bytes_per_lut) / self.port_bytes_per_s
     }
 }
@@ -76,8 +76,6 @@ pub struct ReconfigReport {
     /// Average power of permanent co-residency (ASIC-style) \[W\],
     /// with the idle module contributing its static share.
     pub coresident_avg_power_w: f64,
-    /// Symbols lost per period while the fabric holds the trainer.
-    pub symbols_lost_per_period: f64,
 }
 
 /// Evaluates the trade-off for a (inference, trainer) design pair.
@@ -112,7 +110,6 @@ pub fn compare(
         reconfig_overhead: swap / duty.period_s,
         fpga_avg_power_w: fpga_avg,
         coresident_avg_power_w: co_avg,
-        symbols_lost_per_period: busy * inference.throughput_sym_s,
     }
 }
 

@@ -8,7 +8,7 @@ pub struct ImplReport {
     /// Design name.
     pub name: String,
     /// Fabric clock in MHz.
-    pub clock_mhz: f64,
+    pub(crate) clock_mhz: f64,
     /// First-symbol latency in seconds.
     pub latency_s: f64,
     /// Steady-state throughput in symbols per second.
@@ -18,7 +18,7 @@ pub struct ImplReport {
     /// Total power in watts.
     pub power_w: f64,
     /// Energy per symbol in joules.
-    pub energy_per_sym_j: f64,
+    pub(crate) energy_per_sym_j: f64,
 }
 
 hybridem_mathkit::impl_json!(ImplReport {
@@ -61,7 +61,6 @@ impl ImplReport {
     /// convenient for "N× better" claims.
     pub fn ratios_vs(&self, other: &ImplReport) -> Ratios {
         Ratios {
-            latency: other.latency_s / self.latency_s,
             throughput: self.throughput_sym_s / other.throughput_sym_s,
             dsp: other.usage.dsp as f64 / self.usage.dsp.max(1) as f64,
             lut: other.usage.lut as f64 / self.usage.lut.max(1) as f64,
@@ -75,8 +74,6 @@ impl ImplReport {
 /// divided by this one; >1 means this design wins).
 #[derive(Clone, Copy, Debug)]
 pub struct Ratios {
-    /// Latency ratio.
-    pub latency: f64,
     /// Throughput ratio (this over other).
     pub throughput: f64,
     /// DSP ratio.

@@ -77,11 +77,11 @@ impl std::iter::Sum for ResourceUsage {
 /// Width (bits) above which a multiply is mapped to a DSP48 slice
 /// rather than LUT fabric. DSP48E2 natively handles 27×18; HLS maps
 /// ≥~5-bit operands onto it by default.
-pub const DSP_MULT_THRESHOLD: u32 = 5;
+pub(crate) const DSP_MULT_THRESHOLD: u32 = 5;
 
 /// Ripple/carry adder of `bits` width: ~1 LUT per bit plus an output
 /// register.
-pub fn adder(bits: u32) -> ResourceUsage {
+pub(crate) fn adder(bits: u32) -> ResourceUsage {
     ResourceUsage {
         lut: bits as u64,
         ff: bits as u64,
@@ -91,7 +91,7 @@ pub fn adder(bits: u32) -> ResourceUsage {
 }
 
 /// Comparator (`<`): carry chain, ~1 LUT per bit, no register.
-pub fn comparator(bits: u32) -> ResourceUsage {
+pub(crate) fn comparator(bits: u32) -> ResourceUsage {
     ResourceUsage {
         lut: bits as u64,
         ..Default::default()
@@ -100,7 +100,7 @@ pub fn comparator(bits: u32) -> ResourceUsage {
 
 /// 2:1 multiplexer of `bits` width: ~0.5 LUT per bit (two muxes per
 /// LUT6), rounded up.
-pub fn mux2(bits: u32) -> ResourceUsage {
+pub(crate) fn mux2(bits: u32) -> ResourceUsage {
     ResourceUsage {
         lut: bits.div_ceil(2) as u64,
         ..Default::default()
@@ -108,7 +108,7 @@ pub fn mux2(bits: u32) -> ResourceUsage {
 }
 
 /// Pipeline register of `bits` width.
-pub fn register(bits: u32) -> ResourceUsage {
+pub(crate) fn register(bits: u32) -> ResourceUsage {
     ResourceUsage {
         ff: bits as u64,
         ..Default::default()
@@ -118,7 +118,7 @@ pub fn register(bits: u32) -> ResourceUsage {
 /// `a × b` multiplier: one DSP48 when both operands reach the DSP
 /// threshold (and fit 27×18), LUT fabric otherwise (≈ a·b/2 LUTs for a
 /// Baugh-Wooley array after synthesis optimisation).
-pub fn multiplier(a_bits: u32, b_bits: u32) -> ResourceUsage {
+pub(crate) fn multiplier(a_bits: u32, b_bits: u32) -> ResourceUsage {
     let (lo, hi) = if a_bits <= b_bits {
         (a_bits, b_bits)
     } else {
@@ -144,7 +144,7 @@ pub fn multiplier(a_bits: u32, b_bits: u32) -> ResourceUsage {
 
 /// Balanced reduction tree of `n` inputs combined by `op_cost`-sized
 /// two-input operators (adder trees, min trees): `n−1` operators.
-pub fn reduction_tree(n: usize, op_cost: ResourceUsage) -> ResourceUsage {
+pub(crate) fn reduction_tree(n: usize, op_cost: ResourceUsage) -> ResourceUsage {
     if n <= 1 {
         return ResourceUsage::zero();
     }
@@ -154,7 +154,7 @@ pub fn reduction_tree(n: usize, op_cost: ResourceUsage) -> ResourceUsage {
 /// On-chip memory for `total_bits` with a `width`-bit read port.
 /// Below the BRAM threshold HLS infers distributed (LUT) RAM;
 /// above it, 18 Kb/36 Kb BRAMs. One BRAM36 = 36 864 bits.
-pub fn memory(total_bits: u64, width: u32) -> ResourceUsage {
+pub(crate) fn memory(total_bits: u64, width: u32) -> ResourceUsage {
     const BRAM36_BITS: u64 = 36_864;
     const LUTRAM_THRESHOLD: u64 = 2_048;
     if total_bits == 0 {

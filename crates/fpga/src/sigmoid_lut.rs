@@ -15,10 +15,8 @@ use hybridem_mathkit::special::sigmoid;
 /// A quantised sigmoid lookup table.
 #[derive(Clone, Debug)]
 pub struct SigmoidLut {
-    /// Number of address bits (table has `2^addr_bits` entries).
-    pub addr_bits: u32,
     /// Inputs are clamped to `[−range, +range]` before lookup.
-    pub range: f64,
+    pub(crate) range: f64,
     /// Output format (unsigned, all-fraction is natural for σ ∈ (0,1)).
     pub out_format: QFormat,
     table: Vec<i64>,
@@ -38,26 +36,15 @@ impl SigmoidLut {
             table.push(out_format.raw_from_f64(sigmoid(x), Rounding::Nearest));
         }
         Self {
-            addr_bits,
             range,
             out_format,
             table,
         }
     }
 
-    /// Number of table entries.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True if the table is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
     /// Looks up σ for an input in a given fixed-point format, returning
     /// the raw output in `out_format`.
-    pub fn lookup(&self, raw_in: i64, in_format: QFormat) -> i64 {
+    pub(crate) fn lookup(&self, raw_in: i64, in_format: QFormat) -> i64 {
         let x = in_format.f64_from_raw(raw_in);
         self.lookup_f64(x)
     }
@@ -79,7 +66,7 @@ impl SigmoidLut {
     }
 
     /// Memory cost of the table.
-    pub fn resources(&self) -> ResourceUsage {
+    pub(crate) fn resources(&self) -> ResourceUsage {
         memory(
             self.table.len() as u64 * self.out_format.total_bits as u64,
             self.out_format.total_bits,

@@ -19,7 +19,7 @@
 //! - **Function** — [`TrainerEngine`] performs the actual retraining in
 //!   f32 (substitution documented in DESIGN.md: we verify *behaviour*
 //!   in float and model *cost* structurally) while charging simulated
-//!   time and energy per step.
+//!   time per step.
 
 use crate::power::PowerModel;
 use crate::report::ImplReport;
@@ -34,20 +34,20 @@ use hybridem_nn::Sequential;
 #[derive(Clone, Debug)]
 pub struct TrainerConfig {
     /// Layer widths (same convention as `MlpSpec::dims`).
-    pub dims: Vec<usize>,
+    pub(crate) dims: Vec<usize>,
     /// Weight format (shared with the inference design).
-    pub weight_format: QFormat,
+    pub(crate) weight_format: QFormat,
     /// Activation format.
-    pub act_format: QFormat,
+    pub(crate) act_format: QFormat,
     /// Gradient format (usually wider than activations).
-    pub grad_format: QFormat,
+    pub(crate) grad_format: QFormat,
     /// Training mini-batch size buffered on chip.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Fabric clock in MHz.
-    pub clock_mhz: f64,
+    pub(crate) clock_mhz: f64,
     /// Toggle activity for the power model (iterative designs idle
     /// stages while others work).
-    pub activity: f64,
+    pub(crate) activity: f64,
 }
 
 impl TrainerConfig {
@@ -65,12 +65,12 @@ impl TrainerConfig {
     }
 
     /// Scalar parameter count (weights + biases).
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.dims.windows(2).map(|w| w[0] * w[1] + w[1]).sum()
     }
 
     /// MAC count of one forward pass.
-    pub fn mac_count(&self) -> usize {
+    pub(crate) fn mac_count(&self) -> usize {
         self.dims.windows(2).map(|w| w[0] * w[1]).sum()
     }
 }
@@ -95,13 +95,13 @@ impl TrainerDesign {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &TrainerConfig {
+    pub(crate) fn config(&self) -> &TrainerConfig {
         &self.cfg
     }
 
     /// Forward cycles: fully-unfolded MVAU chain, one cycle of multiply
     /// plus the adder tree per layer.
-    pub fn forward_cycles(&self) -> u64 {
+    pub(crate) fn forward_cycles(&self) -> u64 {
         self.cfg.dims.windows(2).map(|w| 1 + ceil_log2(w[0])).sum()
     }
 
@@ -110,7 +110,7 @@ impl TrainerDesign {
     /// layer, whose input gradient nobody consumes — a transposed
     /// matrix-vector product with its own adder tree, plus the
     /// activation-derivative gating.
-    pub fn backward_cycles(&self) -> u64 {
+    pub(crate) fn backward_cycles(&self) -> u64 {
         let mut cycles = 1; // dL/dz = p − t at the output
         let pairs: Vec<(usize, usize)> = self.cfg.dims.windows(2).map(|w| (w[0], w[1])).collect();
         for (li, &(_in_dim, out_dim)) in pairs.iter().enumerate().rev() {
@@ -125,7 +125,7 @@ impl TrainerDesign {
 
     /// Update cycles: `lr·grad` subtractions time-sharing the forward
     /// multiplier array, plus a write-back beat.
-    pub fn update_cycles(&self) -> u64 {
+    pub(crate) fn update_cycles(&self) -> u64 {
         let pool = self.cfg.mac_count().max(1);
         (self.cfg.num_params() as u64).div_ceil(pool as u64) + 1
     }
@@ -133,35 +133,35 @@ impl TrainerDesign {
     /// Control/handshake overhead per sample (state machine, buffer
     /// pointers) — HLS iterative regions spend a few cycles per region
     /// entry/exit.
-    pub fn control_cycles(&self) -> u64 {
+    pub(crate) fn control_cycles(&self) -> u64 {
         8
     }
 
     /// Total cycles for one training sample (forward + backward +
     /// control), excluding the per-batch update.
-    pub fn cycles_per_sample(&self) -> u64 {
+    pub(crate) fn cycles_per_sample(&self) -> u64 {
         self.forward_cycles() + self.backward_cycles() + self.control_cycles()
     }
 
     /// Cycles for one full mini-batch step.
-    pub fn cycles_per_batch(&self) -> u64 {
+    pub(crate) fn cycles_per_batch(&self) -> u64 {
         self.cfg.batch_size as u64 * self.cycles_per_sample() + self.update_cycles()
     }
 
     /// Per-sample latency in seconds (the paper's Table-2 latency row
     /// for AE-training).
-    pub fn latency_s(&self) -> f64 {
+    pub(crate) fn latency_s(&self) -> f64 {
         self.cycles_per_sample() as f64 / (self.cfg.clock_mhz * 1e6)
     }
 
     /// Training throughput in samples per second.
-    pub fn throughput_per_s(&self) -> f64 {
+    pub(crate) fn throughput_per_s(&self) -> f64 {
         let per_sample = self.cycles_per_batch() as f64 / self.cfg.batch_size as f64;
         self.cfg.clock_mhz * 1e6 / per_sample
     }
 
     /// Structural resource estimate.
-    pub fn resources(&self) -> ResourceUsage {
+    pub(crate) fn resources(&self) -> ResourceUsage {
         let cfg = &self.cfg;
         let mut r = ResourceUsage::zero();
         let wb = cfg.weight_format.total_bits;
@@ -254,33 +254,22 @@ impl TrainerDesign {
 pub struct TrainStepStats {
     /// Mini-batch loss.
     pub loss: f32,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated wall time in seconds.
-    pub time_s: f64,
-    /// Simulated energy in joules.
-    pub energy_j: f64,
 }
 
 /// Functional trainer: retrains an f32 model while charging the
 /// modelled hardware cost per step.
 pub struct TrainerEngine<'a> {
     design: &'a TrainerDesign,
-    power: PowerModel,
     /// Cumulative simulated time (s).
     pub total_time_s: f64,
-    /// Cumulative simulated energy (J).
-    pub total_energy_j: f64,
 }
 
 impl<'a> TrainerEngine<'a> {
     /// New engine over a design.
-    pub fn new(design: &'a TrainerDesign, power: PowerModel) -> Self {
+    pub fn new(design: &'a TrainerDesign) -> Self {
         Self {
             design,
-            power,
             total_time_s: 0.0,
-            total_energy_j: 0.0,
         }
     }
 
@@ -302,21 +291,8 @@ impl<'a> TrainerEngine<'a> {
         // Charge the modelled cost: cycles scale with the actual batch.
         let batch = inputs.rows() as u64;
         let cycles = batch * self.design.cycles_per_sample() + self.design.update_cycles();
-        let time_s = cycles as f64 / (self.design.config().clock_mhz * 1e6);
-        let p = self.power.power_w(
-            &self.design.resources(),
-            self.design.config().clock_mhz,
-            self.design.config().activity,
-        );
-        let energy = p * time_s;
-        self.total_time_s += time_s;
-        self.total_energy_j += energy;
-        TrainStepStats {
-            loss,
-            cycles,
-            time_s,
-            energy_j: energy,
-        }
+        self.total_time_s += cycles as f64 / (self.design.config().clock_mhz * 1e6);
+        TrainStepStats { loss }
     }
 }
 
@@ -364,9 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_trains_and_charges_energy() {
+    fn engine_trains_and_charges_time() {
         let design = TrainerDesign::new(TrainerConfig::paper_default());
-        let mut engine = TrainerEngine::new(&design, PowerModel::default());
+        let mut engine = TrainerEngine::new(&design);
         let mut rng = Xoshiro256pp::seed_from_u64(4);
         let mut model = MlpSpec::paper_demapper_logits().build(&mut rng);
         let mut opt = Sgd::new(0.05);
@@ -386,14 +362,6 @@ mod tests {
             first.loss
         );
         assert!(engine.total_time_s > 0.0);
-        assert!(engine.total_energy_j > 0.0);
-        // Energy consistent with power × time.
-        let p = PowerModel::default().power_w(
-            &design.resources(),
-            design.config().clock_mhz,
-            design.config().activity,
-        );
-        assert!((engine.total_energy_j - p * engine.total_time_s).abs() < 1e-9);
     }
 
     #[test]

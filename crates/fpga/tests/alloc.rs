@@ -8,7 +8,6 @@ use hybridem_comm::demapper::Demapper;
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::demapper_accel::{SoftDemapperAccel, SoftDemapperConfig};
 use hybridem_fpga::graph::{compile, GraphScratch};
-use hybridem_fpga::mvau::MvauScratch;
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::rng::Xoshiro256pp;
 use hybridem_nn::model::MlpSpec;
@@ -140,7 +139,7 @@ fn quantized_graph_block_pipeline_allocates_nothing_when_warm() {
 }
 
 #[test]
-fn mvau_block_kernel_allocates_nothing_when_warm() {
+fn mvau_per_symbol_pass_allocates_nothing() {
     let mut rng = Xoshiro256pp::seed_from_u64(4);
     let model = MlpSpec::paper_demapper_logits().build(&mut rng);
     let q = |t: u32, f: u32| QuantSpec {
@@ -149,27 +148,10 @@ fn mvau_block_kernel_allocates_nothing_when_warm() {
     };
     let graph = compile(&model, &[q(8, 5), q(8, 6), q(8, 6), q(10, 5)]);
     let mvau = &graph.mvaus()[1];
-    let inputs: Vec<i64> = (0..1024 * 16)
-        .map(|i| ((i * 13) % 127) as i64 - 63)
-        .collect();
-    let mut out = vec![0i64; 1024 * 16];
-    let mut scratch = MvauScratch::new();
-    mvau.process_block_into(&inputs, &mut out, &mut scratch);
-
-    let before = allocations();
-    for _ in 0..10 {
-        mvau.process_block_into(&inputs, &mut out, &mut scratch);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm process_block_into must not allocate"
-    );
-
-    // Per-symbol scratch-free entry point.
+    let inputs: Vec<i64> = (0..64 * 16).map(|i| ((i * 13) % 127) as i64 - 63).collect();
     let mut single = [0i64; 16];
     let before = allocations();
-    for sym in inputs.chunks_exact(16).take(64) {
+    for sym in inputs.chunks_exact(16) {
         mvau.process_into(sym, &mut single);
     }
     assert_eq!(allocations() - before, 0, "process_into must not allocate");

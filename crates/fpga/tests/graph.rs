@@ -5,7 +5,6 @@
 
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::graph::{compile, compile_qat, GraphScratch, QuantizedGraph};
-use hybridem_fpga::mvau::MvauScratch;
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::rng::Xoshiro256pp;
 use hybridem_nn::model::{insert_fake_quant, MlpSpec};
@@ -129,29 +128,6 @@ fn demapper_block_llrs_bit_exact_with_per_symbol_llrs() {
                     "W{bits} symbol {s} bit {k}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn mvau_block_kernel_bit_exact_at_all_sweep_lengths() {
-    let g = compile(&float_model(9), &boundaries(8));
-    let m = &g.mvaus()[1]; // the 16×16 hidden layer
-    let mut rng = Xoshiro256pp::seed_from_u64(3);
-    let mut scratch = MvauScratch::new();
-    for n in [0usize, 1, 256, 4096] {
-        let f = m.config().in_format;
-        let inputs: Vec<i64> = (0..n * 16)
-            .map(|_| f.raw_from_f64(rng.normal_f64() * 0.5, Rounding::Nearest))
-            .collect();
-        let mut block = vec![0i64; n * 16];
-        m.process_block_into(&inputs, &mut block, &mut scratch);
-        for s in 0..n {
-            assert_eq!(
-                &block[s * 16..(s + 1) * 16],
-                &m.process(&inputs[s * 16..(s + 1) * 16])[..],
-                "n={n} symbol {s}"
-            );
         }
     }
 }

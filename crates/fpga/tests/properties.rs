@@ -3,7 +3,7 @@
 
 use hybridem_comm::constellation::Constellation;
 use hybridem_comm::demapper::Demapper;
-use hybridem_fixed::{QFormat, Rounding};
+use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_fpga::demapper_accel::{SoftDemapperAccel, SoftDemapperConfig};
 use hybridem_fpga::mvau::{Folding, HwActivation, Mvau, MvauConfig};
 use hybridem_fpga::pipeline::{ExecutionMode, PipelineTiming, StageTiming};
@@ -220,68 +220,92 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn mvau_block_bit_exact_at_every_lane_width_and_weight_width(seed in any::<u64>()) {
-        // The SIMD MAC kernel's contract (DESIGN.md §11): the i32
-        // fast path — symbol-lane MACs plus the branchless activation
-        // epilogue — is bit-identical to the per-symbol scalar pass at
-        // every supported lane width, for W4/W6/W8 formats, ReLU and
-        // linear (rounding-cast) epilogues, and every layer shape the
-        // kernel vectorises: the paper's 2→16 input, 16→16 hidden and
-        // 16→4 head layers, plus 16→6, whose output count is a
-        // multiple of no lane width. A sigmoid-LUT layer has no fast
-        // path and runs the per-column path of the same plane
-        // executor, so it is swept too. Each layer runs fully parallel
-        // and under the served PE 4 × SIMD 8 folding. Block lengths
-        // cover empty input, pure remainders (1, 7), one lane chunk
-        // and its edges (15, 16, 17), one full tile (256) and a
-        // multi-tile stream with a trailing remainder (4097, W8 only
-        // to bound debug-build time).
-        use hybridem_fpga::mvau::MvauScratch;
+    fn graph_block_bit_exact_at_every_lane_width_and_weight_width(seed in any::<u64>()) {
+        // The plane kernels' contract (DESIGN.md §11): the graph's
+        // block entry — the i32 symbol-lane MACs plus the branchless
+        // activation epilogue — is bit-identical to a per-symbol
+        // scalar pass through each layer at every supported lane
+        // width, for W4/W6/W8 formats, ReLU and linear (rounding-cast)
+        // hidden layers and heads, and every layer shape the kernel
+        // vectorises:
+        // the paper's 2→16 input, 16→16 hidden and 16→4 head layers,
+        // plus a 16→6 head, whose output count is a multiple of no
+        // lane width. A sigmoid-LUT head has no fast path and runs the
+        // per-column path of the same plane executor, so it is swept
+        // too. Each graph runs fully parallel and under the served
+        // PE 4 × SIMD 8 folding. Block lengths cover empty input, pure
+        // remainders (1, 7), one lane chunk and its edges (15, 16,
+        // 17), one full tile (256) and a multi-tile stream with a
+        // trailing remainder (4097, W8 without the LUT only, to bound
+        // debug-build time).
+        use hybridem_fpga::graph::{compile, GraphScratch, QuantizedGraph};
+        use hybridem_mathkit::complex::C32;
         use hybridem_mathkit::simd::LaneWidth;
+        use hybridem_nn::model::{Activation, MlpSpec};
         let combos = [
-            (QFormat::signed(4, 2), HwActivation::Relu),
-            (QFormat::signed(6, 4), HwActivation::Linear),
-            (QFormat::signed(8, 6), HwActivation::Relu),
-            (QFormat::signed(8, 6), HwActivation::Linear),
-            (
-                QFormat::signed(8, 6),
-                HwActivation::Sigmoid(SigmoidLut::new(8, 8.0, QFormat::signed(8, 6))),
-            ),
+            (QFormat::signed(4, 2), Activation::Relu, Activation::Linear),
+            (QFormat::signed(6, 4), Activation::Linear, Activation::Linear),
+            (QFormat::signed(8, 6), Activation::Relu, Activation::Linear),
+            (QFormat::signed(8, 6), Activation::Linear, Activation::Linear),
+            (QFormat::signed(8, 6), Activation::Relu, Activation::Sigmoid),
+            (QFormat::signed(8, 6), Activation::Relu, Activation::Relu),
         ];
-        let shapes = [(16usize, 16usize), (2, 16), (16, 4), (16, 6)];
-        for (fmt, act) in combos {
-            for (in_dim, out_dim) in shapes {
-                let (w, b) = random_dense(out_dim, in_dim, seed ^ u64::from(fmt.total_bits));
-                let cfg = MvauConfig::full_parallel(in_dim, out_dim, fmt, fmt, fmt, false);
-                let m = Mvau::from_dense(cfg, &w, &b, act.clone());
-                let lut = matches!(act, HwActivation::Sigmoid(_));
-                prop_assert_eq!(m.has_fast_path(), !lut, "only the sigmoid layer lacks the fast path");
-                let folded = m
-                    .refold(Folding::new(4, 8).fit_to(in_dim, out_dim))
-                    .expect("fitted folding divides the shape");
-                let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 99);
-                let full_len = if fmt.total_bits == 8 && !lut { 4097 } else { 256 };
-                let inputs: Vec<i64> = (0..full_len * in_dim)
-                    .map(|_| fmt.raw_from_f64(rng.normal_f64() * 0.5, Rounding::Nearest))
+        // The scalar reference: each symbol quantised as the graph
+        // quantises it, then `process_into` layer by layer.
+        let per_symbol = |g: &QuantizedGraph, fmt: QFormat, ys: &[C32]| -> Vec<i64> {
+            let mut out = Vec::new();
+            for y in ys {
+                let mut x: Vec<i64> = [y.re, y.im]
+                    .iter()
+                    .map(|&v| fmt.raw_from_f64(v as f64, Rounding::Nearest))
                     .collect();
-                let mut reference = vec![0i64; full_len * out_dim];
-                for (sym, slot) in inputs
-                    .chunks_exact(in_dim)
-                    .zip(reference.chunks_exact_mut(out_dim))
-                {
-                    m.process_into(sym, slot);
+                for m in g.mvaus() {
+                    let mut next = vec![0i64; m.config().out_dim];
+                    m.process_into(&x, &mut next);
+                    x = next;
                 }
-                let mut scratch = MvauScratch::new();
+                out.extend(x);
+            }
+            out
+        };
+        for (fmt, hidden, output) in combos {
+            for head in [4usize, 6] {
+                let mut rng = Xoshiro256pp::seed_from_u64(seed ^ u64::from(fmt.total_bits));
+                let mut model = MlpSpec {
+                    dims: vec![2, 16, 16, head],
+                    hidden,
+                    output,
+                }
+                .build(&mut rng);
+                // Random biases too, so the kernels' bias path runs.
+                for p in model.params_mut() {
+                    for v in p.value.as_mut_slice() {
+                        *v = rng.normal_f32() * 0.4;
+                    }
+                }
+                let q = QuantSpec { format: fmt, rounding: Rounding::Nearest };
+                let g = compile(&model, &[q; 4]);
+                let lut = output == Activation::Sigmoid;
+                for (i, m) in g.mvaus().iter().enumerate() {
+                    prop_assert_eq!(m.has_fast_path(), !(lut && i == 2),
+                        "only a sigmoid head lacks the fast path");
+                }
+                let folded = g.with_folding(Folding::new(4, 8));
+                let full_len = if fmt.total_bits == 8 && !lut { 4097 } else { 256 };
+                let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 99);
+                let ys: Vec<C32> = (0..full_len)
+                    .map(|_| C32::new(rng.normal_f32() * 0.7, rng.normal_f32() * 0.7))
+                    .collect();
+                let reference = per_symbol(&g, fmt, &ys);
+                let mut scratch = GraphScratch::new();
+                let mut got = Vec::new();
                 for &n in &[0usize, 1, 7, 15, 16, 17, 256, full_len] {
-                    let tile = &inputs[..n * in_dim];
-                    let reference = &reference[..n * out_dim];
-                    for unit in [&m, &folded] {
+                    for unit in [&g, &folded] {
                         for width in LaneWidth::supported() {
-                            let mut got = vec![0i64; n * out_dim];
-                            unit.process_block_into_at(width, tile, &mut got, &mut scratch);
-                            prop_assert_eq!(&got[..], reference,
-                                "{}→{} {:?} n {} width {:?} fmt W{}", in_dim, out_dim,
-                                unit.config().folding, n, width, fmt.total_bits);
+                            unit.process_block_raw_at(width, &ys[..n], &mut got, &mut scratch);
+                            prop_assert_eq!(&got[..], &reference[..n * head],
+                                "2→16→16→{} {:?} n {} width {:?} fmt W{}", head,
+                                unit.mvaus()[1].config().folding, n, width, fmt.total_bits);
                         }
                     }
                 }

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug)]
 pub struct Components {
     /// Component id per cell (row-major, same layout as the grid).
-    pub id: Vec<u32>,
+    pub(crate) id: Vec<u32>,
     /// Cell count per component id.
     pub sizes: Vec<usize>,
     /// Symbol label per component id.

@@ -15,9 +15,9 @@ pub struct Window {
     /// Minimum y (inclusive).
     pub y0: f64,
     /// Maximum x (exclusive for cell centres).
-    pub x1: f64,
+    pub(crate) x1: f64,
     /// Maximum y.
-    pub y1: f64,
+    pub(crate) y1: f64,
 }
 
 impl Window {

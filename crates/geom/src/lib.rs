@@ -27,8 +27,3 @@ pub mod grid;
 pub mod marching;
 pub mod polygon;
 pub mod voronoi;
-
-pub use components::label_components;
-pub use grid::LabelGrid;
-pub use polygon::Polygon;
-pub use voronoi::voronoi_cells;

@@ -26,7 +26,7 @@ impl Polygon {
     }
 
     /// Axis-aligned rectangle `[x0,x1] × [y0,y1]` (CCW).
-    pub fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Self {
+    pub(crate) fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> Self {
         assert!(x1 > x0 && y1 > y0, "degenerate rectangle");
         Self::new(vec![
             Vec2::new(x0, y0),
@@ -130,14 +130,6 @@ impl Polygon {
         }
         Some(Polygon::new(out))
     }
-
-    /// Clips against an axis-aligned box.
-    pub fn clip_rect(&self, x0: f64, y0: f64, x1: f64, y1: f64) -> Option<Polygon> {
-        self.clip_half_plane(Vec2::new(1.0, 0.0), x1)?
-            .clip_half_plane(Vec2::new(-1.0, 0.0), -x0)?
-            .clip_half_plane(Vec2::new(0.0, 1.0), y1)?
-            .clip_half_plane(Vec2::new(0.0, -1.0), -y0)
-    }
 }
 
 #[cfg(test)]
@@ -225,15 +217,6 @@ mod tests {
     fn clip_to_empty_returns_none() {
         let p = Polygon::rect(0.0, 0.0, 1.0, 1.0);
         assert!(p.clip_half_plane(Vec2::new(1.0, 0.0), -1.0).is_none());
-    }
-
-    #[test]
-    fn rect_clip_intersection() {
-        let p = Polygon::rect(0.0, 0.0, 4.0, 4.0);
-        let clipped = p.clip_rect(1.0, 1.0, 2.0, 3.0).unwrap();
-        assert!((clipped.area() - 2.0).abs() < 1e-12);
-        let c = clipped.centroid();
-        assert!((c.x - 1.5).abs() < 1e-12 && (c.y - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl<T: Real> Complex<T> {
         Self::new(theta.cos(), theta.sin())
     }
 
-    /// Polar constructor `r·e^{jθ}`.
-    #[inline]
-    pub fn from_polar(r: T, theta: T) -> Self {
-        Self::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// Squared magnitude `re² + im²` — the Euclidean distance metric used
     /// by every demapper in this workspace.
     #[inline(always)]
@@ -234,17 +228,10 @@ mod tests {
 
     #[test]
     fn rotation_preserves_magnitude_and_shifts_phase() {
-        let a = C64::from_polar(2.0, 0.3);
+        let a = C64::new(2.0 * 0.3f64.cos(), 2.0 * 0.3f64.sin());
         let r = a.rotate(std::f64::consts::FRAC_PI_4);
         assert!((r.abs() - 2.0).abs() < EPS);
         assert!((r.arg() - (0.3 + std::f64::consts::FRAC_PI_4)).abs() < EPS);
-    }
-
-    #[test]
-    fn polar_round_trip() {
-        let z = C64::from_polar(1.7, -2.1);
-        assert!((z.abs() - 1.7).abs() < EPS);
-        assert!((z.arg() + 2.1).abs() < EPS);
     }
 
     #[test]

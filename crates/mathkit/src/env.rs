@@ -52,6 +52,7 @@ mod tests {
         assert_eq!(parse_count("-2"), None, "negative");
         assert_eq!(parse_count(" 4 "), None, "whitespace");
         assert_eq!(parse_count("4 "), None, "trailing whitespace");
+        assert_eq!(parse_count("\t2"), None, "tab-padded");
         assert_eq!(parse_count("3.5"), None, "fractional");
         assert_eq!(parse_count("many"), None, "non-numeric");
         assert_eq!(parse_count("1e3"), None, "scientific notation");

@@ -66,7 +66,7 @@ impl Json {
     }
 
     /// Looks up a key in an object; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -80,7 +80,7 @@ impl Json {
     }
 
     /// The boolean value, if this is a `Bool`.
-    pub fn as_bool(&self) -> Result<bool, JsonError> {
+    pub(crate) fn as_bool(&self) -> Result<bool, JsonError> {
         match self {
             Json::Bool(b) => Ok(*b),
             other => Err(type_err("bool", other)),
@@ -88,7 +88,7 @@ impl Json {
     }
 
     /// The numeric value as `f64` (accepts `Int` and `Float`).
-    pub fn as_f64(&self) -> Result<f64, JsonError> {
+    pub(crate) fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
             Json::Int(i) => Ok(*i as f64),
             Json::Float(x) => Ok(*x),
@@ -98,19 +98,12 @@ impl Json {
     }
 
     /// The numeric value as `i128`, rejecting fractional floats.
-    pub fn as_i128(&self) -> Result<i128, JsonError> {
+    pub(crate) fn as_i128(&self) -> Result<i128, JsonError> {
         match self {
             Json::Int(i) => Ok(*i),
             Json::Float(x) if x.fract() == 0.0 && x.abs() < 9.0e18 => Ok(*x as i128),
             other => Err(type_err("integer", other)),
         }
-    }
-
-    /// The numeric value as `i64`, rejecting fractional floats and
-    /// out-of-range integers.
-    pub fn as_i64(&self) -> Result<i64, JsonError> {
-        let i = self.as_i128()?;
-        i64::try_from(i).map_err(|_| JsonError::new(format!("{i} out of range for i64")))
     }
 
     /// The string value, if this is a `Str`.

@@ -11,7 +11,7 @@
 //! - [`stats`] — streaming statistics and binomial confidence intervals
 //!   for Monte-Carlo bit-error-rate estimation;
 //! - [`special`] — `erf`/`erfc`/Gaussian Q function (closed-form BER
-//!   baselines), numerically stable sigmoid/softplus/log-sum-exp;
+//!   baselines), numerically stable sigmoid/logit/log-sum-exp;
 //! - [`rng`] — deterministic, splittable random number generation
 //!   (SplitMix64 seeding, xoshiro256++ streams, Gaussian sampling);
 //! - [`simd`] — portable fixed-width SIMD lanes with runtime width
@@ -36,9 +36,3 @@ pub mod simd;
 pub mod special;
 pub mod stats;
 pub mod vec2;
-
-pub use complex::{Complex, C32, C64};
-pub use matrix::Matrix;
-pub use real::Real;
-pub use rng::{Rng64, SplitMix64, Xoshiro256pp};
-pub use vec2::Vec2;

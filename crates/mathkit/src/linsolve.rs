@@ -10,7 +10,7 @@ use crate::matrix::Matrix;
 
 /// Solves `A·x = b` in place via Gaussian elimination with partial
 /// pivoting. Returns `None` if the matrix is numerically singular.
-pub fn solve(a: &Matrix<f64>, b: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn solve(a: &Matrix<f64>, b: &[f64]) -> Option<Vec<f64>> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "square system required");
     assert_eq!(b.len(), n, "rhs length");

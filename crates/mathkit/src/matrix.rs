@@ -37,15 +37,6 @@ impl<T: Real> Matrix<T> {
         }
     }
 
-    /// Identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = T::ONE;
-        }
-        m
-    }
-
     /// Builds from a row-major data vector.
     ///
     /// # Panics
@@ -148,17 +139,6 @@ impl<T: Real> Matrix<T> {
         self.data.resize(rows * cols, T::ZERO);
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Element-wise map into a new matrix.
     pub fn map(&self, mut f: impl FnMut(T) -> T) -> Self {
         Self {
@@ -184,44 +164,6 @@ impl<T: Real> Matrix<T> {
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
         }
-    }
-
-    /// Matrix product `self · other` with the cache-friendly `ikj`
-    /// loop order.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul inner dimension mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Self::zeros(self.rows, other.cols);
-        let n = other.cols;
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == T::ZERO {
-                    continue;
-                }
-                let b_row = &other.data[k * n..(k + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> T {
-        let mut acc = T::ZERO;
-        for &v in &self.data {
-            acc += v * v;
-        }
-        acc.sqrt()
     }
 
     /// Maximum absolute element (zero for an empty matrix).
@@ -286,8 +228,6 @@ mod tests {
         assert_eq!(m.shape(), (2, 2));
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(Matrix::<f64>::eye(2)[(1, 1)], 1.0);
-        assert_eq!(Matrix::<f64>::eye(2)[(0, 1)], 0.0);
     }
 
     #[test]
@@ -297,31 +237,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_small_known() {
-        let a = Matrix::<f64>::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::<f64>::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = Matrix::<f64>::from_rows(&[&[1.0, -2.0, 0.5], &[0.0, 3.0, 4.0]]);
-        let i3 = Matrix::eye(3);
-        assert_eq!(a.matmul(&i3), a);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::<f32>::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (3, 2));
-    }
-
-    #[test]
-    fn norms() {
+    fn max_abs_is_the_largest_magnitude() {
         let a = Matrix::<f64>::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - (1.0f64 + 4.0 + 9.0 + 16.0).sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
     }
 

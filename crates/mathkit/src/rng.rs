@@ -81,7 +81,7 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates the generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 

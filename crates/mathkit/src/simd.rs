@@ -12,8 +12,9 @@
 //! kernels keep for non-multiple lengths).
 //!
 //! Width selection is a *runtime* decision behind the [`LaneWidth`]
-//! probe: [`dispatch`] monomorphises the caller's [`SimdKernel`] at
-//! N = 4/8/16 inside `#[target_feature]` trampolines (AVX2 for ×8,
+//! probe: [`dispatch_at`] monomorphises the caller's [`SimdKernel`]
+//! at N = 4/8/16 (at [`LaneWidth::detect`] on the hot paths, at every
+//! supported width in the tests) inside `#[target_feature]` trampolines (AVX2 for ×8,
 //! AVX-512 for ×16 on x86-64), so a plain portable build — **without**
 //! `-C target-cpu=native` — still executes AVX2/AVX-512 code on hosts
 //! that have it, and falls back to 128-bit (SSE2/NEON) lanes anywhere
@@ -22,7 +23,7 @@
 
 use std::sync::OnceLock;
 
-/// The widest lane count [`dispatch`] will select (AVX-512: 16 × i32).
+/// The widest lane count [`dispatch_at`] will select (AVX-512: 16 × i32).
 pub const MAX_LANES: usize = 16;
 
 /// A runtime-selected SIMD width, in 32-bit lanes.
@@ -107,8 +108,8 @@ fn probe_hardware() -> LaneWidth {
 }
 
 /// A width-generic SIMD computation: implementors capture their inputs
-/// and write the kernel body once in `run::<N>()`. [`dispatch`]
-/// monomorphises it at the probed width inside a `#[target_feature]`
+/// and write the kernel body once in `run::<N>()`. [`dispatch_at`]
+/// monomorphises it at the requested width inside a `#[target_feature]`
 /// trampoline so the body vectorises with the host's full ISA.
 pub trait SimdKernel {
     /// Result of the kernel.
@@ -117,15 +118,10 @@ pub trait SimdKernel {
     fn run<const N: usize>(self) -> Self::Output;
 }
 
-/// Runs `k` at the probed [`LaneWidth`].
-#[inline]
-pub fn dispatch<K: SimdKernel>(k: K) -> K::Output {
-    dispatch_at(LaneWidth::detect(), k)
-}
-
 /// Runs `k` at an explicit width (clamped to what the host supports —
-/// the trampolines must not execute unavailable instructions). Used by
-/// the property tests to prove bit-exactness across every width.
+/// the trampolines must not execute unavailable instructions): the hot
+/// paths pass [`LaneWidth::detect`], the property tests every width of
+/// [`LaneWidth::supported`] to prove bit-exactness across them.
 #[inline]
 pub fn dispatch_at<K: SimdKernel>(width: LaneWidth, k: K) -> K::Output {
     match width.min(probe_hardware()) {
@@ -242,18 +238,6 @@ macro_rules! simd_common {
                 }
                 Self(r)
             }
-
-            /// Lanewise maximum, keeping `self` on ties.
-            #[inline(always)]
-            pub fn max(self, o: Self) -> Self {
-                let mut r = self.0;
-                for (a, b) in r.iter_mut().zip(o.0) {
-                    if b > *a {
-                        *a = b;
-                    }
-                }
-                Self(r)
-            }
         }
     };
 }
@@ -280,17 +264,6 @@ macro_rules! simd_int {
                 let mut r = self.0;
                 for a in r.iter_mut() {
                     *a >>= s;
-                }
-                Self(r)
-            }
-
-            /// Lanewise shift left.
-            #[inline(always)]
-            #[allow(clippy::should_implement_trait)] // method-call style is the lane-op idiom
-            pub fn shl(self, s: u32) -> Self {
-                let mut r = self.0;
-                for a in r.iter_mut() {
-                    *a <<= s;
                 }
                 Self(r)
             }
@@ -406,7 +379,7 @@ mod tests {
                 "width {w:?}: {got} vs {reference}"
             );
         }
-        let got = dispatch(SumSquares(&xs));
+        let got = dispatch_at(LaneWidth::detect(), SumSquares(&xs));
         assert!((got - reference).abs() / reference < 1e-5);
     }
 
@@ -417,7 +390,6 @@ mod tests {
         assert_eq!(a.shr(1).0, [3, -4, 2, -2]);
         assert_eq!(a.relu().0, [7, 0, 5, 0]);
         assert_eq!(a.clamp(-4, 4).0, [4, -4, 4, -3]);
-        assert_eq!(a.shl(2).0, [28, -28, 20, -12]);
         let b = Simd::<i32, 4>::splat(2);
         assert_eq!(a.mul(b).0, [14, -14, 10, -6]);
         assert_eq!(a.add(b).0, [9, -5, 7, -1]);
@@ -446,11 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_keep_self_on_ties() {
+    fn min_keeps_self_on_ties() {
         let a = Simd::<f32, 4>([1.0, 2.0, 3.0, 4.0]);
         let b = Simd::<f32, 4>([1.0, 0.0, 9.0, 4.0]);
         assert_eq!(a.min(b).0, [1.0, 0.0, 3.0, 4.0]);
-        assert_eq!(a.max(b).0, [1.0, 2.0, 9.0, 4.0]);
         // NaN in the incoming operand never replaces a finite lane
         // (matches `if b < a { b }`).
         let n = Simd::<f32, 4>::splat(f32::NAN);

@@ -7,7 +7,7 @@
 /// Error function `erf(x)`, Abramowitz & Stegun 7.1.26 rational
 /// approximation (|error| ≤ 1.5·10⁻⁷ — ample for BER baselines that are
 /// compared against Monte-Carlo noise).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -20,7 +20,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Complementary error function `erfc(x) = 1 − erf(x)`.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     1.0 - erf(x)
 }
 
@@ -62,17 +62,6 @@ pub fn logit(p: f64) -> f64 {
     (p / (1.0 - p)).ln()
 }
 
-/// Numerically stable `ln(1 + e^x)` (softplus).
-pub fn softplus(x: f64) -> f64 {
-    if x > 30.0 {
-        x
-    } else if x < -30.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
-    }
-}
-
 /// Stable `ln(Σ e^{x_i})` over a slice. Returns `-inf` for an empty
 /// slice (the sum of zero exponentials).
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
@@ -89,15 +78,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
 /// suboptimal demapper.
 pub fn max_log(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Jacobian logarithm correction: `ln(e^a + e^b) = max(a,b) + ln(1+e^{−|a−b|})`.
-pub fn jacobian_log(a: f64, b: f64) -> f64 {
-    let m = a.max(b);
-    if !m.is_finite() {
-        return m;
-    }
-    m + softplus(-(a - b).abs()) - 0.0_f64.max(-(a - b).abs())
 }
 
 #[cfg(test)]
@@ -144,14 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn softplus_limits() {
-        assert!((softplus(0.0) - 2.0f64.ln()).abs() < 1e-12);
-        assert!((softplus(100.0) - 100.0).abs() < 1e-9);
-        assert!(softplus(-100.0) > 0.0);
-        assert!(softplus(-100.0) < 1e-40);
-    }
-
-    #[test]
     fn log_sum_exp_matches_naive_and_is_stable() {
         let xs = [0.5f64, -1.0, 2.0];
         let naive: f64 = xs.iter().map(|x| x.exp()).sum::<f64>().ln();
@@ -167,13 +139,5 @@ mod tests {
         let xs = [0.3, 0.1, -0.7, 1.2];
         assert!(max_log(&xs) <= log_sum_exp(&xs));
         assert!((log_sum_exp(&xs) - max_log(&xs)) <= (xs.len() as f64).ln());
-    }
-
-    #[test]
-    fn jacobian_log_exact() {
-        for &(a, b) in &[(0.0f64, 0.0f64), (1.0, -2.0), (-3.0, 5.0)] {
-            let exact = (a.exp() + b.exp()).ln();
-            assert!((jacobian_log(a, b) - exact).abs() < 1e-9, "{a},{b}");
-        }
     }
 }

@@ -94,15 +94,6 @@ impl Welford {
         }
     }
 
-    /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Merges another accumulator (parallel reduction), Chan et al.
     pub fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
@@ -196,7 +187,6 @@ mod tests {
         }
         assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.population_variance() - 4.0).abs() < 1e-12);
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 

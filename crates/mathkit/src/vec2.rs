@@ -4,7 +4,6 @@
 //! geometrically; [`Vec2`] is the coordinate type used by label grids,
 //! polygons and Voronoi cells in `hybridem-geom`.
 
-use crate::complex::C64;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 2-D point or vector.
@@ -66,24 +65,6 @@ impl Vec2 {
         self.dist_sqr(o).sqrt()
     }
 
-    /// Unit vector in the same direction; returns the zero vector for the
-    /// zero input rather than dividing by zero.
-    #[inline]
-    pub fn normalized(self) -> Self {
-        let n = self.norm();
-        if n == 0.0 {
-            Self::zero()
-        } else {
-            self / n
-        }
-    }
-
-    /// Counter-clockwise perpendicular.
-    #[inline(always)]
-    pub fn perp(self) -> Self {
-        Self::new(-self.y, self.x)
-    }
-
     /// Linear interpolation `self + t·(o − self)`.
     #[inline]
     pub fn lerp(self, o: Self, t: f64) -> Self {
@@ -94,18 +75,6 @@ impl Vec2 {
     #[inline]
     pub fn midpoint(self, o: Self) -> Self {
         self.lerp(o, 0.5)
-    }
-
-    /// Converts to a complex sample (x→re, y→im).
-    #[inline]
-    pub fn to_complex(self) -> C64 {
-        C64::new(self.x, self.y)
-    }
-
-    /// Converts from a complex sample.
-    #[inline]
-    pub fn from_complex(c: C64) -> Self {
-        Self::new(c.re, c.im)
     }
 }
 
@@ -163,30 +132,6 @@ impl SubAssign for Vec2 {
     }
 }
 
-/// Orientation of the ordered triple `(a, b, c)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Orientation {
-    /// Counter-clockwise turn.
-    Ccw,
-    /// Clockwise turn.
-    Cw,
-    /// The three points are collinear (within `eps`).
-    Collinear,
-}
-
-/// Robust-enough orientation predicate for the scales used here
-/// (unit-power constellations, |coord| ≲ 4).
-pub fn orientation(a: Vec2, b: Vec2, c: Vec2, eps: f64) -> Orientation {
-    let v = (b - a).cross(c - a);
-    if v > eps {
-        Orientation::Ccw
-    } else if v < -eps {
-        Orientation::Cw
-    } else {
-        Orientation::Collinear
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,15 +153,6 @@ mod tests {
         let a = Vec2::new(3.0, 4.0);
         assert_eq!(a.norm(), 5.0);
         assert_eq!(a.dist(Vec2::zero()), 5.0);
-        assert_eq!(a.normalized().norm(), 1.0);
-        assert_eq!(Vec2::zero().normalized(), Vec2::zero());
-    }
-
-    #[test]
-    fn perp_is_orthogonal_and_ccw() {
-        let a = Vec2::new(2.0, 1.0);
-        assert_eq!(a.dot(a.perp()), 0.0);
-        assert!(a.cross(a.perp()) > 0.0);
     }
 
     #[test]
@@ -226,29 +162,5 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.midpoint(b), Vec2::new(1.0, 2.0));
-    }
-
-    #[test]
-    fn orientation_predicate() {
-        let a = Vec2::new(0.0, 0.0);
-        let b = Vec2::new(1.0, 0.0);
-        assert_eq!(
-            orientation(a, b, Vec2::new(0.0, 1.0), 1e-12),
-            Orientation::Ccw
-        );
-        assert_eq!(
-            orientation(a, b, Vec2::new(0.0, -1.0), 1e-12),
-            Orientation::Cw
-        );
-        assert_eq!(
-            orientation(a, b, Vec2::new(2.0, 0.0), 1e-12),
-            Orientation::Collinear
-        );
-    }
-
-    #[test]
-    fn complex_round_trip() {
-        let v = Vec2::new(0.25, -1.5);
-        assert_eq!(Vec2::from_complex(v.to_complex()), v);
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests of the numeric substrate.
 
 use hybridem_mathkit::complex::C64;
-use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, SplitMix64, Xoshiro256pp};
 use hybridem_mathkit::special::{log_sum_exp, max_log, qfunc, sigmoid};
 use hybridem_mathkit::stats::{wilson_interval, ErrorCounter, Welford};
@@ -10,13 +9,6 @@ use proptest::prelude::*;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
     (-1e3f64..1e3).prop_filter("nonzero-ish", |v| v.abs() > 1e-9)
-}
-
-fn small_matrix() -> impl Strategy<Value = Matrix<f64>> {
-    (1usize..6, 1usize..6).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-100.0f64..100.0, r * c)
-            .prop_map(move |data| Matrix::from_vec(r, c, data))
-    })
 }
 
 proptest! {
@@ -44,19 +36,6 @@ proptest! {
         // Rotating back recovers the original.
         let back = w.rotate(-theta);
         prop_assert!((back - z).abs() < 1e-6 * z.abs().max(1.0));
-    }
-
-    #[test]
-    fn matrix_transpose_respects_products(a in small_matrix(), b in small_matrix()) {
-        prop_assume!(a.cols() == b.rows());
-        let ab_t = a.matmul(&b).transpose();
-        let bt_at = b.transpose().matmul(&a.transpose());
-        // Tolerance scales with the summation magnitude, not the result
-        // (entries up to 100 can cancel to a tiny output).
-        let tol = 1e-10 * a.max_abs() * b.max_abs() * a.cols() as f64 + 1e-12;
-        for (x, y) in ab_t.as_slice().iter().zip(bt_at.as_slice()) {
-            prop_assert!((x - y).abs() <= tol, "{x} vs {y} (tol {tol})");
-        }
     }
 
     #[test]

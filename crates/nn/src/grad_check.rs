@@ -14,8 +14,6 @@ use hybridem_mathkit::matrix::Matrix;
 pub struct GradCheckReport {
     /// Largest relative error across all checked coordinates.
     pub max_rel_error: f64,
-    /// Number of coordinates checked.
-    pub checked: usize,
 }
 
 /// Relative error between analytic and numeric derivatives with the
@@ -51,7 +49,6 @@ where
 
     // Numeric pass per coordinate.
     let mut max_rel = 0.0f64;
-    let mut checked = 0usize;
     for (pi, grads) in analytic.iter().enumerate() {
         for (k, &a) in grads.iter().enumerate() {
             let orig = model.params_mut()[pi].value.as_mut_slice()[k];
@@ -62,12 +59,10 @@ where
             model.params_mut()[pi].value.as_mut_slice()[k] = orig;
             let numeric = (lp as f64 - lm as f64) / (2.0 * eps as f64);
             max_rel = max_rel.max(rel_err(a as f64, numeric));
-            checked += 1;
         }
     }
     GradCheckReport {
         max_rel_error: max_rel,
-        checked,
     }
 }
 
@@ -89,7 +84,6 @@ where
     let analytic = model.backward(&grad_out);
 
     let mut max_rel = 0.0f64;
-    let mut checked = 0usize;
     let mut x = input.clone();
     for k in 0..x.len() {
         let orig = x.as_slice()[k];
@@ -100,11 +94,9 @@ where
         x.as_mut_slice()[k] = orig;
         let numeric = (lp as f64 - lm as f64) / (2.0 * eps as f64);
         max_rel = max_rel.max(rel_err(analytic.as_slice()[k] as f64, numeric));
-        checked += 1;
     }
     GradCheckReport {
         max_rel_error: max_rel,
-        checked,
     }
 }
 
@@ -140,9 +132,16 @@ mod tests {
         let mut model = spec.build(&mut rng);
         let x = smooth_input(4, 3, 1);
         let t = smooth_input(4, 2, 2).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let rep = check_model_grads(&mut model, &x, |y| mse(y, &t), 1e-3);
+        // One analytic loss call, then two per perturbed coordinate:
+        // every parameter is checked.
+        let calls = std::cell::Cell::new(0);
+        let loss = |y: &Matrix<f32>| {
+            calls.set(calls.get() + 1);
+            mse(y, &t)
+        };
+        let rep = check_model_grads(&mut model, &x, loss, 1e-3);
         assert!(rep.max_rel_error < TOL, "rel err {}", rep.max_rel_error);
-        assert_eq!(rep.checked, 3 * 5 + 5 + 5 * 2 + 2);
+        assert_eq!(calls.get(), 1 + 2 * (3 * 5 + 5 + 5 * 2 + 2));
     }
 
     #[test]
@@ -176,8 +175,13 @@ mod tests {
         let mut model = MlpSpec::paper_demapper_logits().build(&mut rng);
         let x = smooth_input(5, 2, 6);
         let t = smooth_input(5, 4, 7).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let rep = check_input_grads(&mut model, &x, |z| bce_with_logits(z, &t), 1e-3);
+        let calls = std::cell::Cell::new(0);
+        let loss = |z: &Matrix<f32>| {
+            calls.set(calls.get() + 1);
+            bce_with_logits(z, &t)
+        };
+        let rep = check_input_grads(&mut model, &x, loss, 1e-3);
         assert!(rep.max_rel_error < TOL, "rel err {}", rep.max_rel_error);
-        assert_eq!(rep.checked, 10);
+        assert_eq!(calls.get(), 1 + 2 * 10, "every input coordinate checked");
     }
 }

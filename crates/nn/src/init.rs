@@ -9,7 +9,7 @@ use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 
 /// Initialisation scheme for a dense layer's weight matrix.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Init {
+pub(crate) enum Init {
     /// Uniform `±√(6/(fan_in+fan_out))` (Glorot & Bengio 2010).
     XavierUniform,
     /// Uniform `±√(6/fan_in)` (He et al. 2015), suited to ReLU.
@@ -17,19 +17,16 @@ pub enum Init {
     /// Uniform `±scale·0.5/√fan_in`-free plain range, for embeddings and
     /// tests: `±scale`.
     Uniform(f32),
-    /// All zeros (biases).
-    Zeros,
 }
 
 impl Init {
     /// Samples a `rows × cols` matrix; `rows` is treated as `fan_out`,
     /// `cols` as `fan_in` (the dense-layer weight convention `W: out×in`).
-    pub fn sample(&self, rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Matrix<f32> {
+    pub(crate) fn sample(&self, rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Matrix<f32> {
         let bound = match self {
             Init::XavierUniform => (6.0 / (rows + cols) as f64).sqrt(),
             Init::HeUniform => (6.0 / cols.max(1) as f64).sqrt(),
             Init::Uniform(s) => *s as f64,
-            Init::Zeros => 0.0,
         };
         let mut m = Matrix::zeros(rows, cols);
         if bound > 0.0 {
@@ -57,13 +54,8 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_uniform() {
+    fn uniform_respects_its_scale() {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
-        assert!(Init::Zeros
-            .sample(3, 3, &mut rng)
-            .as_slice()
-            .iter()
-            .all(|&v| v == 0.0));
         let u = Init::Uniform(0.1).sample(8, 8, &mut rng);
         assert!(u.as_slice().iter().all(|v| v.abs() <= 0.1));
         // Not all zero (vanishing probability).

@@ -1,6 +1,6 @@
 //! Lane kernels of the dense layer (DESIGN.md §11.2).
 //!
-//! [`crate::layers::Dense`] runs its four products here, each a
+//! `Dense` runs its four products here, each a
 //! [`SimdKernel`] that [`simd::dispatch_at`] monomorphises at a
 //! [`LaneWidth`]:
 //!

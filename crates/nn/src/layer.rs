@@ -16,24 +16,19 @@ pub struct Param {
     /// Current value.
     pub value: Matrix<f32>,
     /// Accumulated gradient (zeroed by [`Param::zero_grad`]).
-    pub grad: Matrix<f32>,
+    pub(crate) grad: Matrix<f32>,
 }
 
 impl Param {
     /// Wraps an initial value with a zeroed gradient.
-    pub fn new(value: Matrix<f32>) -> Self {
+    pub(crate) fn new(value: Matrix<f32>) -> Self {
         let grad = Matrix::zeros(value.rows(), value.cols());
         Self { value, grad }
     }
 
     /// Number of scalar parameters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.value.len()
-    }
-
-    /// True when the parameter tensor is empty.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
     }
 
     /// Clears the accumulated gradient.
@@ -84,7 +79,7 @@ pub trait Layer: Send + Sync {
     fn output_dim(&self, input_dim: usize) -> usize;
 
     /// The fixed-point cast this layer simulates, when it is a
-    /// fake-quantisation boundary ([`crate::layers::FakeQuant`]). The
+    /// fake-quantisation boundary (`FakeQuant`). The
     /// FPGA graph compiler reads these to reconstruct the integer
     /// datapath formats a QAT model was trained against; all other
     /// layers report `None`.
@@ -101,7 +96,6 @@ mod tests {
     fn param_wraps_and_zeroes() {
         let mut p = Param::new(Matrix::from_rows(&[&[1.0f32, 2.0]]));
         assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
         p.grad.as_mut_slice()[0] = 5.0;
         p.zero_grad();
         assert!(p.grad.as_slice().iter().all(|&g| g == 0.0));

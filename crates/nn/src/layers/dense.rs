@@ -11,7 +11,7 @@ use hybridem_mathkit::simd::LaneWidth;
 /// fan-in of one output neuron — also the layout a folded MVAU consumes
 /// row by row on the FPGA side). Its products run as the lane
 /// [`kernels`] at the probed [`LaneWidth`].
-pub struct Dense {
+pub(crate) struct Dense {
     weight: Param,
     bias: Param,
     cached_input: Option<Matrix<f32>>,
@@ -20,7 +20,7 @@ pub struct Dense {
 impl Dense {
     /// New dense layer with the given initialisation for the weights and
     /// zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, init: Init, rng: &mut Xoshiro256pp) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, init: Init, rng: &mut Xoshiro256pp) -> Self {
         Self {
             weight: Param::new(init.sample(out_dim, in_dim, rng)),
             bias: Param::new(Matrix::zeros(1, out_dim)),
@@ -30,7 +30,7 @@ impl Dense {
 
     /// Builds from explicit weight (`out × in`) and bias (`1 × out`)
     /// matrices (deserialisation, tests, FPGA export round-trips).
-    pub fn from_parts(weight: Matrix<f32>, bias: Matrix<f32>) -> Self {
+    pub(crate) fn from_parts(weight: Matrix<f32>, bias: Matrix<f32>) -> Self {
         assert_eq!(bias.rows(), 1, "bias must be a row vector");
         assert_eq!(bias.cols(), weight.rows(), "bias length must equal out_dim");
         Self {
@@ -41,23 +41,13 @@ impl Dense {
     }
 
     /// Input feature count.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.weight.value.cols()
     }
 
     /// Output feature count.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.weight.value.rows()
-    }
-
-    /// The weight matrix (`out × in`).
-    pub fn weight(&self) -> &Matrix<f32> {
-        &self.weight.value
-    }
-
-    /// The bias row vector (`1 × out`).
-    pub fn bias(&self) -> &Matrix<f32> {
-        &self.bias.value
     }
 }
 

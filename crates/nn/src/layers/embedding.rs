@@ -30,21 +30,13 @@ impl Embedding {
         }
     }
 
-    /// Builds from an explicit table (e.g. seeding with Gray 16-QAM).
-    pub fn from_table(table: Matrix<f32>) -> Self {
-        Self {
-            table: Param::new(table),
-            cached_indices: None,
-        }
-    }
-
     /// Number of symbols (table rows).
     pub fn num_symbols(&self) -> usize {
         self.table.value.rows()
     }
 
     /// Embedding dimension (table columns).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.table.value.cols()
     }
 
@@ -86,11 +78,6 @@ impl Embedding {
     pub fn param_mut(&mut self) -> &mut Param {
         &mut self.table
     }
-
-    /// Read-only parameter access.
-    pub fn param(&self) -> &Param {
-        &self.table
-    }
 }
 
 #[cfg(test)]
@@ -98,11 +85,14 @@ mod tests {
     use super::*;
 
     fn table_3x2() -> Embedding {
-        Embedding::from_table(Matrix::from_rows(&[
-            &[1.0, 0.0],
-            &[0.0, 1.0],
-            &[-1.0, -1.0],
-        ]))
+        Embedding {
+            table: Param::new(Matrix::from_rows(&[
+                &[1.0, 0.0],
+                &[0.0, 1.0],
+                &[-1.0, -1.0],
+            ])),
+            cached_indices: None,
+        }
     }
 
     #[test]
@@ -120,9 +110,9 @@ mod tests {
         let _ = e.forward(&[1, 1, 0]);
         e.backward(&Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
         // Row 1 accumulates two contributions, row 0 one, row 2 none.
-        assert_eq!(e.param().grad.row(1), &[4.0, 6.0]);
-        assert_eq!(e.param().grad.row(0), &[5.0, 6.0]);
-        assert_eq!(e.param().grad.row(2), &[0.0, 0.0]);
+        assert_eq!(e.table.grad.row(1), &[4.0, 6.0]);
+        assert_eq!(e.table.grad.row(0), &[5.0, 6.0]);
+        assert_eq!(e.table.grad.row(2), &[0.0, 0.0]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use hybridem_fixed::QuantSpec;
 use hybridem_mathkit::matrix::Matrix;
 
 /// Quantise–dequantise layer with a straight-through backward pass.
-pub struct FakeQuant {
+pub(crate) struct FakeQuant {
     spec: QuantSpec,
     /// Cached by `forward`: true where the input was inside the
     /// representable range (gradient passes), false where it saturated.
@@ -26,17 +26,12 @@ pub struct FakeQuant {
 
 impl FakeQuant {
     /// New fake-quantisation layer for one tensor boundary.
-    pub fn new(spec: QuantSpec) -> Self {
+    pub(crate) fn new(spec: QuantSpec) -> Self {
         Self {
             spec,
             pass: None,
             shape: (0, 0),
         }
-    }
-
-    /// The quantisation plan this layer simulates.
-    pub fn spec(&self) -> QuantSpec {
-        self.spec
     }
 
     /// One element through the quantise→dequantise round trip.

@@ -1,7 +1,7 @@
 //! Concrete layers.
 //!
-//! [`Dense`], [`Relu`], [`Sigmoid`] and [`Tanh`] compose into the
-//! demapper MLP; [`FakeQuant`] injects straight-through fixed-point
+//! `Dense`, `Relu`, `Sigmoid` and `Tanh` compose into the
+//! demapper MLP; `FakeQuant` injects straight-through fixed-point
 //! casts for quantisation-aware training; [`Embedding`] + [`PowerNorm`]
 //! form the transmitter-side mapper (symbol index → power-normalised
 //! constellation point). The mapper pair has a different input type
@@ -16,10 +16,10 @@ mod relu;
 mod sigmoid;
 mod tanh;
 
-pub use dense::Dense;
+pub(crate) use dense::Dense;
 pub use embedding::Embedding;
-pub use fake_quant::FakeQuant;
+pub(crate) use fake_quant::FakeQuant;
 pub use power_norm::PowerNorm;
-pub use relu::Relu;
-pub use sigmoid::Sigmoid;
-pub use tanh::Tanh;
+pub(crate) use relu::Relu;
+pub(crate) use sigmoid::Sigmoid;
+pub(crate) use tanh::Tanh;

@@ -6,14 +6,14 @@ use hybridem_mathkit::matrix::Matrix;
 /// Element-wise `max(0, x)`; caches the activation mask for backward,
 /// in a buffer reused across forward passes.
 #[derive(Default)]
-pub struct Relu {
+pub(crate) struct Relu {
     mask: Option<Vec<bool>>,
     shape: (usize, usize),
 }
 
 impl Relu {
     /// New ReLU layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

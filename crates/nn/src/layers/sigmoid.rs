@@ -7,13 +7,13 @@ use hybridem_mathkit::special::sigmoid_f32;
 /// Element-wise `σ(x) = 1/(1+e^{−x})`; caches its output (the backward
 /// pass only needs `σ(x)·(1−σ(x))`).
 #[derive(Default)]
-pub struct Sigmoid {
+pub(crate) struct Sigmoid {
     output: Option<Matrix<f32>>,
 }
 
 impl Sigmoid {
     /// New sigmoid layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

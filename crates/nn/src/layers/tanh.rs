@@ -5,13 +5,13 @@ use hybridem_mathkit::matrix::Matrix;
 
 /// Element-wise `tanh(x)`; caches its output.
 #[derive(Default)]
-pub struct Tanh {
+pub(crate) struct Tanh {
     output: Option<Matrix<f32>>,
 }
 
 impl Tanh {
     /// New tanh layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -40,6 +40,5 @@ pub mod model;
 pub mod optim;
 pub mod schedule;
 
-pub use layer::{Layer, Param};
 pub use model::{MlpSpec, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};

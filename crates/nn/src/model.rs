@@ -125,7 +125,7 @@ pub struct Sequential {
 impl Sequential {
     /// Builds from boxed layers; `input_dim` is the expected feature
     /// count of the input batch.
-    pub fn new(layers: Vec<Box<dyn Layer>>, input_dim: usize) -> Self {
+    pub(crate) fn new(layers: Vec<Box<dyn Layer>>, input_dim: usize) -> Self {
         Self { layers, input_dim }
     }
 
@@ -141,11 +141,6 @@ impl Sequential {
             d = l.output_dim(d);
         }
         d
-    }
-
-    /// Number of layers (including activations).
-    pub fn depth(&self) -> usize {
-        self.layers.len()
     }
 
     /// Immutable view of the layers.
@@ -228,13 +223,8 @@ impl Sequential {
     }
 
     /// Read-only parameters in layer order.
-    pub fn params(&self) -> Vec<&Param> {
+    pub(crate) fn params(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    /// Total scalar parameter count.
-    pub fn num_parameters(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
     }
 
     /// Zeroes all accumulated gradients.
@@ -331,7 +321,7 @@ impl Sequential {
 }
 
 /// Rebuilds a float model as a quantisation-aware one: a
-/// [`FakeQuant`] cast is inserted at every tensor boundary of the
+/// `FakeQuant` cast is inserted at every tensor boundary of the
 /// deployed integer datapath — in front of the first layer (the
 /// input/ADC format) and after each dense layer's activation (the
 /// layer's activation format). `boundaries` therefore holds
@@ -393,7 +383,7 @@ pub fn insert_fake_quant(model: &Sequential, boundaries: &[QuantSpec]) -> Sequen
 }
 
 /// Reads the fake-quantisation boundary specs back out of a QAT model
-/// (one per [`FakeQuant`] layer, in layer order). Empty for a plain
+/// (one per `FakeQuant` layer, in layer order). Empty for a plain
 /// float model.
 pub fn boundary_specs(model: &Sequential) -> Vec<QuantSpec> {
     model
@@ -570,7 +560,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(0);
         let model = MlpSpec::paper_demapper().build(&mut rng);
         // Weights 352 + biases 16+16+4 = 388.
-        assert_eq!(model.num_parameters(), 388);
+        assert_eq!(model.params().iter().map(|p| p.len()).sum::<usize>(), 388);
     }
 
     #[test]
@@ -631,10 +621,10 @@ mod tests {
         assert_eq!(qat.input_dim(), 2);
         assert_eq!(qat.output_dim(), 4);
         // dense,relu,dense,relu,dense + 4 fake_quant boundaries.
-        assert_eq!(qat.depth(), 9);
+        assert_eq!(qat.layers().len(), 9);
         // Boundary order: input cast first, output cast last.
         assert_eq!(qat.layers()[0].name(), "fake_quant");
-        assert_eq!(qat.layers()[qat.depth() - 1].name(), "fake_quant");
+        assert_eq!(qat.layers()[qat.layers().len() - 1].name(), "fake_quant");
     }
 
     #[test]

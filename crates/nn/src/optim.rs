@@ -36,7 +36,7 @@ impl Sgd {
     }
 
     /// SGD with momentum `β`: `v ← βv + g; w ← w − lr·v`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
+    pub(crate) fn with_momentum(lr: f32, momentum: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "momentum in [0,1)");
         Self {
@@ -102,7 +102,7 @@ impl Adam {
     }
 
     /// Fully parameterised constructor.
-    pub fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
+    pub(crate) fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Self {
             lr,

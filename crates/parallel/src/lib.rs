@@ -32,7 +32,6 @@ pub mod par_iter;
 pub mod steal;
 pub mod util;
 
-pub use montecarlo::{default_tasks, RoundRunner};
 pub use par_iter::par_for_each_mut;
 pub use steal::StealPool;
 pub use util::num_threads;

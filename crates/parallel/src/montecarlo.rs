@@ -52,7 +52,6 @@ struct TaskState<A> {
 pub struct RoundRunner<A> {
     states: Vec<TaskState<A>>,
     rounds: u32,
-    trials: u64,
 }
 
 impl<A: Send> RoundRunner<A> {
@@ -69,21 +68,12 @@ impl<A: Send> RoundRunner<A> {
                 acc: init(),
             })
             .collect();
-        Self {
-            states,
-            rounds: 0,
-            trials: 0,
-        }
+        Self { states, rounds: 0 }
     }
 
     /// Rounds executed so far.
     pub fn rounds(&self) -> u32 {
         self.rounds
-    }
-
-    /// Total trials executed across all rounds.
-    pub fn trials(&self) -> u64 {
-        self.trials
     }
 
     /// Executes one round of `trials` further trials, split across the
@@ -103,7 +93,6 @@ impl<A: Send> RoundRunner<A> {
             }
         });
         self.rounds += 1;
-        self.trials += trials;
     }
 
     /// Reduces a snapshot of the task accumulators in task order:
@@ -204,7 +193,6 @@ mod tests {
         assert_eq!(counter.trials(), 200_000);
         assert!(counter.consistent_with(0.1, 3.9), "rate {}", counter.rate());
         assert_eq!(runner.rounds(), 1);
-        assert_eq!(runner.trials(), 200_000);
     }
 
     #[test]

@@ -2,37 +2,29 @@
 //!
 //! All thread-count policy lives here: every crate and bench binary
 //! that honours the `HYBRIDEM_THREADS` override goes through
-//! [`num_threads`] / [`thread_override`], so the fallback rules for
-//! unset, zero and garbage values are defined (and tested) exactly
-//! once.
+//! [`num_threads`], which parses it with the workspace's one strict
+//! rule ([`hybridem_mathkit::env::parse_count`]), so the fallback for
+//! unset, zero and garbage values is defined (and tested) exactly once.
 
 use std::num::NonZeroUsize;
 
-/// Environment variable capping the worker count workspace-wide.
-pub const THREADS_ENV: &str = "HYBRIDEM_THREADS";
+/// Environment variable overriding the worker count workspace-wide.
+pub(crate) const THREADS_ENV: &str = "HYBRIDEM_THREADS";
 
-/// Parses a thread-count override value with the workspace's strict
-/// shared rule ([`hybridem_mathkit::env::parse_count`]): `Some(n)`
-/// only for a plain all-digit string ≥ 1. An unset variable, an empty
-/// string, `0`, whitespace, a signed form like `"+8"`, or garbage all
-/// fall back to the host default — the same strings are rejected by
-/// `HYBRIDEM_LANES` and the bench budget vars, so one value means one
-/// thing workspace-wide. This is the single parsing rule behind
-/// [`num_threads`]; bench binaries that sweep explicit worker counts
-/// use it directly so their fallback behaviour matches the library's.
-pub fn thread_override(value: Option<&str>) -> Option<usize> {
-    hybridem_mathkit::env::parse_count_opt(value)
-}
-
-/// Number of worker threads to use: the available parallelism, capped
-/// by the `HYBRIDEM_THREADS` environment variable when set to a valid
-/// count (useful for benchmarking scaling behaviour and for CI
-/// determinism checks). Invalid values (`0`, empty, non-numeric) are
-/// ignored rather than honoured or fatal: a misconfigured environment
-/// degrades to the host default instead of serialising or crashing a
-/// campaign.
+/// Number of worker threads to use: the `HYBRIDEM_THREADS`
+/// environment variable when it holds a valid count, even one above
+/// the host's parallelism (useful for benchmarking scaling behaviour
+/// and for CI determinism checks), else the available parallelism.
+/// Only a plain all-digit string ≥ 1 is a valid count. Invalid values
+/// (`0`, empty, whitespace, a signed form like `"+8"`, non-numeric)
+/// are ignored rather than honoured or fatal: a misconfigured
+/// environment degrades to the host default instead of serialising or
+/// crashing a campaign. `HYBRIDEM_LANES` and the bench budget vars
+/// reject the same strings, so one value means one thing
+/// workspace-wide.
 pub fn num_threads() -> usize {
-    thread_override(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or_else(|| {
+    let value = std::env::var(THREADS_ENV).ok();
+    hybridem_mathkit::env::parse_count_opt(value.as_deref()).unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
@@ -67,35 +59,6 @@ mod tests {
     #[test]
     fn at_least_one_thread() {
         assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn override_accepts_valid_counts() {
-        assert_eq!(thread_override(Some("1")), Some(1));
-        assert_eq!(thread_override(Some("8")), Some(8));
-        assert_eq!(thread_override(Some("32")), Some(32));
-    }
-
-    #[test]
-    fn override_falls_back_for_unset_zero_and_garbage() {
-        assert_eq!(thread_override(None), None, "unset");
-        assert_eq!(thread_override(Some("0")), None, "zero would deadlock");
-        assert_eq!(thread_override(Some("")), None, "empty");
-        assert_eq!(thread_override(Some("many")), None, "non-numeric");
-        assert_eq!(thread_override(Some("-2")), None, "negative");
-        assert_eq!(thread_override(Some("3.5")), None, "fractional");
-    }
-
-    #[test]
-    fn override_rejects_signed_and_padded_forms() {
-        // The strict shared parser (mathkit::env) rejects everything
-        // `str::parse` would have quietly accepted.
-        assert_eq!(thread_override(Some("+8")), None, "leading plus");
-        assert_eq!(thread_override(Some(" 4 ")), None, "whitespace-padded");
-        assert_eq!(thread_override(Some("4 ")), None, "trailing space");
-        assert_eq!(thread_override(Some("\t2")), None, "tab-padded");
-        assert_eq!(thread_override(Some("00")), None, "zero in disguise");
-        assert_eq!(thread_override(Some("007")), Some(7), "digits only: ok");
     }
 
     #[test]
