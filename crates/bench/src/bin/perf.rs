@@ -6,9 +6,9 @@
 //! `perf --against <rev>` pairs this build against `<rev>`'s, case by
 //! case.
 //!
-//! Cases (elements are symbols, or frames for `serve_*` and
-//! `link_step_*`; 26 on a 2-thread host, where the worker sweep is
-//! {1, 2, 4}):
+//! Cases (elements are symbols, grid cells for `extract_*`, or frames
+//! for `serve_*` and `link_step_*`; 27 on a 2-thread host, where the
+//! worker sweep is {1, 2, 4}):
 //!
 //! - `max_log_block_n{256,4096}`, `max_log_per_symbol_n4096`: the
 //!   max-log point-outer kernel (QAM-16, σ=0.2) and its per-symbol
@@ -25,11 +25,17 @@
 //!   supervised LMS train, and equalize followed by a max-log demap
 //!   block: the two stages an equalized link runs per frame).
 //! - `train_step_paper_b256`: one step of the retrainer's loop on the
-//!   float paper demapper (2→16→16→4, logit head): forward,
-//!   `bce_with_logits`, backward and an Adam update of a fixed batch of
-//!   256 noisy QAM-16 pilots. `ann_demap_block_n4096`: the float
-//!   demapper's `demap_block`, the inference path of the decision-region
-//!   extraction grid. Both run the `nn` dense lane kernels.
+//!   float paper demapper (2→16→16→4, logit head), the shared
+//!   `Sequential::bce_step` without the loss: forward, the BCE gradient,
+//!   backward without the input gradient and an Adam update of a fixed
+//!   batch of 256 noisy QAM-16 pilots. `ann_demap_block_n4096`: the
+//!   float demapper's `demap_block`, the inference path of the
+//!   decision-region extraction grid. Both run the `nn` dense lane
+//!   kernels.
+//! - `extract_paper_g192`: `extraction::extract` of the paper demapper,
+//!   trained end to end at `SystemConfig::paper_default`, on its
+//!   192×192 grid: the second stage of the retrain → extract → swap
+//!   chain.
 //! - `link_step_fixed_qam16_f256`, `link_step_eq_qpsk_f256`: one
 //!   `OnlineLink::step` per iteration, the whole per-frame path (frame
 //!   build, channel, equalizer, demap, error counts). The first is a
@@ -56,6 +62,8 @@ use hybridem_comm::snr::noise_sigma;
 use hybridem_comm::trajectory::{ChannelState, Taps, Trajectory};
 use hybridem_core::config::SystemConfig;
 use hybridem_core::demapper_ann::NeuralDemapper;
+use hybridem_core::extraction::{extract, ExtractionConfig};
+use hybridem_core::pipeline::HybridPipeline;
 use hybridem_core::runtime::{LinkParams, OnlineLink, OnlineLinkSpec};
 use hybridem_core::server::{LinkServer, ServerCfg, SessionCfg};
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
@@ -63,9 +71,8 @@ use hybridem_fpga::graph::{compile, QuantizedGraph};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
-use hybridem_nn::loss::bce_with_logits;
 use hybridem_nn::model::MlpSpec;
-use hybridem_nn::optim::{Adam, Optimizer};
+use hybridem_nn::optim::Adam;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -258,12 +265,25 @@ fn train_step_case() -> f64 {
     let model = demapper.model_mut();
     let mut opt = Adam::new(cfg.retrain_lr);
     perf::measure_melems(BATCH as u64, || {
-        model.zero_grad();
-        let z = model.forward(black_box(&x));
-        let (loss, grad) = bce_with_logits(&z, &targets);
-        model.backward(&grad);
-        opt.step(&mut model.params_mut());
-        black_box(loss);
+        black_box(model.bce_step(&mut opt, black_box(&x), &targets, false));
+    })
+}
+
+/// Grid cells per axis of the extraction case (`SystemConfig::grid_n`
+/// of the paper configuration).
+const EXTRACT_GRID: usize = 192;
+
+/// `extraction::extract` of the paper demapper, trained end to end at
+/// the paper configuration, on its grid: M grid cells/s.
+fn extract_case() -> f64 {
+    let cfg = SystemConfig::paper_default();
+    assert_eq!(cfg.grid_n, EXTRACT_GRID, "the case name pins the grid");
+    let ecfg = ExtractionConfig::new(cfg.grid_n, cfg.window_scale);
+    let mut pipe = HybridPipeline::new(cfg);
+    pipe.e2e_train();
+    let constellation = pipe.constellation();
+    perf::measure_melems((EXTRACT_GRID * EXTRACT_GRID) as u64, || {
+        black_box(extract(pipe.ann_demapper(), &ecfg, &constellation));
     })
 }
 
@@ -349,6 +369,7 @@ fn cases() -> Vec<Case> {
     cases.push(Case::new("ann_demap_block_n4096", || {
         demap_block_case(&paper_ann(), 4096)
     }));
+    cases.push(Case::new("extract_paper_g192", extract_case));
     cases.push(Case::new(
         "link_step_fixed_qam16_f256",
         link_step_fixed_case,

@@ -86,11 +86,11 @@ impl E2eTrainer {
             y[(r, 0)] = re * cos_t - im * sin_t + sigma * n1 as f32;
             y[(r, 1)] = re * sin_t + im * cos_t + sigma * n2 as f32;
         }
-        let z = demapper.model_mut().forward(&y);
-        let (loss, grad_z) = bce_with_logits(&z, &targets);
+        let mut grad_z = Matrix::zeros(0, 0);
+        let loss = bce_with_logits(demapper.model_mut().forward(&y), &targets, &mut grad_z);
 
         // Backward: demapper, then channel (rotate by −θ), then mapper.
-        let grad_y = demapper.model_mut().backward(&grad_z);
+        let grad_y = demapper.model_mut().backward_input(&grad_z);
         let mut grad_x = Matrix::zeros(b, 2);
         for r in 0..b {
             let (gre, gim) = (grad_y[(r, 0)], grad_y[(r, 1)]);
@@ -99,7 +99,8 @@ impl E2eTrainer {
         }
         mapper.backward(&grad_x);
 
-        self.mapper_opt.step(&mut [mapper.param_mut()]);
+        self.mapper_opt
+            .step(&mut std::iter::once(mapper.param_mut()));
         self.demapper_opt
             .step(&mut demapper.model_mut().params_mut());
         self.loss_history.push(loss);

@@ -9,11 +9,15 @@
 //! Two centroid estimators are provided:
 //!
 //! - **mass centroids** — the mean of all grid cells carrying a label
-//!   (robust, never fails for non-empty regions; the default used by
-//!   the hybrid demapper);
+//!   (robust, never fails for non-empty regions), then refined by a
+//!   bisector fit to the sampled boundaries. These are the deployable
+//!   [`ExtractionReport::centroids`] that the hybrid demapper is built
+//!   from, and all that [`extract`] computes beyond the grid;
 //! - **vertex centroids** — marching-squares boundary polygons of each
 //!   region fed through the shoelace centroid, the literal "centroid
-//!   from the vertices of the Voronoi cell" of the paper.
+//!   from the vertices of the Voronoi cell" of the paper. No deployment
+//!   reads them, so [`ExtractionReport::vertex_centroids`] computes them
+//!   on demand from the report's grid.
 //!
 //! [`ExtractionReport::voronoi_disagreement`] measures how close the
 //! sampled regions are to the Voronoi partition of the extracted
@@ -67,9 +71,6 @@ pub struct ExtractionReport {
     pub grid: LabelGrid,
     /// Mass centroid per symbol label (the deployable set).
     pub centroids: Vec<C32>,
-    /// Polygon-vertex centroid per label (None for labels whose region
-    /// was empty or degenerate).
-    pub vertex_centroids: Vec<Option<C32>>,
     /// Labels whose decision region was empty — filled with the
     /// fallback (see [`extract`]); non-empty list signals an
     /// under-trained demapper.
@@ -87,6 +88,35 @@ impl ExtractionReport {
     /// the conventional max-log demapper.
     pub(crate) fn centroid_constellation(&self) -> Constellation {
         Constellation::from_points(self.centroids.clone())
+    }
+
+    /// Polygon-vertex centroid per symbol label, computed from `grid`
+    /// on each call: the marching-squares boundaries of the label's
+    /// region, restricted to the dominant loop (the largest outer
+    /// boundary) and its holes, through the shoelace centroid. `None`
+    /// for a missing label or a degenerate region.
+    pub fn vertex_centroids(&self) -> Vec<Option<C32>> {
+        (0..self.centroids.len())
+            .map(|l| {
+                if self.missing_labels.contains(&l) {
+                    return None;
+                }
+                let polys = region_boundaries(&self.grid, l as u16);
+                let main = polys
+                    .iter()
+                    .filter(|p| p.signed_area() > 0.0)
+                    .max_by(|a, b| a.signed_area().total_cmp(&b.signed_area()))?;
+                let kept: Vec<_> = polys
+                    .iter()
+                    .filter(|p| {
+                        std::ptr::eq(*p, main)
+                            || (p.signed_area() < 0.0 && main.contains(p.centroid()))
+                    })
+                    .cloned()
+                    .collect();
+                boundary_centroid(&kept).map(|v| C32::new(v.x as f32, v.y as f32))
+            })
+            .collect()
     }
 }
 
@@ -170,30 +200,6 @@ fn report_from_grid(
         })
         .collect();
 
-    // Vertex centroids from marching-squares boundaries, restricted to
-    // the dominant loop (largest outer boundary) and its holes.
-    let mut vertex_centroids = vec![None::<C32>; num_labels];
-    for (l, slot) in vertex_centroids.iter_mut().enumerate() {
-        if centroids[l].is_some() {
-            let polys = region_boundaries(&grid, l as u16);
-            let Some(main) = polys
-                .iter()
-                .filter(|p| p.signed_area() > 0.0)
-                .max_by(|a, b| a.signed_area().total_cmp(&b.signed_area()))
-            else {
-                continue;
-            };
-            let kept: Vec<_> = polys
-                .iter()
-                .filter(|p| {
-                    std::ptr::eq(*p, main) || (p.signed_area() < 0.0 && main.contains(p.centroid()))
-                })
-                .cloned()
-                .collect();
-            *slot = boundary_centroid(&kept).map(|v| C32::new(v.x as f32, v.y as f32));
-        }
-    }
-
     // Fallback for missing labels.
     let mut missing = Vec::new();
     for (l, slot) in centroids.iter_mut().enumerate() {
@@ -241,7 +247,6 @@ fn report_from_grid(
     ExtractionReport {
         grid,
         centroids,
-        vertex_centroids,
         missing_labels: missing,
         components,
         voronoi_disagreement: disagreement,
@@ -416,7 +421,7 @@ mod tests {
         assert!(c.dist_sqr(p).sqrt() < 0.03, "centroid {c} vs point {p}");
         // The vertex centroid agrees with the mass centroid for a
         // convex interior cell.
-        let vc = report.vertex_centroids[inner].unwrap();
+        let vc = report.vertex_centroids()[inner].unwrap();
         assert!(vc.dist_sqr(c).sqrt() < 0.03, "vertex {vc} vs mass {c}");
     }
 

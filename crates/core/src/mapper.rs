@@ -131,7 +131,7 @@ mod tests {
                 2.0 * (pts[(0, 1)] - target[1]),
             ]]);
             m.backward(&g);
-            opt.step(&mut [m.param_mut()]);
+            opt.step(&mut std::iter::once(m.param_mut()));
         }
         let c = m.constellation();
         let p0 = c.point(0);

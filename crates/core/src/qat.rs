@@ -27,9 +27,7 @@ use hybridem_fixed::{QuantSpec, Rounding};
 use hybridem_fpga::graph::QuantizedGraph;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
-use hybridem_nn::loss::bce_with_logits;
 use hybridem_nn::model::insert_fake_quant;
-use hybridem_nn::optim::Optimizer;
 use hybridem_nn::{Adam, Sequential};
 
 /// Budget and width of one QAT fine-tuning run.
@@ -118,11 +116,7 @@ fn qat_finetune(
             y[(r, 0)] = p.re + sigma * rng.normal_f32();
             y[(r, 1)] = p.im + sigma * rng.normal_f32();
         }
-        model.zero_grad();
-        let z = model.forward(&y);
-        let (_, grad) = bce_with_logits(&z, &targets);
-        model.backward(&grad);
-        opt.step(&mut model.params_mut());
+        model.bce_step(&mut opt, &y, &targets, false);
     }
     model
 }
@@ -230,6 +224,7 @@ mod tests {
     use crate::config::SystemConfig;
     use hybridem_comm::demapper::Demapper;
     use hybridem_mathkit::complex::C32;
+    use hybridem_nn::loss::bce_with_logits;
     use hybridem_nn::model::MlpSpec;
 
     fn base_model(seed: u64) -> Sequential {
@@ -281,7 +276,8 @@ mod tests {
             y[(r, 0)] = p.re + sigma * rng.normal_f32();
             y[(r, 1)] = p.im + sigma * rng.normal_f32();
         }
-        bce_with_logits(&model.forward(&y), &targets).0
+        let mut grad = Matrix::zeros(0, 0);
+        bce_with_logits(model.forward(&y), &targets, &mut grad)
     }
 
     #[test]

@@ -15,8 +15,6 @@ use hybridem_fpga::trainer::{TrainerConfig, TrainerDesign, TrainerEngine};
 use hybridem_mathkit::complex::C32;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
-use hybridem_nn::loss::bce_with_logits;
-use hybridem_nn::optim::Optimizer;
 use hybridem_nn::Adam;
 
 /// Outcome of a retraining run.
@@ -60,7 +58,11 @@ impl Retrainer {
     }
 
     /// Retrains `demapper` against `channel`, transmitting pilot
-    /// symbols from the frozen `constellation`.
+    /// symbols from the frozen `constellation`. Each step runs
+    /// [`hybridem_nn::Sequential::bce_step`] on a fresh pilot block; the
+    /// loss is computed at the first and the last step only, the two the
+    /// report carries. The pilot buffers are set up once, so a warm step
+    /// allocates nothing.
     pub fn run(
         &mut self,
         constellation: &Constellation,
@@ -71,43 +73,37 @@ impl Retrainer {
         let b = self.cfg.batch_size;
         let steps = self.cfg.retrain_steps;
         let mut engine = self.hardware.as_ref().map(TrainerEngine::new);
+        let model = demapper.model_mut();
 
         let mut initial_loss = f32::NAN;
         let mut final_loss = f32::NAN;
         let mut pilots = vec![C32::zero(); b];
+        let mut targets = Matrix::zeros(b, m);
+        let mut y = Matrix::zeros(b, 2);
         for step in 0..steps {
             // Pilot block: known random symbols through the live channel.
-            let mut targets = Matrix::zeros(b, m);
-            let mut indices = vec![0usize; b];
-            for (r, idx) in indices.iter_mut().enumerate() {
-                *idx = (self.rng.next_u64() >> (64 - m)) as usize;
+            for (r, pilot) in pilots.iter_mut().enumerate() {
+                let idx = (self.rng.next_u64() >> (64 - m)) as usize;
                 for k in 0..m {
-                    targets[(r, k)] = ((*idx >> (m - 1 - k)) & 1) as f32;
+                    targets[(r, k)] = ((idx >> (m - 1 - k)) & 1) as f32;
                 }
-                pilots[r] = constellation.point(*idx);
+                *pilot = constellation.point(idx);
             }
             channel.transmit(&mut pilots, &mut self.rng);
-            let mut y = Matrix::zeros(b, 2);
             for (r, p) in pilots.iter().enumerate() {
                 y.row_mut(r).copy_from_slice(&[p.re, p.im]);
             }
 
-            let loss = if let Some(engine) = engine.as_mut() {
-                engine
-                    .train_step(demapper.model_mut(), &mut self.opt, &y, &targets)
-                    .loss
-            } else {
-                demapper.model_mut().zero_grad();
-                let z = demapper.model_mut().forward(&y);
-                let (loss, grad) = bce_with_logits(&z, &targets);
-                demapper.model_mut().backward(&grad);
-                self.opt.step(&mut demapper.model_mut().params_mut());
-                loss
-            };
-            if step == 0 {
-                initial_loss = loss;
+            let logged = step == 0 || step + 1 == steps;
+            if let Some(loss) = model.bce_step(&mut self.opt, &y, &targets, logged) {
+                if step == 0 {
+                    initial_loss = loss;
+                }
+                final_loss = loss;
             }
-            final_loss = loss;
+            if let Some(engine) = engine.as_mut() {
+                engine.charge_batch(b);
+            }
         }
 
         RetrainReport {

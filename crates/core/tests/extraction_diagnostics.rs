@@ -28,10 +28,9 @@ fn extraction_diagnostics() {
         report.missing_labels, report.components, report.voronoi_disagreement
     );
     let learned = pipe.constellation();
-    for u in 0..16 {
+    let vertex = report.vertex_centroids();
+    for (u, (&c, v)) in report.centroids.iter().zip(&vertex).enumerate() {
         let p = learned.point(u);
-        let c = report.centroids[u];
-        let v = report.vertex_centroids[u];
         println!(
             "{u:2}: point ({:+.3},{:+.3}) mass ({:+.3},{:+.3}) d={:.3} vert {:?}",
             p.re,
@@ -53,8 +52,7 @@ fn extraction_diagnostics() {
     eval("hybrid-mass", pipe.hybrid_demapper().unwrap());
     let genie = MaxLogMap::new(learned.clone(), sigma);
     eval("genie-learned-points", &genie);
-    let vc: Vec<_> = report
-        .vertex_centroids
+    let vc: Vec<_> = vertex
         .iter()
         .enumerate()
         .map(|(u, v)| v.unwrap_or(report.centroids[u]))

@@ -6,18 +6,27 @@
 //! the region on the left (CCW loops around regions, CW around holes).
 //! The resulting polygons feed [`crate::polygon::Polygon::centroid`] —
 //! the paper's "centroid from the vertices of the Voronoi cell".
+//!
+//! The output is a function of the grid alone: loops are chained in
+//! scan order over a dense edge table, so two calls return the same
+//! polygons, in the same order, from the same start vertices.
 
 use crate::grid::LabelGrid;
 use crate::polygon::Polygon;
 use hybridem_mathkit::vec2::Vec2;
-use std::collections::HashMap;
 
 /// An edge-midpoint key on the padded node lattice:
 /// `(x, y, 0)` = horizontal edge from node (x,y) to (x+1,y),
 /// `(x, y, 1)` = vertical edge from node (x,y) to (x,y+1).
 type EdgeKey = (usize, usize, u8);
 
-/// Extracts the boundary polygons of all cells labelled `label`.
+/// Marks an edge of the table with no outgoing segment.
+const NO_EDGE: u32 = u32::MAX;
+
+/// Extracts the boundary polygons of all cells labelled `label`, one
+/// per closed loop, each starting at its first edge in scan order
+/// (`y`, then `x`, then horizontal before vertical) and listed in the
+/// order of those starts.
 pub fn region_boundaries(grid: &LabelGrid, label: u16) -> Vec<Polygon> {
     let (nx, ny) = (grid.nx(), grid.ny());
     // Padded mask: (nx+2) × (ny+2), border = outside.
@@ -49,8 +58,11 @@ pub fn region_boundaries(grid: &LabelGrid, label: u16) -> Vec<Polygon> {
         a.midpoint(b)
     };
 
-    // Directed segments: start edge → end edge, region kept on the left.
-    let mut next: HashMap<EdgeKey, EdgeKey> = HashMap::new();
+    // Directed segments: start edge → end edge, region kept on the left,
+    // in a dense table indexed by `(y·pnx + x)·2 + dir`.
+    let index = |(x, y, dir): EdgeKey| (y * pnx + x) * 2 + dir as usize;
+    let key = |i: usize| -> EdgeKey { ((i / 2) % pnx, (i / 2) / pnx, (i % 2) as u8) };
+    let mut next = vec![NO_EDGE; pnx * pny * 2];
     for y in 0..pny - 1 {
         for x in 0..pnx - 1 {
             let c0 = mask(x, y) as u8;
@@ -63,8 +75,9 @@ pub fn region_boundaries(grid: &LabelGrid, label: u16) -> Vec<Polygon> {
             let t: EdgeKey = (x, y + 1, 0); // top
             let l: EdgeKey = (x, y, 1); // left
             let mut put = |from: EdgeKey, to: EdgeKey| {
-                let prev = next.insert(from, to);
-                debug_assert!(prev.is_none(), "marching-squares edge reused");
+                let slot = &mut next[index(from)];
+                debug_assert_eq!(*slot, NO_EDGE, "marching-squares edge reused");
+                *slot = index(to) as u32;
             };
             match case {
                 0 | 15 => {}
@@ -93,20 +106,20 @@ pub fn region_boundaries(grid: &LabelGrid, label: u16) -> Vec<Polygon> {
         }
     }
 
-    // Chain segments into closed loops.
+    // Chain segments into closed loops, each from its first edge in
+    // scan order.
     let mut polygons = Vec::new();
-    let mut visited: HashMap<EdgeKey, bool> = HashMap::new();
-    let starts: Vec<EdgeKey> = next.keys().copied().collect();
-    for start in starts {
-        if visited.get(&start).copied().unwrap_or(false) {
+    let mut visited = vec![false; next.len()];
+    for start in 0..next.len() {
+        if next[start] == NO_EDGE || visited[start] {
             continue;
         }
         let mut loop_pts = Vec::new();
         let mut cur = start;
         loop {
-            visited.insert(cur, true);
-            loop_pts.push(midpoint(cur));
-            cur = next[&cur];
+            visited[cur] = true;
+            loop_pts.push(midpoint(key(cur)));
+            cur = next[cur] as usize;
             if cur == start {
                 break;
             }
@@ -226,6 +239,44 @@ mod tests {
         let g = disc_grid(16, 0.0, 0.0, 0.5);
         assert!(region_boundaries(&g, 42).is_empty());
         assert!(boundary_centroid(&[]).is_none());
+    }
+
+    #[test]
+    fn two_calls_return_identical_polygons_in_the_same_order() {
+        // Sixteen labels in a 4×4 lattice of cells on a 64×64 grid, with
+        // a ring cut out of the cell at (1, 1) as label 16, so that the
+        // lattice has convex regions, one with a hole, and an annulus.
+        let g = LabelGrid::sample(Window::square(1.0), 64, 64, |p| {
+            let (cx, cy) = (-0.25, -0.25);
+            let r2 = (p.x - cx).powi(2) + (p.y - cy).powi(2);
+            if (0.01..=0.04).contains(&r2) {
+                return 16;
+            }
+            let col = ((p.x + 1.0) * 2.0).floor().clamp(0.0, 3.0) as u16;
+            let row = ((p.y + 1.0) * 2.0).floor().clamp(0.0, 3.0) as u16;
+            4 * row + col
+        });
+        for label in 0..17 {
+            let a = region_boundaries(&g, label);
+            let b = region_boundaries(&g, label);
+            assert!(!a.is_empty(), "label {label} has a region");
+            assert_eq!(a.len(), b.len(), "label {label}: loop count");
+            for (pa, pb) in a.iter().zip(&b) {
+                let bits = |p: &Polygon| -> Vec<(u64, u64)> {
+                    p.vertices()
+                        .iter()
+                        .map(|v| (v.x.to_bits(), v.y.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(pa), bits(pb), "label {label}: vertices");
+            }
+            let ca = boundary_centroid(&a).unwrap();
+            let cb = boundary_centroid(&b).unwrap();
+            assert_eq!(
+                (ca.x.to_bits(), ca.y.to_bits()),
+                (cb.x.to_bits(), cb.y.to_bits())
+            );
+        }
     }
 
     #[test]

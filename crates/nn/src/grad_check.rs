@@ -38,25 +38,20 @@ where
 {
     // Analytic pass.
     model.zero_grad();
-    let out = model.forward(input);
-    let (_, grad_out) = loss_fn(&out);
-    let _ = model.backward(&grad_out);
-    let analytic: Vec<Vec<f32>> = model
-        .params()
-        .iter()
-        .map(|p| p.grad.as_slice().to_vec())
-        .collect();
+    let (_, grad_out) = loss_fn(model.forward(input));
+    model.backward(&grad_out);
+    let analytic: Vec<Vec<f32>> = model.params().map(|p| p.grad.as_slice().to_vec()).collect();
 
     // Numeric pass per coordinate.
     let mut max_rel = 0.0f64;
     for (pi, grads) in analytic.iter().enumerate() {
         for (k, &a) in grads.iter().enumerate() {
-            let orig = model.params_mut()[pi].value.as_mut_slice()[k];
-            model.params_mut()[pi].value.as_mut_slice()[k] = orig + eps;
-            let (lp, _) = loss_fn(&model.forward(input));
-            model.params_mut()[pi].value.as_mut_slice()[k] = orig - eps;
-            let (lm, _) = loss_fn(&model.forward(input));
-            model.params_mut()[pi].value.as_mut_slice()[k] = orig;
+            let orig = *coordinate(model, pi, k);
+            *coordinate(model, pi, k) = orig + eps;
+            let (lp, _) = loss_fn(model.forward(input));
+            *coordinate(model, pi, k) = orig - eps;
+            let (lm, _) = loss_fn(model.forward(input));
+            *coordinate(model, pi, k) = orig;
             let numeric = (lp as f64 - lm as f64) / (2.0 * eps as f64);
             max_rel = max_rel.max(rel_err(a as f64, numeric));
         }
@@ -64,6 +59,12 @@ where
     GradCheckReport {
         max_rel_error: max_rel,
     }
+}
+
+/// Scalar `k` of the model's parameter `pi` (in layer order).
+fn coordinate(model: &mut Sequential, pi: usize, k: usize) -> &mut f32 {
+    let param = model.params_mut().nth(pi).expect("parameter index");
+    &mut param.value.as_mut_slice()[k]
 }
 
 /// Checks the gradient a model propagates to its *input* (needed by the
@@ -79,18 +80,17 @@ where
     F: Fn(&Matrix<f32>) -> (f32, Matrix<f32>),
 {
     model.zero_grad();
-    let out = model.forward(input);
-    let (_, grad_out) = loss_fn(&out);
-    let analytic = model.backward(&grad_out);
+    let (_, grad_out) = loss_fn(model.forward(input));
+    let analytic = model.backward_input(&grad_out).clone();
 
     let mut max_rel = 0.0f64;
     let mut x = input.clone();
     for k in 0..x.len() {
         let orig = x.as_slice()[k];
         x.as_mut_slice()[k] = orig + eps;
-        let (lp, _) = loss_fn(&model.forward(&x));
+        let (lp, _) = loss_fn(model.forward(&x));
         x.as_mut_slice()[k] = orig - eps;
-        let (lm, _) = loss_fn(&model.forward(&x));
+        let (lm, _) = loss_fn(model.forward(&x));
         x.as_mut_slice()[k] = orig;
         let numeric = (lp as f64 - lm as f64) / (2.0 * eps as f64);
         max_rel = max_rel.max(rel_err(analytic.as_slice()[k] as f64, numeric));
@@ -106,6 +106,12 @@ mod tests {
     use crate::loss::{bce_with_logits, cross_entropy_logits, mse};
     use crate::model::{Activation, MlpSpec};
     use hybridem_mathkit::rng::Xoshiro256pp;
+
+    /// [`bce_with_logits`] as a `(loss, grad)` pair.
+    fn bce_pair(z: &Matrix<f32>, t: &Matrix<f32>) -> (f32, Matrix<f32>) {
+        let mut grad = Matrix::zeros(0, 0);
+        (bce_with_logits(z, t, &mut grad), grad)
+    }
 
     /// f32 central differences on a composed model are good to ~1e-2
     /// relative; analytic bugs produce errors of order 1.
@@ -150,7 +156,7 @@ mod tests {
         let mut model = MlpSpec::paper_demapper_logits().build(&mut rng);
         let x = smooth_input(6, 2, 3);
         let t = smooth_input(6, 4, 4).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let rep = check_model_grads(&mut model, &x, |z| bce_with_logits(z, &t), 1e-3);
+        let rep = check_model_grads(&mut model, &x, |z| bce_pair(z, &t), 1e-3);
         assert!(rep.max_rel_error < TOL, "rel err {}", rep.max_rel_error);
     }
 
@@ -178,7 +184,7 @@ mod tests {
         let calls = std::cell::Cell::new(0);
         let loss = |z: &Matrix<f32>| {
             calls.set(calls.get() + 1);
-            bce_with_logits(z, &t)
+            bce_pair(z, &t)
         };
         let rep = check_input_grads(&mut model, &x, loss, 1e-3);
         assert!(rep.max_rel_error < TOL, "rel err {}", rep.max_rel_error);

@@ -1,16 +1,21 @@
 //! The layer abstraction.
 //!
-//! A [`Layer`] transforms a batch of activations (`batch × features`
-//! [`Matrix<f32>`]) and, given the loss gradient with respect to its
-//! output, produces the gradient with respect to its input while
-//! accumulating parameter gradients into [`Param`] slots. Layers cache
-//! whatever they need from the forward pass; the contract is strictly
-//! "one `forward`, then at most one `backward` for that forward".
+//! A [`Layer`] is a stateless map of a batch of activations
+//! (`batch × features` [`Matrix<f32>`]) plus its parameters. Its one
+//! forward pass is [`Layer::infer_into`], which writes into a caller's
+//! buffer and mutates nothing. [`Layer::backward`] gets the layer's
+//! input and output back from the caller (the training tape that
+//! [`crate::model::Sequential`] keeps) together with the loss gradient
+//! with respect to the output. It accumulates the parameter gradients
+//! into [`Param`] slots and writes the gradient with respect to the
+//! input only when the caller asks for it. So a layer caches nothing
+//! between the two passes.
 
 use hybridem_mathkit::matrix::Matrix;
 
 /// A trainable tensor: value and accumulated gradient, always the same
-/// shape. Optimisers walk `Vec<&mut Param>` collections.
+/// shape. Optimisers walk iterators of `&mut Param`
+/// ([`crate::model::Sequential::params_mut`]).
 #[derive(Clone, Debug)]
 pub struct Param {
     /// Current value.
@@ -42,16 +47,13 @@ pub trait Layer: Send + Sync {
     /// Human-readable kind, used by snapshots and reports.
     fn name(&self) -> &'static str;
 
-    /// Forward pass. Must cache anything `backward` needs.
-    fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32>;
-
-    /// Pure inference writing into a caller-provided buffer: identical
-    /// arithmetic to `forward` but without mutating caches, so trained
-    /// models can be shared across threads behind `&self` (the link
+    /// The forward pass, for training and inference alike, writing into
+    /// a caller-provided buffer. It mutates nothing, so trained models
+    /// can be shared across threads behind `&self` (the link
     /// simulator's demapper path). `out` is reshaped via
     /// [`Matrix::resize_to`], so a warm buffer is reused without
-    /// allocating — the primitive behind the block demapper's
-    /// allocation-free batch path.
+    /// allocating: the primitive behind the block demapper's
+    /// allocation-free batch path and the training tape.
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>);
 
     /// [`Layer::infer_into`] on a fresh output matrix.
@@ -61,18 +63,26 @@ pub trait Layer: Send + Sync {
         out
     }
 
-    /// Backward pass for the most recent `forward`: receives ∂L/∂output,
-    /// returns ∂L/∂input, accumulating parameter gradients.
-    fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32>;
+    /// Backward pass for the forward that mapped `input` to `output`:
+    /// receives ∂L/∂output and accumulates the parameter gradients.
+    /// When `grad_in` is given, ∂L/∂input is written into it (reshaped
+    /// via [`Matrix::resize_to`]); otherwise it is not computed.
+    fn backward(
+        &mut self,
+        input: &Matrix<f32>,
+        output: &Matrix<f32>,
+        grad_out: &Matrix<f32>,
+        grad_in: Option<&mut Matrix<f32>>,
+    );
 
     /// Mutable access to the layer's parameters (empty by default).
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut []
     }
 
     /// Read-only access to the layer's parameters (empty by default).
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
+    fn params(&self) -> &[Param] {
+        &[]
     }
 
     /// Output feature count for a given input feature count.
@@ -85,6 +95,30 @@ pub trait Layer: Send + Sync {
     /// layers report `None`.
     fn quant_spec(&self) -> Option<hybridem_fixed::QuantSpec> {
         None
+    }
+}
+
+/// The input gradient of an element-wise layer:
+/// `grad_in[i] = f(grad_out[i], saved[i])`, where `saved` is the layer
+/// input or output that its derivative reads.
+///
+/// # Panics
+/// Panics if `grad_out` and `saved` differ in shape.
+pub(crate) fn elementwise_grad(
+    grad_out: &Matrix<f32>,
+    saved: &Matrix<f32>,
+    grad_in: &mut Matrix<f32>,
+    f: impl Fn(f32, f32) -> f32,
+) {
+    assert_eq!(grad_out.shape(), saved.shape(), "element-wise grad shape");
+    grad_in.resize_to(grad_out.rows(), grad_out.cols());
+    for ((gi, &g), &s) in grad_in
+        .as_mut_slice()
+        .iter_mut()
+        .zip(grad_out.as_slice())
+        .zip(saved.as_slice())
+    {
+        *gi = f(g, s);
     }
 }
 

@@ -12,9 +12,8 @@ use hybridem_mathkit::simd::LaneWidth;
 /// row by row on the FPGA side). Its products run as the lane
 /// [`kernels`] at the probed [`LaneWidth`].
 pub(crate) struct Dense {
-    weight: Param,
-    bias: Param,
-    cached_input: Option<Matrix<f32>>,
+    /// The weight (`out × in`), then the bias (`1 × out`).
+    params: [Param; 2],
 }
 
 impl Dense {
@@ -22,9 +21,10 @@ impl Dense {
     /// zero bias.
     pub(crate) fn new(in_dim: usize, out_dim: usize, init: Init, rng: &mut Xoshiro256pp) -> Self {
         Self {
-            weight: Param::new(init.sample(out_dim, in_dim, rng)),
-            bias: Param::new(Matrix::zeros(1, out_dim)),
-            cached_input: None,
+            params: [
+                Param::new(init.sample(out_dim, in_dim, rng)),
+                Param::new(Matrix::zeros(1, out_dim)),
+            ],
         }
     }
 
@@ -34,20 +34,18 @@ impl Dense {
         assert_eq!(bias.rows(), 1, "bias must be a row vector");
         assert_eq!(bias.cols(), weight.rows(), "bias length must equal out_dim");
         Self {
-            weight: Param::new(weight),
-            bias: Param::new(bias),
-            cached_input: None,
+            params: [Param::new(weight), Param::new(bias)],
         }
     }
 
     /// Input feature count.
     pub(crate) fn in_dim(&self) -> usize {
-        self.weight.value.cols()
+        self.params[0].value.cols()
     }
 
     /// Output feature count.
     pub(crate) fn out_dim(&self) -> usize {
-        self.weight.value.rows()
+        self.params[0].value.rows()
     }
 }
 
@@ -56,41 +54,39 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32> {
-        let out = self.infer(input);
-        self.cached_input = Some(input.clone());
-        out
-    }
-
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
+        let [weight, bias] = &self.params;
         kernels::affine_into_at(
             LaneWidth::detect(),
             input,
-            &self.weight.value,
-            self.bias.value.as_slice(),
+            &weight.value,
+            bias.value.as_slice(),
             out,
         );
     }
 
-    fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
+    fn backward(
+        &mut self,
+        input: &Matrix<f32>,
+        _output: &Matrix<f32>,
+        grad_out: &Matrix<f32>,
+        grad_in: Option<&mut Matrix<f32>>,
+    ) {
         let width = LaneWidth::detect();
-        kernels::add_weight_grad_at(width, grad_out, input, &mut self.weight.grad);
-        kernels::add_bias_grad_at(width, grad_out, self.bias.grad.as_mut_slice());
-        let mut dx = Matrix::zeros(0, 0);
-        kernels::input_grad_into_at(width, grad_out, &self.weight.value, &mut dx);
-        dx
+        let [weight, bias] = &mut self.params;
+        kernels::add_weight_grad_at(width, grad_out, input, &mut weight.grad);
+        kernels::add_bias_grad_at(width, grad_out, bias.grad.as_mut_slice());
+        if let Some(dx) = grad_in {
+            kernels::input_grad_into_at(width, grad_out, &weight.value, dx);
+        }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut self.params
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+    fn params(&self) -> &[Param] {
+        &self.params
     }
 
     fn output_dim(&self, input_dim: usize) -> usize {
@@ -112,9 +108,9 @@ mod tests {
 
     #[test]
     fn forward_known_values() {
-        let mut l = layer_2x3();
+        let l = layer_2x3();
         let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 0.0]]);
-        let y = l.forward(&x);
+        let y = l.infer(&x);
         assert_eq!(y.shape(), (2, 3));
         // Row 0: [1+2, −1, 1]+b = [3.1, −0.8, 1.3]
         assert!((y[(0, 0)] - 3.1).abs() < 1e-6);
@@ -128,9 +124,10 @@ mod tests {
     fn backward_shapes_and_accumulation() {
         let mut l = layer_2x3();
         let x = Matrix::from_rows(&[&[1.0, -1.0]]);
-        let _ = l.forward(&x);
+        let y = l.infer(&x);
         let g = Matrix::from_rows(&[&[1.0, 0.0, 0.0]]);
-        let gx = l.backward(&g);
+        let mut gx = Matrix::zeros(0, 0);
+        l.backward(&x, &y, &g, Some(&mut gx));
         assert_eq!(gx.shape(), (1, 2));
         // dX = g·W = first row of W.
         assert_eq!(gx.as_slice(), &[1.0, 2.0]);
@@ -138,17 +135,19 @@ mod tests {
         assert_eq!(l.params()[0].grad.row(0), &[1.0, -1.0]);
         assert_eq!(l.params()[0].grad.row(1), &[0.0, 0.0]);
         assert_eq!(l.params()[1].grad.as_slice(), &[1.0, 0.0, 0.0]);
-        // Accumulation across a second backward.
-        let _ = l.forward(&x);
-        let _ = l.backward(&g);
+        // Accumulation across a second backward, this one without the
+        // input gradient: `gx` keeps its bits.
+        gx.as_mut_slice().fill(7.0);
+        l.backward(&x, &y, &g, None);
         assert_eq!(l.params()[0].grad.row(0), &[2.0, -2.0]);
+        assert_eq!(gx.as_slice(), &[7.0, 7.0]);
     }
 
     #[test]
     #[should_panic(expected = "dense input width")]
     fn input_width_checked() {
-        let mut l = layer_2x3();
-        let _ = l.forward(&Matrix::zeros(1, 5));
+        let l = layer_2x3();
+        let _ = l.infer(&Matrix::zeros(1, 5));
     }
 
     #[test]

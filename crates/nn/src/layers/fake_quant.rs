@@ -11,27 +11,19 @@
 //! representable range and zeroed where the forward pass saturated —
 //! the standard QAT rule (DESIGN.md §9).
 
-use crate::layer::Layer;
+use crate::layer::{elementwise_grad, Layer};
 use hybridem_fixed::QuantSpec;
 use hybridem_mathkit::matrix::Matrix;
 
 /// Quantise–dequantise layer with a straight-through backward pass.
 pub(crate) struct FakeQuant {
     spec: QuantSpec,
-    /// Cached by `forward`: true where the input was inside the
-    /// representable range (gradient passes), false where it saturated.
-    pass: Option<Vec<bool>>,
-    shape: (usize, usize),
 }
 
 impl FakeQuant {
     /// New fake-quantisation layer for one tensor boundary.
     pub(crate) fn new(spec: QuantSpec) -> Self {
-        Self {
-            spec,
-            pass: None,
-            shape: (0, 0),
-        }
+        Self { spec }
     }
 
     /// One element through the quantise→dequantise round trip.
@@ -46,20 +38,6 @@ impl Layer for FakeQuant {
         "fake_quant"
     }
 
-    fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32> {
-        let lo = self.spec.format.min_value() as f32;
-        let hi = self.spec.format.max_value() as f32;
-        self.pass = Some(
-            input
-                .as_slice()
-                .iter()
-                .map(|&x| (lo..=hi).contains(&x))
-                .collect(),
-        );
-        self.shape = input.shape();
-        self.infer(input)
-    }
-
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
         out.resize_to(input.rows(), input.cols());
         for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
@@ -67,16 +45,25 @@ impl Layer for FakeQuant {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
-        let pass = self.pass.as_ref().expect("backward before forward");
-        assert_eq!(grad_out.shape(), self.shape, "fake_quant grad shape");
-        let mut g = grad_out.clone();
-        for (v, &p) in g.as_mut_slice().iter_mut().zip(pass) {
-            if !p {
-                *v = 0.0;
+    fn backward(
+        &mut self,
+        input: &Matrix<f32>,
+        _output: &Matrix<f32>,
+        grad_out: &Matrix<f32>,
+        grad_in: Option<&mut Matrix<f32>>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
+        // The gradient passes where the input was inside the
+        // representable range and is zeroed where the forward saturated.
+        let lo = self.spec.format.min_value() as f32;
+        let hi = self.spec.format.max_value() as f32;
+        elementwise_grad(grad_out, input, grad_in, |g, x| {
+            if (lo..=hi).contains(&x) {
+                g
+            } else {
+                0.0
             }
-        }
-        g
+        });
     }
 
     fn output_dim(&self, input_dim: usize) -> usize {
@@ -100,10 +87,21 @@ mod tests {
         }
     }
 
+    /// The straight-through input gradient of `grad_out` at `x`.
+    fn grad_of(x: &[f32], grad_out: &[f32]) -> Vec<f32> {
+        let mut l = FakeQuant::new(spec_q4_4());
+        let x = Matrix::from_vec(1, x.len(), x.to_vec());
+        let y = l.infer(&x);
+        let mut g = Matrix::zeros(0, 0);
+        let grad_out = Matrix::from_vec(1, grad_out.len(), grad_out.to_vec());
+        l.backward(&x, &y, &grad_out, Some(&mut g));
+        g.as_slice().to_vec()
+    }
+
     #[test]
     fn forward_snaps_to_grid() {
-        let mut l = FakeQuant::new(spec_q4_4());
-        let y = l.forward(&Matrix::from_rows(&[&[0.30f32, -1.27, 0.0]]));
+        let l = FakeQuant::new(spec_q4_4());
+        let y = l.infer(&Matrix::from_rows(&[&[0.30f32, -1.27, 0.0]]));
         // Resolution 1/16: every output is a multiple of 0.0625.
         for &v in y.as_slice() {
             assert_eq!(v, (v * 16.0).round() / 16.0);
@@ -113,26 +111,22 @@ mod tests {
 
     #[test]
     fn forward_saturates_at_format_bounds() {
-        let mut l = FakeQuant::new(spec_q4_4());
-        let y = l.forward(&Matrix::from_rows(&[&[100.0f32, -100.0]]));
+        let l = FakeQuant::new(spec_q4_4());
+        let y = l.infer(&Matrix::from_rows(&[&[100.0f32, -100.0]]));
         assert_eq!(y[(0, 0)], 127.0 / 16.0);
         assert_eq!(y[(0, 1)], -8.0);
     }
 
     #[test]
     fn backward_is_straight_through_inside_range() {
-        let mut l = FakeQuant::new(spec_q4_4());
-        let _ = l.forward(&Matrix::from_rows(&[&[0.3f32, -2.0, 5.0]]));
-        let g = l.backward(&Matrix::from_rows(&[&[1.0f32, 2.0, 3.0]]));
-        assert_eq!(g.as_slice(), &[1.0, 2.0, 3.0]);
+        let g = grad_of(&[0.3, -2.0, 5.0], &[1.0, 2.0, 3.0]);
+        assert_eq!(g, [1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn backward_clips_gradient_where_saturated() {
-        let mut l = FakeQuant::new(spec_q4_4());
-        let _ = l.forward(&Matrix::from_rows(&[&[100.0f32, 0.5, -100.0]]));
-        let g = l.backward(&Matrix::from_rows(&[&[1.0f32, 1.0, 1.0]]));
-        assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0]);
+        let g = grad_of(&[100.0, 0.5, -100.0], &[1.0, 1.0, 1.0]);
+        assert_eq!(g, [0.0, 1.0, 0.0]);
     }
 
     #[test]

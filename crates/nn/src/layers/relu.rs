@@ -1,34 +1,15 @@
 //! Rectified linear unit.
 
-use crate::layer::Layer;
+use crate::layer::{elementwise_grad, Layer};
 use hybridem_mathkit::matrix::Matrix;
 
-/// Element-wise `max(0, x)`; caches the activation mask for backward,
-/// in a buffer reused across forward passes.
-#[derive(Default)]
-pub(crate) struct Relu {
-    mask: Option<Vec<bool>>,
-    shape: (usize, usize),
-}
-
-impl Relu {
-    /// New ReLU layer.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
+/// Element-wise `max(0, x)`. Its backward pass reads the unit's
+/// activity from the output: `max(0, x) > 0` exactly when `x > 0`.
+pub(crate) struct Relu;
 
 impl Layer for Relu {
     fn name(&self) -> &'static str {
         "relu"
-    }
-
-    fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32> {
-        let mask = self.mask.get_or_insert_with(Vec::new);
-        mask.clear();
-        mask.extend(input.as_slice().iter().map(|&x| x > 0.0));
-        self.shape = input.shape();
-        self.infer(input)
     }
 
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
@@ -38,18 +19,19 @@ impl Layer for Relu {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
-        let mask = self.mask.as_ref().expect("backward before forward");
-        assert_eq!(grad_out.shape(), self.shape, "relu grad shape");
+    fn backward(
+        &mut self,
+        _input: &Matrix<f32>,
+        output: &Matrix<f32>,
+        grad_out: &Matrix<f32>,
+        grad_in: Option<&mut Matrix<f32>>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
         // A bit mask rather than a branch: half the units of a trained
         // layer are inactive, in no order a predictor could learn.
-        let g = grad_out
-            .as_slice()
-            .iter()
-            .zip(mask)
-            .map(|(&g, &m)| f32::from_bits(g.to_bits() & u32::from(m).wrapping_neg()))
-            .collect();
-        Matrix::from_vec(self.shape.0, self.shape.1, g)
+        elementwise_grad(grad_out, output, grad_in, |g, y| {
+            f32::from_bits(g.to_bits() & u32::from(y > 0.0).wrapping_neg())
+        });
     }
 
     fn output_dim(&self, input_dim: usize) -> usize {
@@ -61,27 +43,31 @@ impl Layer for Relu {
 mod tests {
     use super::*;
 
+    /// Forward, then the input gradient of an all-ten output gradient.
+    fn grad_of(x: &[f32]) -> (Matrix<f32>, Matrix<f32>) {
+        let x = Matrix::from_vec(1, x.len(), x.to_vec());
+        let y = Relu.infer(&x);
+        let mut g = Matrix::zeros(0, 0);
+        Relu.backward(&x, &y, &Matrix::full(1, x.len(), 10.0), Some(&mut g));
+        (y, g)
+    }
+
     #[test]
     fn forward_clamps_negatives() {
-        let mut l = Relu::new();
-        let y = l.forward(&Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]));
+        let (y, _) = grad_of(&[-1.0, 0.0, 2.0]);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn backward_masks_gradient() {
-        let mut l = Relu::new();
-        let _ = l.forward(&Matrix::from_rows(&[&[-1.0, 0.5, 2.0]]));
-        let g = l.backward(&Matrix::from_rows(&[&[10.0, 10.0, 10.0]]));
+        let (_, g) = grad_of(&[-1.0, 0.5, 2.0]);
         assert_eq!(g.as_slice(), &[0.0, 10.0, 10.0]);
     }
 
     #[test]
-    fn zero_input_has_zero_gradient() {
-        // Subgradient convention at the kink: 0.
-        let mut l = Relu::new();
-        let _ = l.forward(&Matrix::from_rows(&[&[0.0]]));
-        let g = l.backward(&Matrix::from_rows(&[&[1.0]]));
-        assert_eq!(g.as_slice(), &[0.0]);
+    fn zero_and_nan_inputs_have_zero_gradient() {
+        // Subgradient convention at the kink: 0; a NaN unit is inactive.
+        let (_, g) = grad_of(&[0.0, -0.0, f32::NAN]);
+        assert!(g.as_slice().iter().all(|v| v.to_bits() == 0));
     }
 }

@@ -1,30 +1,15 @@
 //! Hyperbolic tangent layer (used by ablation topologies).
 
-use crate::layer::Layer;
+use crate::layer::{elementwise_grad, Layer};
 use hybridem_mathkit::matrix::Matrix;
 
-/// Element-wise `tanh(x)`; caches its output.
-#[derive(Default)]
-pub(crate) struct Tanh {
-    output: Option<Matrix<f32>>,
-}
-
-impl Tanh {
-    /// New tanh layer.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
+/// Element-wise `tanh(x)`. Its backward pass reads the output, since
+/// `tanh'(x) = 1 − tanh²(x)`.
+pub(crate) struct Tanh;
 
 impl Layer for Tanh {
     fn name(&self) -> &'static str {
         "tanh"
-    }
-
-    fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32> {
-        let out = self.infer(input);
-        self.output = Some(out.clone());
-        out
     }
 
     fn infer_into(&self, input: &Matrix<f32>, out: &mut Matrix<f32>) {
@@ -34,9 +19,15 @@ impl Layer for Tanh {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
-        let y = self.output.as_ref().expect("backward before forward");
-        grad_out.zip_map(y, |g, y| g * (1.0 - y * y))
+    fn backward(
+        &mut self,
+        _input: &Matrix<f32>,
+        output: &Matrix<f32>,
+        grad_out: &Matrix<f32>,
+        grad_in: Option<&mut Matrix<f32>>,
+    ) {
+        let Some(grad_in) = grad_in else { return };
+        elementwise_grad(grad_out, output, grad_in, |g, y| g * (1.0 - y * y));
     }
 
     fn output_dim(&self, input_dim: usize) -> usize {
@@ -50,17 +41,17 @@ mod tests {
 
     #[test]
     fn forward_odd_function() {
-        let mut l = Tanh::new();
-        let y = l.forward(&Matrix::from_rows(&[&[1.0, -1.0, 0.0]]));
+        let y = Tanh.infer(&Matrix::from_rows(&[&[1.0, -1.0, 0.0]]));
         assert!((y[(0, 0)] + y[(0, 1)]).abs() < 1e-7);
         assert_eq!(y[(0, 2)], 0.0);
     }
 
     #[test]
     fn backward_unit_slope_at_zero() {
-        let mut l = Tanh::new();
-        let _ = l.forward(&Matrix::from_rows(&[&[0.0]]));
-        let g = l.backward(&Matrix::from_rows(&[&[2.0]]));
+        let x = Matrix::from_rows(&[&[0.0]]);
+        let y = Tanh.infer(&x);
+        let mut g = Matrix::zeros(0, 0);
+        Tanh.backward(&x, &y, &Matrix::from_rows(&[&[2.0]]), Some(&mut g));
         assert!((g[(0, 0)] - 2.0).abs() < 1e-7);
     }
 }

@@ -18,7 +18,9 @@
 //! - [`loss`] — BCE (probability and fused-logit forms), MSE, softmax
 //!   cross-entropy;
 //! - [`optim`] — SGD (+momentum) and Adam;
-//! - [`model::Sequential`] — layer stacks with JSON-snapshot round-trips;
+//! - [`model::Sequential`] — layer stacks with JSON-snapshot round-trips
+//!   and one reused training tape (stateless layers; a warm training
+//!   step allocates nothing);
 //! - [`grad_check`] — central-difference gradient verification used by
 //!   the test-suite on every layer and loss;
 //! - [`init`] / [`schedule`] — Xavier/He initialisation and learning

@@ -10,6 +10,8 @@
 
 use crate::layer::{Layer, Param};
 use crate::layers::{Dense, FakeQuant, Relu, Sigmoid, Tanh};
+use crate::loss::{bce_with_logits, bce_with_logits_grad};
+use crate::optim::Optimizer;
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_mathkit::json::{FromJson, Json, JsonError, ToJson};
 use hybridem_mathkit::matrix::Matrix;
@@ -80,9 +82,9 @@ impl MlpSpec {
             layers.push(Box::new(Dense::new(w[0], w[1], init, rng)));
             let act = if i + 1 == n { self.output } else { self.hidden };
             match act {
-                Activation::Relu => layers.push(Box::new(Relu::new())),
-                Activation::Sigmoid => layers.push(Box::new(Sigmoid::new())),
-                Activation::Tanh => layers.push(Box::new(Tanh::new())),
+                Activation::Relu => layers.push(Box::new(Relu)),
+                Activation::Sigmoid => layers.push(Box::new(Sigmoid)),
+                Activation::Tanh => layers.push(Box::new(Tanh)),
                 Activation::Linear => {}
             }
         }
@@ -116,17 +118,51 @@ impl Default for InferScratch {
     }
 }
 
-/// A chain of layers applied in order.
+/// A chain of layers applied in order, with the training tape that its
+/// backward pass reads.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     input_dim: usize,
+    /// Index of the lowest layer that holds parameters: when nobody
+    /// reads the input gradient, back-propagation stops there.
+    first_trainable: usize,
+    tape: Tape,
+}
+
+/// The buffers of one training pass, reused from step to step. After a
+/// pass at a batch size they have grown to their high-water mark, and
+/// later passes at that size allocate nothing.
+struct Tape {
+    /// `acts[0]` is the batch input and `acts[i + 1]` the output of
+    /// layer `i`, as the last [`Sequential::forward`] left them.
+    acts: Vec<Matrix<f32>>,
+    /// The gradient with respect to the activation back-propagation has
+    /// reached: ∂L/∂output before it starts, ∂L/∂input once
+    /// [`Sequential::backward_input`] has run.
+    grad: Matrix<f32>,
+    /// Where the current layer writes its input gradient, swapped with
+    /// `grad` once it has.
+    spare: Matrix<f32>,
 }
 
 impl Sequential {
     /// Builds from boxed layers; `input_dim` is the expected feature
     /// count of the input batch.
     pub(crate) fn new(layers: Vec<Box<dyn Layer>>, input_dim: usize) -> Self {
-        Self { layers, input_dim }
+        let first_trainable = layers
+            .iter()
+            .position(|l| !l.params().is_empty())
+            .unwrap_or(layers.len());
+        Self {
+            layers,
+            input_dim,
+            first_trainable,
+            tape: Tape {
+                acts: Vec::new(),
+                grad: Matrix::zeros(0, 0),
+                spare: Matrix::zeros(0, 0),
+            },
+        }
     }
 
     /// Expected input feature count.
@@ -148,19 +184,24 @@ impl Sequential {
         &self.layers
     }
 
-    /// Forward pass through all layers.
-    pub fn forward(&mut self, input: &Matrix<f32>) -> Matrix<f32> {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return input.clone();
-        };
-        let mut x = first.forward(input);
-        for l in rest {
-            x = l.forward(&x);
+    /// Training forward pass: runs every layer's [`Layer::infer_into`]
+    /// on the tape, keeping each layer's input and output for
+    /// [`Sequential::backward`], and returns the output. Its arithmetic
+    /// is that of [`Sequential::infer`]; once the tape is warm at a
+    /// batch size, it allocates nothing.
+    pub fn forward(&mut self, input: &Matrix<f32>) -> &Matrix<f32> {
+        let acts = &mut self.tape.acts;
+        acts.resize_with(self.layers.len() + 1, || Matrix::zeros(0, 0));
+        acts[0].resize_to(input.rows(), input.cols());
+        acts[0].as_mut_slice().copy_from_slice(input.as_slice());
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, next) = acts.split_at_mut(i + 1);
+            layer.infer_into(&done[i], &mut next[0]);
         }
-        x
+        &acts[self.layers.len()]
     }
 
-    /// Pure inference pass (no caches touched): safe to call from
+    /// Pure inference pass (the tape untouched): safe to call from
     /// shared references across threads. Allocates fresh buffers per
     /// call; batch hot loops should hold an [`InferScratch`] and use
     /// [`Sequential::infer_into`] instead.
@@ -202,29 +243,99 @@ impl Sequential {
         }
     }
 
-    /// Backward pass; returns ∂L/∂input.
-    pub fn backward(&mut self, grad_out: &Matrix<f32>) -> Matrix<f32> {
-        let Some((last, rest)) = self.layers.split_last_mut() else {
-            return grad_out.clone();
+    /// Back-propagates `grad_out` (∂L/∂output) through the tape of the
+    /// last [`Sequential::forward`], adding every parameter's gradient
+    /// to [`Param`]'s accumulator. Nobody reads the input gradient here,
+    /// so the pass stops at the lowest layer with parameters and skips
+    /// that layer's `g·W`.
+    ///
+    /// # Panics
+    /// Panics before a forward pass, or if `grad_out` does not have the
+    /// output's shape.
+    pub fn backward(&mut self, grad_out: &Matrix<f32>) {
+        self.load_output_grad(grad_out);
+        self.backprop(false);
+    }
+
+    /// [`Sequential::backward`], also computing ∂L/∂input into a reused
+    /// buffer (the E2E trainer passes it through the channel into the
+    /// mapper).
+    ///
+    /// # Panics
+    /// As [`Sequential::backward`].
+    pub fn backward_input(&mut self, grad_out: &Matrix<f32>) -> &Matrix<f32> {
+        self.load_output_grad(grad_out);
+        self.backprop(true);
+        &self.tape.grad
+    }
+
+    /// One step of BCE-with-logits training, the step of every BCE loop
+    /// that trains a model alone (retraining, QAT fine-tuning): zero the
+    /// gradients, run [`Sequential::forward`] on `x`, write the
+    /// [`bce_with_logits`] gradient against `targets` into the tape,
+    /// back-propagate it without the input gradient, and apply one `opt`
+    /// update. With `with_loss` it returns the batch loss before the
+    /// update; without, the loss (one `ln` per logit and an f64 sum) is
+    /// not computed. Once the tape is warm at a batch size, a step
+    /// allocates nothing.
+    pub fn bce_step(
+        &mut self,
+        opt: &mut impl Optimizer,
+        x: &Matrix<f32>,
+        targets: &Matrix<f32>,
+        with_loss: bool,
+    ) -> Option<f32> {
+        self.zero_grad();
+        self.forward(x);
+        let Tape { acts, grad, .. } = &mut self.tape;
+        let z = &acts[self.layers.len()];
+        let loss = if with_loss {
+            Some(bce_with_logits(z, targets, grad))
+        } else {
+            bce_with_logits_grad(z, targets, grad);
+            None
         };
-        let mut g = last.backward(grad_out);
-        for l in rest.iter_mut().rev() {
-            g = l.backward(&g);
+        self.backprop(false);
+        opt.step(&mut self.params_mut());
+        loss
+    }
+
+    /// Copies ∂L/∂output into the tape's gradient buffer.
+    fn load_output_grad(&mut self, grad_out: &Matrix<f32>) {
+        let grad = &mut self.tape.grad;
+        grad.resize_to(grad_out.rows(), grad_out.cols());
+        grad.as_mut_slice().copy_from_slice(grad_out.as_slice());
+    }
+
+    /// Back-propagates the tape's gradient buffer from the output down,
+    /// leaving ∂L/∂input in it when `input_grad` is set.
+    fn backprop(&mut self, input_grad: bool) {
+        let n = self.layers.len();
+        let Tape { acts, grad, spare } = &mut self.tape;
+        assert_eq!(acts.len(), n + 1, "backward before forward");
+        assert_eq!(grad.shape(), acts[n].shape(), "output gradient shape");
+        let stop = if input_grad { 0 } else { self.first_trainable };
+        for i in (stop..n).rev() {
+            let (input, output) = (&acts[i], &acts[i + 1]);
+            if i > stop || input_grad {
+                self.layers[i].backward(input, output, grad, Some(&mut *spare));
+                std::mem::swap(grad, spare);
+            } else {
+                self.layers[i].backward(input, output, grad, None);
+            }
         }
-        g
     }
 
     /// All trainable parameters in layer order.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub fn params_mut(&mut self) -> impl Iterator<Item = &mut Param> {
         self.layers
             .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
+            .flat_map(|l| l.params_mut().iter_mut())
     }
 
     /// Read-only parameters in layer order.
-    pub(crate) fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
+    pub(crate) fn params(&self) -> impl Iterator<Item = &Param> {
+        self.layers.iter().flat_map(|l| l.params().iter())
     }
 
     /// Zeroes all accumulated gradients.
@@ -309,9 +420,9 @@ impl Sequential {
                     LayerSnapshot::Dense { weight, bias } => {
                         Box::new(Dense::from_parts(weight, bias))
                     }
-                    LayerSnapshot::Relu => Box::new(Relu::new()),
-                    LayerSnapshot::Sigmoid => Box::new(Sigmoid::new()),
-                    LayerSnapshot::Tanh => Box::new(Tanh::new()),
+                    LayerSnapshot::Relu => Box::new(Relu),
+                    LayerSnapshot::Sigmoid => Box::new(Sigmoid),
+                    LayerSnapshot::Tanh => Box::new(Tanh),
                     LayerSnapshot::FakeQuant { spec } => Box::new(FakeQuant::new(spec)),
                 }
             })
@@ -537,8 +648,7 @@ hybridem_mathkit::impl_json!(ModelSnapshot { input_dim, layers });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::bce_with_logits;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
 
     #[test]
     fn paper_demapper_shape_and_macs() {
@@ -560,7 +670,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(0);
         let model = MlpSpec::paper_demapper().build(&mut rng);
         // Weights 352 + biases 16+16+4 = 388.
-        assert_eq!(model.params().iter().map(|p| p.len()).sum::<usize>(), 388);
+        assert_eq!(model.params().map(|p| p.len()).sum::<usize>(), 388);
     }
 
     #[test]
@@ -568,11 +678,10 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut model = MlpSpec::paper_demapper().build(&mut rng);
         let x = Matrix::from_rows(&[&[0.3f32, -0.8], &[1.0, 0.1]]);
-        let y1 = model.forward(&x);
+        let y1 = model.forward(&x).clone();
         let json = model.to_json();
         let mut restored = Sequential::from_json(&json).unwrap();
-        let y2 = restored.forward(&x);
-        assert_eq!(y1, y2);
+        assert_eq!(&y1, restored.forward(&x));
     }
 
     #[test]
@@ -590,12 +699,7 @@ mod tests {
         let mut opt = Adam::new(0.05);
         let mut last = f32::INFINITY;
         for _ in 0..800 {
-            model.zero_grad();
-            let z = model.forward(&x);
-            let (l, g) = bce_with_logits(&z, &t);
-            model.backward(&g);
-            opt.step(&mut model.params_mut());
-            last = l;
+            last = model.bce_step(&mut opt, &x, &t, true).unwrap();
         }
         assert!(last < 0.05, "XOR loss did not converge: {last}");
         let probs = model
@@ -667,9 +771,7 @@ mod tests {
         let mut restored = Sequential::from_json(&json).unwrap();
         assert_eq!(crate::model::boundary_specs(&restored), specs);
         let x = Matrix::from_rows(&[&[0.37f32, -0.92], &[1.4, 0.05]]);
-        let a = qat.forward(&x);
-        let b = restored.forward(&x);
-        assert_eq!(a, b);
+        assert_eq!(qat.forward(&x), restored.forward(&x));
     }
 
     #[test]
@@ -678,11 +780,11 @@ mod tests {
         let mut model = MlpSpec::paper_demapper_logits().build(&mut rng);
         let x = Matrix::zeros(3, 2);
         let t = Matrix::zeros(3, 4);
-        let z = model.forward(&x);
-        let (_, g) = bce_with_logits(&z, &t);
+        let mut g = Matrix::zeros(0, 0);
+        bce_with_logits_grad(model.forward(&x), &t, &mut g);
         model.backward(&g);
-        assert!(model.params().iter().any(|p| p.grad.max_abs() > 0.0));
+        assert!(model.params().any(|p| p.grad.max_abs() > 0.0));
         model.zero_grad();
-        assert!(model.params().iter().all(|p| p.grad.max_abs() == 0.0));
+        assert!(model.params().all(|p| p.grad.max_abs() == 0.0));
     }
 }

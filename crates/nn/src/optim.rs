@@ -4,8 +4,9 @@
 //! a tiny model; we provide plain SGD (with optional momentum) and Adam
 //! (the PyTorch default the authors would have used). Optimiser state
 //! is keyed by parameter position, so the same optimiser instance must
-//! always be fed the same parameter list in the same order — which is
-//! what [`crate::model::Sequential::params_mut`] guarantees.
+//! always be fed the same parameters in the same order — which is what
+//! [`crate::model::Sequential::params_mut`] guarantees. A step walks an
+//! iterator over the parameters, so it collects nothing.
 
 use crate::layer::Param;
 
@@ -13,7 +14,7 @@ use crate::layer::Param;
 pub trait Optimizer {
     /// Applies one update step to the given parameters (and clears
     /// nothing — call [`Param::zero_grad`] between steps via the model).
-    fn step(&mut self, params: &mut [&mut Param]);
+    fn step(&mut self, params: &mut dyn Iterator<Item = &mut Param>);
 
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
@@ -48,13 +49,12 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.len() < params.len() {
-            for p in params[self.velocity.len()..].iter() {
+    fn step(&mut self, params: &mut dyn Iterator<Item = &mut Param>) {
+        for (i, p) in params.enumerate() {
+            if i == self.velocity.len() {
                 self.velocity.push(vec![0.0; p.len()]);
             }
-        }
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
+            let v = &mut self.velocity[i];
             debug_assert_eq!(p.len(), v.len(), "optimiser state shape drift");
             if self.momentum == 0.0 {
                 for (w, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
@@ -117,16 +117,16 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        while self.m.len() < params.len() {
-            let p = &params[self.m.len()];
-            self.m.push(vec![0.0; p.len()]);
-            self.v.push(vec![0.0; p.len()]);
-        }
+    fn step(&mut self, params: &mut dyn Iterator<Item = &mut Param>) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t.min(1 << 24) as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t.min(1 << 24) as i32);
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+        for (i, p) in params.enumerate() {
+            if i == self.m.len() {
+                self.m.push(vec![0.0; p.len()]);
+                self.v.push(vec![0.0; p.len()]);
+            }
+            let (m, v) = (&mut self.m[i], &mut self.v[i]);
             debug_assert_eq!(p.len(), m.len(), "optimiser state shape drift");
             for (((w, &g), mi), vi) in p
                 .value
@@ -160,7 +160,7 @@ mod tests {
     use hybridem_mathkit::matrix::Matrix;
 
     /// Minimises f(w) = ‖w − target‖² with the given optimiser.
-    fn minimise(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn minimise(opt: &mut impl Optimizer, steps: usize) -> f32 {
         let target = [1.0f32, -2.0, 0.5];
         let mut p = Param::new(Matrix::zeros(1, 3));
         for _ in 0..steps {
@@ -173,7 +173,7 @@ mod tests {
             {
                 *g = 2.0 * (w - t);
             }
-            opt.step(&mut [&mut p]);
+            opt.step(&mut std::iter::once(&mut p));
         }
         p.value
             .as_slice()
@@ -206,7 +206,7 @@ mod tests {
         let mut p = Param::new(Matrix::from_rows(&[&[1.0f32]]));
         p.grad.as_mut_slice()[0] = 2.0;
         let mut opt = Sgd::new(0.5);
-        opt.step(&mut [&mut p]);
+        opt.step(&mut std::iter::once(&mut p));
         assert_eq!(p.value.as_slice()[0], 0.0);
     }
 

@@ -48,3 +48,9 @@ pub use hybridem_geom as geom;
 pub use hybridem_mathkit as mathkit;
 pub use hybridem_nn as nn;
 pub use hybridem_parallel as parallel;
+
+/// The README's Rust snippets, compiled (and, unless marked `no_run`,
+/// run) as doctests, so that the README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
