@@ -10,11 +10,11 @@
 use crate::config::SystemConfig;
 use crate::demapper_ann::NeuralDemapper;
 use crate::mapper::NeuralMapper;
+use hybridem_comm::bits::bit_of;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 use hybridem_nn::loss::bce_with_logits;
-use hybridem_nn::optim::Optimizer;
-use hybridem_nn::schedule::LrSchedule;
+use hybridem_nn::schedule::Cosine;
 use hybridem_nn::Adam;
 
 /// Joint trainer for the autoencoder.
@@ -26,16 +26,27 @@ pub(crate) struct E2eTrainer {
     rng: Xoshiro256pp,
     mapper_opt: Adam,
     demapper_opt: Adam,
-    schedule: LrSchedule,
+    schedule: Cosine,
     step_count: u64,
     /// Per-step loss history.
     pub(crate) loss_history: Vec<f32>,
+    /// The batch's symbol indices and target bits, the mapper's points,
+    /// the channel outputs, the loss gradient and the gradient with
+    /// respect to the points: buffers set up once, so a step allocates
+    /// nothing once the demapper's tape and the optimisers are warm.
+    indices: Vec<usize>,
+    targets: Matrix<f32>,
+    x: Matrix<f32>,
+    y: Matrix<f32>,
+    grad_z: Matrix<f32>,
+    grad_x: Matrix<f32>,
 }
 
 impl E2eTrainer {
     /// New trainer for a configuration.
     pub(crate) fn new(cfg: &SystemConfig) -> Self {
         cfg.validate();
+        let (b, m) = (cfg.batch_size, cfg.bits_per_symbol);
         Self {
             channel_theta: 0.0,
             rng: Xoshiro256pp::stream(cfg.seed, 1),
@@ -43,13 +54,19 @@ impl E2eTrainer {
             demapper_opt: Adam::new(cfg.e2e_lr),
             // Cosine-anneal to 5 % of the initial rate: the constellation
             // settles early, the demapper boundaries keep refining.
-            schedule: LrSchedule::Cosine {
+            schedule: Cosine {
                 lr: cfg.e2e_lr,
                 min_lr: cfg.e2e_lr * 0.05,
                 total: cfg.e2e_steps as u64,
             },
             step_count: 0,
             loss_history: Vec::with_capacity(cfg.e2e_steps),
+            indices: vec![0; b],
+            targets: Matrix::zeros(b, m),
+            x: Matrix::zeros(b, 2),
+            y: Matrix::zeros(b, 2),
+            grad_z: Matrix::zeros(b, m),
+            grad_x: Matrix::zeros(b, 2),
             cfg: cfg.clone(),
         }
     }
@@ -61,43 +78,41 @@ impl E2eTrainer {
         self.demapper_opt.set_learning_rate(lr);
         self.step_count += 1;
         let m = self.cfg.bits_per_symbol;
-        let b = self.cfg.batch_size;
         let sigma = self.cfg.sigma();
 
         // Sample symbols and their target bits.
-        let mut indices = vec![0usize; b];
-        let mut targets = Matrix::zeros(b, m);
-        for (r, idx) in indices.iter_mut().enumerate() {
+        for (r, idx) in self.indices.iter_mut().enumerate() {
             *idx = (self.rng.next_u64() >> (64 - m)) as usize;
             for k in 0..m {
-                targets[(r, k)] = ((*idx >> (m - 1 - k)) & 1) as f32;
+                self.targets[(r, k)] = f32::from(bit_of(*idx, m, k));
             }
         }
 
         // Mapper → channel (rotate + AWGN) → demapper.
         mapper.param_mut().zero_grad();
         demapper.model_mut().zero_grad();
-        let x = mapper.forward(&indices);
+        mapper.forward(&self.indices, &mut self.x);
         let (cos_t, sin_t) = (self.channel_theta.cos(), self.channel_theta.sin());
-        let mut y = Matrix::zeros(b, 2);
-        for r in 0..b {
-            let (re, im) = (x[(r, 0)], x[(r, 1)]);
+        for r in 0..self.indices.len() {
+            let (re, im) = (self.x[(r, 0)], self.x[(r, 1)]);
             let (n1, n2) = self.rng.normal_pair_f64();
-            y[(r, 0)] = re * cos_t - im * sin_t + sigma * n1 as f32;
-            y[(r, 1)] = re * sin_t + im * cos_t + sigma * n2 as f32;
+            self.y[(r, 0)] = re * cos_t - im * sin_t + sigma * n1 as f32;
+            self.y[(r, 1)] = re * sin_t + im * cos_t + sigma * n2 as f32;
         }
-        let mut grad_z = Matrix::zeros(0, 0);
-        let loss = bce_with_logits(demapper.model_mut().forward(&y), &targets, &mut grad_z);
+        let loss = bce_with_logits(
+            demapper.model_mut().forward(&self.y),
+            &self.targets,
+            &mut self.grad_z,
+        );
 
         // Backward: demapper, then channel (rotate by −θ), then mapper.
-        let grad_y = demapper.model_mut().backward_input(&grad_z);
-        let mut grad_x = Matrix::zeros(b, 2);
-        for r in 0..b {
+        let grad_y = demapper.model_mut().backward_input(&self.grad_z);
+        for r in 0..self.indices.len() {
             let (gre, gim) = (grad_y[(r, 0)], grad_y[(r, 1)]);
-            grad_x[(r, 0)] = gre * cos_t + gim * sin_t;
-            grad_x[(r, 1)] = -gre * sin_t + gim * cos_t;
+            self.grad_x[(r, 0)] = gre * cos_t + gim * sin_t;
+            self.grad_x[(r, 1)] = -gre * sin_t + gim * cos_t;
         }
-        mapper.backward(&grad_x);
+        mapper.backward(&self.indices, &self.grad_x);
 
         self.mapper_opt
             .step(&mut std::iter::once(mapper.param_mut()));

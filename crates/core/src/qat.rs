@@ -22,6 +22,7 @@
 //!    trained boundary formats straight out of the model.
 
 use crate::pipeline::HybridPipeline;
+use hybridem_comm::bits::bit_of;
 use hybridem_comm::constellation::Constellation;
 use hybridem_fixed::{QuantSpec, Rounding};
 use hybridem_fpga::graph::QuantizedGraph;
@@ -81,7 +82,7 @@ fn qat_finetune(
     assert!(cfg.steps >= 1, "need at least one fine-tuning step");
     // Fail before spending the training budget: the integer IR can
     // only lower dense/ReLU/sigmoid (`fpga::graph::compile_spec`), so
-    // reject anything else (e.g. tanh) up front.
+    // reject anything else up front.
     for layer in base.layers() {
         assert!(
             matches!(layer.name(), "dense" | "relu" | "sigmoid"),
@@ -110,7 +111,7 @@ fn qat_finetune(
         for r in 0..cfg.batch {
             let idx = (rng.next_u64() >> (64 - m)) as usize;
             for k in 0..m {
-                targets[(r, k)] = ((idx >> (m - 1 - k)) & 1) as f32;
+                targets[(r, k)] = f32::from(bit_of(idx, m, k));
             }
             let p = constellation.point(idx);
             y[(r, 0)] = p.re + sigma * rng.normal_f32();
@@ -270,7 +271,7 @@ mod tests {
         for r in 0..n {
             let idx = (rng.next_u64() >> (64 - m)) as usize;
             for k in 0..m {
-                targets[(r, k)] = ((idx >> (m - 1 - k)) & 1) as f32;
+                targets[(r, k)] = f32::from(bit_of(idx, m, k));
             }
             let p = constellation.point(idx);
             y[(r, 0)] = p.re + sigma * rng.normal_f32();

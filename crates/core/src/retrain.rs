@@ -9,6 +9,7 @@
 
 use crate::config::SystemConfig;
 use crate::demapper_ann::NeuralDemapper;
+use hybridem_comm::bits::bit_of;
 use hybridem_comm::channel::Channel;
 use hybridem_comm::constellation::Constellation;
 use hybridem_fpga::trainer::{TrainerConfig, TrainerDesign, TrainerEngine};
@@ -85,7 +86,7 @@ impl Retrainer {
             for (r, pilot) in pilots.iter_mut().enumerate() {
                 let idx = (self.rng.next_u64() >> (64 - m)) as usize;
                 for k in 0..m {
-                    targets[(r, k)] = ((idx >> (m - 1 - k)) & 1) as f32;
+                    targets[(r, k)] = f32::from(bit_of(idx, m, k));
                 }
                 *pilot = constellation.point(idx);
             }

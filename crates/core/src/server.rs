@@ -34,12 +34,7 @@
 //!
 //! Steady state allocates nothing: session buffers, the plan scratch,
 //! the per-chunk batches (which only grow) and the pool's deques all
-//! reuse their capacity after a warmup round. The one documented
-//! exception is ECC monitoring —
-//! [`ConvCode::encode`](hybridem_comm::ecc::ConvCode::encode)
-//! / [`Viterbi::decode_soft`](hybridem_comm::ecc::Viterbi::decode_soft)
-//! allocate internally, so the no-alloc contract is stated (and
-//! tested) for pilot-monitored sessions.
+//! reuse their capacity after a warmup round.
 
 use crate::runtime::Monitor;
 use hybridem_comm::constellation::Constellation;
@@ -135,13 +130,11 @@ pub struct SessionCfg {
     pub frame_symbols: usize,
     /// Known pilot symbols at the start of every frame.
     pub pilot_symbols: usize,
-    /// Which evidence the per-session monitor accumulates.
-    pub(crate) monitor: Monitor,
 }
 
 impl SessionCfg {
     /// Session with the default frame geometry (256 symbols, 64
-    /// pilots, pilot monitoring).
+    /// pilots).
     pub fn new(backend: BackendId, trajectory: Trajectory, seed: u64) -> Self {
         Self {
             backend,
@@ -149,7 +142,6 @@ impl SessionCfg {
             seed,
             frame_symbols: 256,
             pilot_symbols: 64,
-            monitor: Monitor::Pilot,
         }
     }
 }
@@ -167,14 +159,12 @@ pub struct SessionStats {
     pub(crate) frames: u64,
     /// Payload bits transmitted.
     pub(crate) payload_bits: u64,
-    /// Payload bit errors (raw demapped decisions, before ECC).
+    /// Payload bit errors (raw demapped decisions).
     pub(crate) payload_bit_errors: u64,
     /// Pilot bits transmitted.
     pub(crate) pilot_bits: u64,
     /// Pilot bit errors.
     pub(crate) pilot_bit_errors: u64,
-    /// Channel bits the Viterbi decoder corrected (ECC monitor only).
-    pub(crate) ecc_corrected: u64,
     /// Frames refused by admission control.
     pub(crate) shed_frames: u64,
     /// Frames accepted but still queued when the session closed.
@@ -194,7 +184,6 @@ impl SessionStats {
         self.payload_bit_errors += other.payload_bit_errors;
         self.pilot_bits += other.pilot_bits;
         self.pilot_bit_errors += other.pilot_bit_errors;
-        self.ecc_corrected += other.ecc_corrected;
         self.shed_frames += other.shed_frames;
         self.dropped_frames += other.dropped_frames;
     }
@@ -223,8 +212,6 @@ pub struct AggregateReport {
     pub(crate) pilot_bits: u64,
     /// Pilot bit errors.
     pub(crate) pilot_bit_errors: u64,
-    /// Viterbi-corrected channel bits (ECC-monitored sessions).
-    pub(crate) ecc_corrected: u64,
     /// Frames refused by admission control.
     pub shed_frames: u64,
     /// Frames accepted but dropped unserved by a session close.
@@ -243,7 +230,6 @@ hybridem_mathkit::impl_json!(AggregateReport {
     payload_bit_errors,
     pilot_bits,
     pilot_bit_errors,
-    ecc_corrected,
     shed_frames,
     dropped_frames,
     pending_frames,
@@ -301,10 +287,9 @@ struct Session {
 
 impl Session {
     /// Consumes one frame's LLR span of its chunk's batch: error
-    /// counts from the LLR signs, monitor counters, queue decrement.
+    /// counts from the LLR signs, queue decrement.
     fn finish_frame(&mut self, llrs: &[f32]) {
         let errors = self.engine.count_errors(llrs);
-        self.stats.ecc_corrected += self.engine.ecc_corrected(llrs);
         self.stats.frames += 1;
         self.stats.payload_bits += self.engine.payload_bits() as u64;
         self.stats.payload_bit_errors += errors.payload;
@@ -433,7 +418,7 @@ impl LinkServer {
                 cfg.seed,
                 n,
                 cfg.pilot_symbols,
-                cfg.monitor,
+                Monitor::Pilot,
                 m,
             ),
             pending: 0,
@@ -707,7 +692,6 @@ impl LinkServer {
             payload_bit_errors: total.payload_bit_errors,
             pilot_bits: total.pilot_bits,
             pilot_bit_errors: total.pilot_bit_errors,
-            ecc_corrected: total.ecc_corrected,
             shed_frames: total.shed_frames,
             dropped_frames: total.dropped_frames,
             pending_frames: pending,
@@ -976,27 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn ecc_monitored_sessions_count_corrections() {
-        let (mut server, backend) = qam_server(ServerCfg::default());
-        let mut cfg = SessionCfg::new(
-            backend,
-            Trajectory::constant("awgn", ChannelState::clean(4.0), 1),
-            77,
-        );
-        cfg.monitor = Monitor::Ecc;
-        let id = server.open_session(cfg);
-        server.submit(id, 8).unwrap();
-        server.serve();
-        let stats = server.close_session(id).unwrap();
-        assert_eq!(stats.frames, 8);
-        assert!(
-            stats.payload_bit_errors > 0,
-            "4 dB QAM-16 must show raw errors"
-        );
-        assert!(stats.ecc_corrected > 0, "the decoder must correct some");
-    }
-
-    #[test]
     fn server_session_and_online_link_count_the_same_frames() {
         // One frame engine behind both callers: an online link and a
         // one-session server with the same seed, trajectory, frame
@@ -1007,40 +970,36 @@ mod tests {
         let trajectory = Trajectory::new("drift")
             .hold(4, ChannelState::clean(6.0))
             .ramp(8, ChannelState::clean(9.0).with_phase(0.2));
-        for monitor in [Monitor::Pilot, Monitor::Ecc] {
-            let (mut server, backend) = qam_server(ServerCfg::default());
-            let mut cfg = SessionCfg::new(backend, trajectory.clone(), 41);
-            cfg.frame_symbols = 48;
-            cfg.pilot_symbols = 6;
-            cfg.monitor = monitor;
-            let id = server.open_session(cfg.clone());
-            server.submit(id, frames).unwrap();
-            server.serve();
-            let agg = server.aggregate();
+        let (mut server, backend) = qam_server(ServerCfg::default());
+        let mut cfg = SessionCfg::new(backend, trajectory.clone(), 41);
+        cfg.frame_symbols = 48;
+        cfg.pilot_symbols = 6;
+        let id = server.open_session(cfg.clone());
+        server.submit(id, frames).unwrap();
+        server.serve();
+        let agg = server.aggregate();
 
-            let qam = Constellation::qam_gray(16);
-            let spec = OnlineLinkSpec {
-                trajectory: trajectory.clone(),
-                seed: cfg.seed,
-                params: LinkParams {
-                    frame_symbols: cfg.frame_symbols,
-                    pilot_symbols: cfg.pilot_symbols,
-                    monitor,
-                    ..LinkParams::default()
-                },
-            };
-            let mut link = OnlineLink::fixed(spec, qam.clone(), Box::new(MaxLogMap::new(qam, 0.2)));
-            for _ in 0..frames {
-                link.step();
-            }
-            let total =
-                |f: fn(&crate::runtime::FrameRecord) -> u64| link.log().iter().map(f).sum::<u64>();
-            assert!(agg.payload_bit_errors > 0, "{monitor:?}: a noisy channel");
-            assert_eq!(agg.pilot_bits, total(|r| r.pilot_bits));
-            assert_eq!(agg.pilot_bit_errors, total(|r| r.pilot_bit_errors));
-            assert_eq!(agg.payload_bits, total(|r| r.payload_bits));
-            assert_eq!(agg.payload_bit_errors, total(|r| r.payload_bit_errors));
+        let qam = Constellation::qam_gray(16);
+        let spec = OnlineLinkSpec {
+            trajectory,
+            seed: cfg.seed,
+            params: LinkParams {
+                frame_symbols: cfg.frame_symbols,
+                pilot_symbols: cfg.pilot_symbols,
+                ..LinkParams::default()
+            },
+        };
+        let mut link = OnlineLink::fixed(spec, qam.clone(), Box::new(MaxLogMap::new(qam, 0.2)));
+        for _ in 0..frames {
+            link.step();
         }
+        let total =
+            |f: fn(&crate::runtime::FrameRecord) -> u64| link.log().iter().map(f).sum::<u64>();
+        assert!(agg.payload_bit_errors > 0, "a noisy channel");
+        assert_eq!(agg.pilot_bits, total(|r| r.pilot_bits));
+        assert_eq!(agg.pilot_bit_errors, total(|r| r.pilot_bit_errors));
+        assert_eq!(agg.payload_bits, total(|r| r.payload_bits));
+        assert_eq!(agg.payload_bit_errors, total(|r| r.payload_bit_errors));
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! No-alloc contract of the training step (DESIGN.md §11.2): once the
 //! training tape is warm at a batch size, the paper demapper's float
 //! step allocates nothing — forward, the BCE gradient, backward with
-//! and without ∂L/∂input, and Adam — and `Retrainer::run` sets its
-//! pilot buffers up once, so it allocates the same at 10 steps as at
-//! 200.
+//! and without ∂L/∂input, and Adam — and `Retrainer::run` and
+//! `HybridPipeline::e2e_train` set their batch buffers up once, so each
+//! allocates the same at 10 steps as at 200.
 
 use hybridem_comm::channel::ChannelChain;
 use hybridem_comm::constellation::Constellation;
 use hybridem_core::config::SystemConfig;
 use hybridem_core::demapper_ann::NeuralDemapper;
 use hybridem_core::retrain::Retrainer;
+use hybridem_core::HybridPipeline;
 use hybridem_mathkit::matrix::Matrix;
 use hybridem_mathkit::rng::{Rng64, Xoshiro256pp};
 use hybridem_nn::loss::bce_with_logits_grad;
 use hybridem_nn::model::MlpSpec;
-use hybridem_nn::optim::Optimizer;
 use hybridem_nn::{Adam, Sequential};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,5 +126,28 @@ fn retrainer_allocations_do_not_grow_with_steps() {
     assert_eq!(
         short, long,
         "Retrainer::run allocated {short} times at 10 steps and {long} at 200"
+    );
+}
+
+/// Allocations of `HybridPipeline::e2e_train` at `steps` steps, from a
+/// fresh pipeline.
+fn e2e_allocations(steps: usize) -> u64 {
+    let mut cfg = SystemConfig::fast_test();
+    cfg.batch_size = BATCH;
+    cfg.e2e_steps = steps;
+    let mut pipe = HybridPipeline::new(cfg);
+    let before = allocations();
+    let loss = pipe.e2e_train();
+    let n = allocations() - before;
+    assert!(loss.is_finite());
+    n
+}
+
+#[test]
+fn e2e_allocations_do_not_grow_with_steps() {
+    let (short, long) = (e2e_allocations(10), e2e_allocations(200));
+    assert_eq!(
+        short, long,
+        "HybridPipeline::e2e_train allocated {short} times at 10 steps and {long} at 200"
     );
 }

@@ -134,7 +134,7 @@ pub fn build_inference_design(
                 pre_act_max.push(pre.max_abs());
                 x = pre;
             }
-            "relu" | "sigmoid" | "tanh" => {
+            "relu" | "sigmoid" => {
                 assert!(
                     !pre_act_max.is_empty(),
                     "activation requires a preceding dense layer"

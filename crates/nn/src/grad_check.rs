@@ -103,7 +103,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::{bce_with_logits, cross_entropy_logits, mse};
+    use crate::loss::{bce, bce_with_logits};
     use crate::model::{Activation, MlpSpec};
     use hybridem_mathkit::rng::Xoshiro256pp;
 
@@ -128,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_sigmoid_stack_with_mse() {
+    fn dense_sigmoid_stack_with_bce() {
         let mut rng = Xoshiro256pp::seed_from_u64(10);
         let spec = MlpSpec {
             dims: vec![3, 5, 2],
@@ -143,7 +143,7 @@ mod tests {
         let calls = std::cell::Cell::new(0);
         let loss = |y: &Matrix<f32>| {
             calls.set(calls.get() + 1);
-            mse(y, &t)
+            bce(y, &t)
         };
         let rep = check_model_grads(&mut model, &x, loss, 1e-3);
         assert!(rep.max_rel_error < TOL, "rel err {}", rep.max_rel_error);
@@ -157,21 +157,6 @@ mod tests {
         let x = smooth_input(6, 2, 3);
         let t = smooth_input(6, 4, 4).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
         let rep = check_model_grads(&mut model, &x, |z| bce_pair(z, &t), 1e-3);
-        assert!(rep.max_rel_error < TOL, "rel err {}", rep.max_rel_error);
-    }
-
-    #[test]
-    fn tanh_stack_with_cross_entropy() {
-        let mut rng = Xoshiro256pp::seed_from_u64(30);
-        let spec = MlpSpec {
-            dims: vec![2, 6, 4],
-            hidden: Activation::Tanh,
-            output: Activation::Linear,
-        };
-        let mut model = spec.build(&mut rng);
-        let x = smooth_input(5, 2, 5);
-        let labels = [0usize, 3, 1, 2, 3];
-        let rep = check_model_grads(&mut model, &x, |z| cross_entropy_logits(z, &labels), 1e-3);
         assert!(rep.max_rel_error < TOL, "rel err {}", rep.max_rel_error);
     }
 

@@ -1,6 +1,6 @@
 //! Weight initialisation.
 //!
-//! Xavier/Glorot for sigmoid/tanh stacks, He for ReLU stacks —
+//! Xavier/Glorot for sigmoid stacks, He for ReLU stacks —
 //! both in their uniform variants, drawn from the workspace's
 //! deterministic xoshiro streams.
 
@@ -14,9 +14,6 @@ pub(crate) enum Init {
     XavierUniform,
     /// Uniform `±√(6/fan_in)` (He et al. 2015), suited to ReLU.
     HeUniform,
-    /// Uniform `±scale·0.5/√fan_in`-free plain range, for embeddings and
-    /// tests: `±scale`.
-    Uniform(f32),
 }
 
 impl Init {
@@ -26,13 +23,10 @@ impl Init {
         let bound = match self {
             Init::XavierUniform => (6.0 / (rows + cols) as f64).sqrt(),
             Init::HeUniform => (6.0 / cols.max(1) as f64).sqrt(),
-            Init::Uniform(s) => *s as f64,
         };
         let mut m = Matrix::zeros(rows, cols);
-        if bound > 0.0 {
-            for v in m.as_mut_slice() {
-                *v = rng.range_f64(-bound, bound) as f32;
-            }
+        for v in m.as_mut_slice() {
+            *v = rng.range_f64(-bound, bound) as f32;
         }
         m
     }
@@ -51,15 +45,6 @@ mod tests {
         let h = Init::HeUniform.sample(4, 16, &mut rng);
         let hb = (6.0f32 / 16.0).sqrt();
         assert!(h.as_slice().iter().all(|v| v.abs() <= hb));
-    }
-
-    #[test]
-    fn uniform_respects_its_scale() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
-        let u = Init::Uniform(0.1).sample(8, 8, &mut rng);
-        assert!(u.as_slice().iter().all(|v| v.abs() <= 0.1));
-        // Not all zero (vanishing probability).
-        assert!(u.as_slice().iter().any(|&v| v != 0.0));
     }
 
     #[test]

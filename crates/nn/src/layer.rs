@@ -21,12 +21,12 @@ pub struct Param {
     /// Current value.
     pub value: Matrix<f32>,
     /// Accumulated gradient (zeroed by [`Param::zero_grad`]).
-    pub(crate) grad: Matrix<f32>,
+    pub grad: Matrix<f32>,
 }
 
 impl Param {
     /// Wraps an initial value with a zeroed gradient.
-    pub(crate) fn new(value: Matrix<f32>) -> Self {
+    pub fn new(value: Matrix<f32>) -> Self {
         let grad = Matrix::zeros(value.rows(), value.cols());
         Self { value, grad }
     }

@@ -9,22 +9,20 @@
 //! loss and a first-order optimiser. Rather than binding to an ML
 //! framework, this crate implements exactly that machinery:
 //!
-//! - [`layer::Layer`] and the [`layers`] module — dense, ReLU, sigmoid,
-//!   tanh for batched `Matrix<f32>` activations (the dense products run
-//!   as bit-exact SIMD lane [`kernels`]), plus the two special
-//!   transmitter-side layers: [`layers::Embedding`] (symbol index →
-//!   point) and [`layers::PowerNorm`] (average-power constraint over the
-//!   constellation table);
-//! - [`loss`] — BCE (probability and fused-logit forms), MSE, softmax
-//!   cross-entropy;
-//! - [`optim`] — SGD (+momentum) and Adam;
+//! - [`layer::Layer`] and the [`layers`] module — dense, ReLU, sigmoid
+//!   and fake-quantisation layers for batched `Matrix<f32>` activations
+//!   (the dense products run as bit-exact SIMD lane [`kernels`]); the
+//!   mapper's table is one [`layer::Param`] that `hybridem-core` owns;
+//! - [`loss`] — BCE in its fused-logit training form and its
+//!   probability form;
+//! - [`optim`] — Adam;
 //! - [`model::Sequential`] — layer stacks with JSON-snapshot round-trips
 //!   and one reused training tape (stateless layers; a warm training
 //!   step allocates nothing);
 //! - [`grad_check`] — central-difference gradient verification used by
 //!   the test-suite on every layer and loss;
-//! - [`init`] / [`schedule`] — Xavier/He initialisation and learning
-//!   rate schedules.
+//! - [`init`] / [`schedule`] — Xavier/He initialisation and the cosine
+//!   learning-rate schedule.
 //!
 //! Everything is deterministic given a seed, and fast enough that full
 //! E2E training runs inside unit tests.
@@ -43,4 +41,4 @@ pub mod optim;
 pub mod schedule;
 
 pub use model::{MlpSpec, Sequential};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;

@@ -2,17 +2,17 @@
 //!
 //! The paper trains with **binary cross-entropy over the `m` bit
 //! probabilities** (maximising bitwise mutual information). For
-//! numerical robustness the E2E trainer uses the fused
-//! [`bce_with_logits`] form on the pre-sigmoid outputs; a plain
-//! [`bce`] on probabilities, [`mse`], and a softmax [`cross_entropy_logits`]
-//! (for the symbol-wise demapper ablation) are also provided.
+//! numerical robustness every training loop uses the fused
+//! [`bce_with_logits`] form on the pre-sigmoid outputs; the plain
+//! [`bce`] on probabilities is the reference that tests compare it
+//! against.
 //!
 //! Every gradient is ∂loss/∂input with the `1/batch` factor already
 //! applied, so `loss` decreases under a plain gradient step regardless
 //! of batch size. The training loss, [`bce_with_logits`], writes its
 //! gradient into a caller's buffer, and [`bce_with_logits_grad`]
 //! computes that gradient without the loss, for the steps that do not
-//! read it. The others return `(loss, grad)`.
+//! read it. [`bce`] returns `(loss, grad)`.
 
 use hybridem_mathkit::matrix::Matrix;
 
@@ -86,42 +86,6 @@ fn bce_logits<const LOSS: bool>(
     (loss / n as f64) as f32
 }
 
-/// Mean squared error `mean[(y − t)²]`.
-pub fn mse(y: &Matrix<f32>, target: &Matrix<f32>) -> (f32, Matrix<f32>) {
-    assert_eq!(y.shape(), target.shape(), "mse shape mismatch");
-    let n = y.len() as f32;
-    let mut loss = 0.0f64;
-    let grad = y.zip_map(target, |y, t| {
-        let d = y - t;
-        loss += (d as f64) * (d as f64);
-        2.0 * d / n
-    });
-    ((loss / n as f64) as f32, grad)
-}
-
-/// Softmax cross-entropy on logits against integer class labels
-/// (mean over the batch). Returns ∂L/∂logits.
-pub fn cross_entropy_logits(z: &Matrix<f32>, labels: &[usize]) -> (f32, Matrix<f32>) {
-    assert_eq!(z.rows(), labels.len(), "label count mismatch");
-    let b = z.rows() as f32;
-    let mut grad = Matrix::zeros(z.rows(), z.cols());
-    let mut loss = 0.0f64;
-    for (r, &label) in labels.iter().enumerate() {
-        let row = z.row(r);
-        assert!(label < z.cols(), "label {label} out of range");
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let sum: f32 = row.iter().map(|&v| (v - m).exp()).sum();
-        let log_sum = m + sum.ln();
-        loss += (log_sum - row[label]) as f64;
-        let g = grad.row_mut(r);
-        for (c, (&v, gslot)) in row.iter().zip(g.iter_mut()).enumerate() {
-            let p = (v - log_sum).exp();
-            *gslot = (p - f32::from(c == label)) / b;
-        }
-    }
-    ((loss / b as f64) as f32, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,32 +127,6 @@ mod tests {
         assert!(l.is_finite());
         assert!(g.as_slice().iter().all(|v| v.is_finite()));
         assert!(l > 100.0); // confidently wrong ⇒ huge loss
-    }
-
-    #[test]
-    fn mse_known_value_and_grad() {
-        let y = Matrix::from_rows(&[&[1.0f32, 2.0]]);
-        let t = Matrix::from_rows(&[&[0.0f32, 2.0]]);
-        let (l, g) = mse(&y, &t);
-        assert!((l - 0.5).abs() < 1e-7);
-        assert_eq!(g.as_slice(), &[1.0, 0.0]);
-    }
-
-    #[test]
-    fn cross_entropy_uniform_logits() {
-        let z = Matrix::zeros(1, 4);
-        let (l, g) = cross_entropy_logits(&z, &[2]);
-        assert!((l - (4.0f32).ln()).abs() < 1e-6);
-        // Gradient: p − onehot = 0.25 everywhere except label: −0.75.
-        assert!((g[(0, 2)] + 0.75).abs() < 1e-6);
-        assert!((g[(0, 0)] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cross_entropy_confident_correct_is_small() {
-        let z = Matrix::from_rows(&[&[10.0f32, -10.0, -10.0]]);
-        let (l, _) = cross_entropy_logits(&z, &[0]);
-        assert!(l < 1e-4);
     }
 
     #[test]

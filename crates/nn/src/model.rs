@@ -9,9 +9,9 @@
 //! checkpointed, shipped to the FPGA builder, and reloaded in tests.
 
 use crate::layer::{Layer, Param};
-use crate::layers::{Dense, FakeQuant, Relu, Sigmoid, Tanh};
+use crate::layers::{Dense, FakeQuant, Relu, Sigmoid};
 use crate::loss::{bce_with_logits, bce_with_logits_grad};
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use hybridem_fixed::{QFormat, QuantSpec, Rounding};
 use hybridem_mathkit::json::{FromJson, Json, JsonError, ToJson};
 use hybridem_mathkit::matrix::Matrix;
@@ -24,8 +24,6 @@ pub enum Activation {
     Relu,
     /// Logistic sigmoid.
     Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
     /// No activation (linear / logits output).
     Linear,
 }
@@ -84,7 +82,6 @@ impl MlpSpec {
             match act {
                 Activation::Relu => layers.push(Box::new(Relu)),
                 Activation::Sigmoid => layers.push(Box::new(Sigmoid)),
-                Activation::Tanh => layers.push(Box::new(Tanh)),
                 Activation::Linear => {}
             }
         }
@@ -280,7 +277,7 @@ impl Sequential {
     /// allocates nothing.
     pub fn bce_step(
         &mut self,
-        opt: &mut impl Optimizer,
+        opt: &mut Adam,
         x: &Matrix<f32>,
         targets: &Matrix<f32>,
         with_loss: bool,
@@ -362,7 +359,6 @@ impl Sequential {
                     }
                     "relu" => LayerSnapshot::Relu,
                     "sigmoid" => LayerSnapshot::Sigmoid,
-                    "tanh" => LayerSnapshot::Tanh,
                     "fake_quant" => LayerSnapshot::FakeQuant {
                         spec: l
                             .quant_spec()
@@ -422,7 +418,6 @@ impl Sequential {
                     }
                     LayerSnapshot::Relu => Box::new(Relu),
                     LayerSnapshot::Sigmoid => Box::new(Sigmoid),
-                    LayerSnapshot::Tanh => Box::new(Tanh),
                     LayerSnapshot::FakeQuant { spec } => Box::new(FakeQuant::new(spec)),
                 }
             })
@@ -477,7 +472,7 @@ pub fn insert_fake_quant(model: &Sequential, boundaries: &[QuantSpec]) -> Sequen
             // The boundary sits after the dense layer's activation.
             if matches!(
                 iter.peek(),
-                Some(LayerSnapshot::Relu | LayerSnapshot::Sigmoid | LayerSnapshot::Tanh)
+                Some(LayerSnapshot::Relu | LayerSnapshot::Sigmoid)
             ) {
                 qat.push(iter.next().unwrap());
             }
@@ -518,8 +513,6 @@ pub enum LayerSnapshot {
     Relu,
     /// Sigmoid activation.
     Sigmoid,
-    /// Tanh activation.
-    Tanh,
     /// Straight-through fake-quantisation boundary (QAT).
     FakeQuant {
         /// The fixed-point cast the layer simulates.
@@ -541,7 +534,6 @@ impl ToJson for Activation {
         let name = match self {
             Activation::Relu => "relu",
             Activation::Sigmoid => "sigmoid",
-            Activation::Tanh => "tanh",
             Activation::Linear => "linear",
         };
         name.to_json()
@@ -553,7 +545,6 @@ impl FromJson for Activation {
         match v.as_str()? {
             "relu" => Ok(Activation::Relu),
             "sigmoid" => Ok(Activation::Sigmoid),
-            "tanh" => Ok(Activation::Tanh),
             "linear" => Ok(Activation::Linear),
             other => Err(JsonError::new(format!("unknown activation `{other}`"))),
         }
@@ -576,7 +567,6 @@ impl ToJson for LayerSnapshot {
             ]),
             LayerSnapshot::Relu => Json::object([("kind", "relu".to_json())]),
             LayerSnapshot::Sigmoid => Json::object([("kind", "sigmoid".to_json())]),
-            LayerSnapshot::Tanh => Json::object([("kind", "tanh".to_json())]),
             LayerSnapshot::FakeQuant { spec } => Json::object([
                 ("kind", "fake_quant".to_json()),
                 ("total_bits", spec.format.total_bits.to_json()),
@@ -614,7 +604,6 @@ impl FromJson for LayerSnapshot {
             }),
             "relu" => Ok(LayerSnapshot::Relu),
             "sigmoid" => Ok(LayerSnapshot::Sigmoid),
-            "tanh" => Ok(LayerSnapshot::Tanh),
             "fake_quant" => {
                 let total = u32::from_json(v.field("total_bits")?)?;
                 let frac = u32::from_json(v.field("frac_bits")?)?;
@@ -648,7 +637,6 @@ hybridem_mathkit::impl_json!(ModelSnapshot { input_dim, layers });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Adam;
 
     #[test]
     fn paper_demapper_shape_and_macs() {
@@ -690,7 +678,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(7);
         let spec = MlpSpec {
             dims: vec![2, 16, 1],
-            hidden: Activation::Tanh,
+            hidden: Activation::Relu,
             output: Activation::Linear,
         };
         let mut model = spec.build(&mut rng);

@@ -1,126 +1,49 @@
-//! First-order optimisers.
+//! The optimiser.
 //!
 //! The paper's training loop is standard stochastic gradient descent on
-//! a tiny model; we provide plain SGD (with optional momentum) and Adam
-//! (the PyTorch default the authors would have used). Optimiser state
-//! is keyed by parameter position, so the same optimiser instance must
-//! always be fed the same parameters in the same order — which is what
+//! a tiny model; every training path here steps with Adam (the PyTorch
+//! default the authors would have used). Optimiser state is keyed by
+//! parameter position, so the same optimiser instance must always be
+//! fed the same parameters in the same order — which is what
 //! [`crate::model::Sequential::params_mut`] guarantees. A step walks an
 //! iterator over the parameters, so it collects nothing.
 
 use crate::layer::Param;
 
-/// A gradient-based parameter update rule.
-pub trait Optimizer {
-    /// Applies one update step to the given parameters (and clears
-    /// nothing — call [`Param::zero_grad`] between steps via the model).
-    fn step(&mut self, params: &mut dyn Iterator<Item = &mut Param>);
+/// Adam's first-moment decay β₁.
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay β₂.
+const BETA2: f32 = 0.999;
+/// Adam's denominator guard ε.
+const EPS: f32 = 1e-8;
 
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum `β`: `v ← βv + g; w ← w − lr·v`.
-    pub(crate) fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0,1)");
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut dyn Iterator<Item = &mut Param>) {
-        for (i, p) in params.enumerate() {
-            if i == self.velocity.len() {
-                self.velocity.push(vec![0.0; p.len()]);
-            }
-            let v = &mut self.velocity[i];
-            debug_assert_eq!(p.len(), v.len(), "optimiser state shape drift");
-            if self.momentum == 0.0 {
-                for (w, &g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
-                    *w -= self.lr * g;
-                }
-            } else {
-                for ((w, &g), vel) in p
-                    .value
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(p.grad.as_slice())
-                    .zip(v.iter_mut())
-                {
-                    *vel = self.momentum * *vel + g;
-                    *w -= self.lr * *vel;
-                }
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba 2015) with bias correction.
+/// Adam (Kingma & Ba 2015) with bias correction and the standard
+/// β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
 }
 
 impl Adam {
-    /// Adam with the standard defaults β₁=0.9, β₂=0.999, ε=1e-8.
+    /// Adam at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self::with_params(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Fully parameterised constructor.
-    pub(crate) fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Self {
             lr,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut dyn Iterator<Item = &mut Param>) {
+    /// Applies one update step to the given parameters (and clears
+    /// nothing — call [`Param::zero_grad`] between steps via the model).
+    pub fn step(&mut self, params: &mut dyn Iterator<Item = &mut Param>) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t.min(1 << 24) as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t.min(1 << 24) as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t.min(1 << 24) as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t.min(1 << 24) as i32);
         for (i, p) in params.enumerate() {
             if i == self.m.len() {
                 self.m.push(vec![0.0; p.len()]);
@@ -136,20 +59,17 @@ impl Optimizer for Adam {
                 .zip(m.iter_mut())
                 .zip(v.iter_mut())
             {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+                *mi = BETA1 * *mi + (1.0 - BETA1) * g;
+                *vi = BETA2 * *vi + (1.0 - BETA2) * g * g;
                 let mhat = *mi / bc1;
                 let vhat = *vi / bc2;
-                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                *w -= self.lr * mhat / (vhat.sqrt() + EPS);
             }
         }
     }
 
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (used by schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -159,11 +79,13 @@ mod tests {
     use super::*;
     use hybridem_mathkit::matrix::Matrix;
 
-    /// Minimises f(w) = ‖w − target‖² with the given optimiser.
-    fn minimise(opt: &mut impl Optimizer, steps: usize) -> f32 {
+    #[test]
+    fn adam_converges_on_quadratic() {
+        // Minimises f(w) = ‖w − target‖².
         let target = [1.0f32, -2.0, 0.5];
         let mut p = Param::new(Matrix::zeros(1, 3));
-        for _ in 0..steps {
+        let mut opt = Adam::new(0.05);
+        for _ in 0..500 {
             p.zero_grad();
             for (g, (&w, &t)) in p
                 .grad
@@ -175,52 +97,32 @@ mod tests {
             }
             opt.step(&mut std::iter::once(&mut p));
         }
-        p.value
+        let err: f32 = p
+            .value
             .as_slice()
             .iter()
             .zip(&target)
             .map(|(&w, &t)| (w - t) * (w - t))
-            .sum()
+            .sum();
+        assert!(err < 1e-6, "residual {err}");
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(minimise(&mut opt, 200) < 1e-8);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut opt = Sgd::with_momentum(0.02, 0.9);
-        assert!(minimise(&mut opt, 300) < 1e-6);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.05);
-        assert!(minimise(&mut opt, 500) < 1e-6);
-    }
-
-    #[test]
-    fn sgd_single_step_is_exact() {
-        let mut p = Param::new(Matrix::from_rows(&[&[1.0f32]]));
-        p.grad.as_mut_slice()[0] = 2.0;
-        let mut opt = Sgd::new(0.5);
-        opt.step(&mut std::iter::once(&mut p));
-        assert_eq!(p.value.as_slice()[0], 0.0);
-    }
-
-    #[test]
-    fn learning_rate_is_settable() {
+    fn first_step_moves_by_the_set_learning_rate() {
+        // At t = 1 the bias-corrected step is lr·g/(|g| + ε): one
+        // learning rate against the gradient's sign.
+        let mut p = Param::new(Matrix::from_rows(&[&[1.0f32, 1.0]]));
+        p.grad.as_mut_slice().copy_from_slice(&[2.0, -0.5]);
         let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
+        opt.set_learning_rate(0.25);
+        opt.step(&mut std::iter::once(&mut p));
+        assert!((p.value[(0, 0)] - 0.75).abs() < 1e-6, "{}", p.value[(0, 0)]);
+        assert!((p.value[(0, 1)] - 1.25).abs() < 1e-6, "{}", p.value[(0, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_nonpositive_lr() {
-        let _ = Sgd::new(0.0);
+        let _ = Adam::new(0.0);
     }
 }

@@ -1,56 +1,31 @@
-//! Learning-rate schedules.
+//! The learning-rate schedule.
 //!
-//! Retraining on live channels (the paper's step 2) benefits from a
-//! decaying rate: start aggressive to track the channel change, settle
-//! to refine. These are pure functions of the step index so training
-//! remains replayable.
+//! E2E training anneals its rate: start aggressive while the
+//! constellation forms, settle to refine the demapper's boundaries. The
+//! rate is a pure function of the step index, so training remains
+//! replayable.
 
-/// A learning-rate schedule.
+/// Cosine annealing from `lr` to `min_lr` over `total` steps, then flat
+/// at `min_lr`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LrSchedule {
-    /// Constant rate.
-    Constant {
-        /// The rate.
-        lr: f32,
-    },
-    /// `lr · decay^{⌊step/every⌋}`.
-    StepDecay {
-        /// Initial rate.
-        lr: f32,
-        /// Multiplicative factor applied every `every` steps.
-        decay: f32,
-        /// Interval in steps.
-        every: u64,
-    },
-    /// Cosine annealing from `lr` to `min_lr` over `total` steps, then
-    /// flat at `min_lr`.
-    Cosine {
-        /// Initial rate.
-        lr: f32,
-        /// Final rate.
-        min_lr: f32,
-        /// Annealing horizon in steps.
-        total: u64,
-    },
+pub struct Cosine {
+    /// Initial rate.
+    pub lr: f32,
+    /// Final rate.
+    pub min_lr: f32,
+    /// Annealing horizon in steps.
+    pub total: u64,
 }
 
-impl LrSchedule {
+impl Cosine {
     /// Rate at a given step (0-based).
     pub fn at(&self, step: u64) -> f32 {
-        match *self {
-            LrSchedule::Constant { lr } => lr,
-            LrSchedule::StepDecay { lr, decay, every } => {
-                let k = (step / every.max(1)) as i32;
-                lr * decay.powi(k)
-            }
-            LrSchedule::Cosine { lr, min_lr, total } => {
-                if total == 0 || step >= total {
-                    return min_lr;
-                }
-                let t = step as f32 / total as f32;
-                min_lr + 0.5 * (lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
+        let Cosine { lr, min_lr, total } = *self;
+        if total == 0 || step >= total {
+            return min_lr;
         }
+        let t = step as f32 / total as f32;
+        min_lr + 0.5 * (lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
     }
 }
 
@@ -59,28 +34,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_is_constant() {
-        let s = LrSchedule::Constant { lr: 0.01 };
-        assert_eq!(s.at(0), 0.01);
-        assert_eq!(s.at(10_000), 0.01);
-    }
-
-    #[test]
-    fn step_decay_halves() {
-        let s = LrSchedule::StepDecay {
-            lr: 0.1,
-            decay: 0.5,
-            every: 100,
-        };
-        assert_eq!(s.at(0), 0.1);
-        assert_eq!(s.at(99), 0.1);
-        assert!((s.at(100) - 0.05).abs() < 1e-9);
-        assert!((s.at(250) - 0.025).abs() < 1e-9);
-    }
-
-    #[test]
     fn cosine_endpoints_and_monotonicity() {
-        let s = LrSchedule::Cosine {
+        let s = Cosine {
             lr: 0.1,
             min_lr: 0.001,
             total: 100,

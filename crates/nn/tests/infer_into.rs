@@ -58,7 +58,7 @@ fn batched_infer_into_matches_row_by_row_infer_exactly() {
             3,
             MlpSpec {
                 dims: vec![2, 8, 8, 3],
-                hidden: Activation::Tanh,
+                hidden: Activation::Sigmoid,
                 output: Activation::Sigmoid,
             },
         ),
